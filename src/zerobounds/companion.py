@@ -112,6 +112,39 @@ def build_block_companion(q: Polynomial) -> BlockCompanion:
     )
 
 
+def _bordered_hermitian_part(first_row: np.ndarray, scale: float = 1.0):
+    """Hermitian part of e^{i theta} C / scale in bordered form, for C a companion matrix.
+
+    C has the given first row, ones on the subdiagonal and zeros elsewhere.
+    With D = diag(e^{i (k-1) theta}), D* H(theta) D = [[h, g*], [g, T]] where
+    T is the (n-1) x (n-1) tridiagonal matrix with zero diagonal and 1/2
+    off-diagonals. T has eigenvalues mu_j = cos(j pi/n), j = 1..n-1, and
+    orthonormal eigenvectors sqrt(2/n) sin(i j pi/n), so in that basis H(theta)
+    is diag(mu) bordered by v = S^T g, and det(z - H) is the secular product
+
+        (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k).
+
+    Returns (mu, at) for H(theta) / scale: mu is descending, and at(thetas)
+    gives h (one entry per angle) and |v|^2 (one row per angle). Dividing by
+    scale before squaring keeps |v|^2 finite for huge coefficients.
+    """
+    n = first_row.size
+    k = np.arange(1, n)
+    mu = np.cos(k * np.pi / n) / scale
+    # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi)
+    sines = np.sqrt(2.0 / n) * np.sin(np.outer(k, k) % (2 * n) * (np.pi / n))
+    corner = first_row[0] / scale
+    border = np.conj(first_row[1:]) / (2 * scale)  # g at theta = 0, less the subdiagonal's 1/2
+
+    def at(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = (np.exp(1j * thetas) * corner).real
+        g = np.exp(-1j * thetas[:, None] * (k + 1)) * border
+        g[:, 0] += 0.5 / scale
+        return h, (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
+
+    return mu, at
+
+
 def real_part_charpoly(p: Polynomial, z: complex) -> complex:
     """Characteristic polynomial of Re C(p) = (C(p) + C(p)*)/2, evaluated at z.
 
@@ -121,22 +154,15 @@ def real_part_charpoly(p: Polynomial, z: complex) -> complex:
           - sum_{j=1}^{n-1} [prod_{k != j} (z - cos(k pi/n))] * |v_j|^2,
 
     with v_j = (1/sqrt(2n)) * [(1 - conj(a_{n-1})) sin(j pi/n)
-                               - sum_{k=2}^{n-1} conj(a_{n-k}) sin(k j pi/n)].
+                               - sum_{k=2}^{n-1} conj(a_{n-k}) sin(k j pi/n)],
+
+    the theta = 0 case of the bordered form the numerical-radius sweep uses.
     """
     n = p.degree
     if n < 3:
         raise DegreeTooSmallError("real-part characteristic polynomial needs degree >= 3")
-    a = p.lower
-    cosines = [np.cos(j * np.pi / n) for j in range(1, n)]
-
-    def v(j: int) -> complex:
-        total = (1 - np.conj(a[n - 2])) * np.sin(j * np.pi / n)
-        for k in range(2, n):
-            total -= np.conj(a[n - k - 1]) * np.sin(k * j * np.pi / n)
-        return total / np.sqrt(2 * n)
-
-    value = (z + a[n - 1].real) * np.prod([z - c for c in cosines])
-    for j in range(1, n):
-        partial = np.prod([z - cosines[k - 1] for k in range(1, n) if k != j])
-        value -= partial * abs(v(j)) ** 2
-    return complex(value)
+    mu, at = _bordered_hermitian_part(build_companion(p)[0])
+    h, weights = at(np.zeros(1))
+    factors = z - mu
+    others = np.prod(np.where(np.eye(n - 1, dtype=bool), 1.0, factors), axis=1)
+    return complex((z - h[0]) * np.prod(factors) - weights[0] @ others)

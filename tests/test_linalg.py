@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zerobounds.linalg
 from conftest import random_matrix
 from zerobounds import (
+    FIXTURES,
+    InternalConsistencyError,
     NegativeEntryError,
     NonSquareError,
     NotHermitianError,
@@ -17,7 +22,9 @@ from zerobounds import (
     psd_abs,
     psd_power,
 )
-from zerobounds.linalg import as_matrix
+from zerobounds.companion import build_companion
+from zerobounds.linalg import _companion_peaks, _dense_peaks, as_matrix
+from zerobounds.polynomial import Polynomial, make_monic
 
 
 def test_as_matrix_rejects_non_square_and_non_finite():
@@ -149,3 +156,112 @@ def test_nonneg_numrad_matches_sweep_on_nonnegative_matrices():
         swept = numerical_radius_sweep(r.astype(complex))
         assert abs(direct - swept) <= 1e-6 * max(direct, 1.0)
         assert direct >= swept - 1e-6
+
+
+# ---------------------------------------------- companion route of the sweep
+
+AGREEMENT_THETAS = np.concatenate([
+    np.linspace(0.0, 2 * np.pi, 64, endpoint=False), [0.1234, 5.4321],
+])
+
+
+def _companion(lower):
+    """Companion matrix of z^n + a_n z^(n-1) + ... + a_1 from (a_1, ..., a_n)."""
+    return build_companion(Polynomial(tuple(lower)))
+
+
+def _assert_routes_agree(c):
+    fast = _companion_peaks(c[0])(AGREEMENT_THETAS)
+    dense = _dense_peaks(c, AGREEMENT_THETAS)
+    assert np.all(np.isfinite(fast))
+    # relative to the largest peak, about w(C): both routes are accurate to
+    # a few eps times the matrix scale, not to each small peak separately
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(dense)
+
+
+finite_parts = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(finite_parts, finite_parts), min_size=2, max_size=40))
+def test_companion_route_agrees_with_dense_route(parts):
+    _assert_routes_agree(_companion([complex(re, im) for re, im in parts]))
+
+
+def _top_weight_vanishes(n):
+    # at theta = 0 the border is g_i = (conj(C[0, i]) + [i == 1]) / 2; choosing
+    # g = the second sine vector makes it orthogonal to the top eigenvector of T
+    i = np.arange(1, n)
+    g = np.sin(2 * i * np.pi / n)
+    first_row = np.concatenate([[0.3], np.conj(2 * g - (i == 1))])
+    return _companion(-first_row[::-1])
+
+
+NAMED_COMPANIONS = {
+    "z^n": [0.0] * 7,
+    "z^n + z^(n-1)": [0.0] * 6 + [1.0],
+    "z^n + z^(n-2), zero border at theta 0": [0.0] * 5 + [1.0, 0.0],
+    "real coefficients": [float(k) for k in range(1, 10)],
+    "scale 1e-150": [1e-150 * complex(k, -k) for k in range(1, 8)],
+    "scale 1e+150": [1e150 * complex(k, -k) for k in range(1, 8)],
+    "one huge coefficient": list(make_monic([1, 1e150, 1, 2]).lower),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COMPANIONS))
+def test_companion_route_named_cases(name):
+    _assert_routes_agree(_companion(NAMED_COMPANIONS[name]))
+
+
+def test_companion_route_when_the_top_weight_vanishes():
+    for n in (4, 7, 12):
+        c = _top_weight_vanishes(n)
+        _assert_routes_agree(c)
+        assert _companion_peaks(c[0])(np.zeros(1))[0] >= math.cos(math.pi / n)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_companion_route_on_the_fixtures(name):
+    _assert_routes_agree(build_companion(FIXTURES[name].polynomial()))
+
+
+@pytest.mark.parametrize("top_weight, gap", [(1e-20, 1e-10), (1e-30, 1e-14), (1e-16, 1e-8)])
+def test_secular_root_next_to_a_nearly_decoupled_top_pole(top_weight, gap):
+    # the root sits within about top_weight / gap of the top pole, where
+    # the secular function is small and easily lost to cancellation
+    mu = np.array([0.9, 0.5, 0.1])
+    w = np.array([[top_weight, 0.4, 0.0]])
+    h = np.array([0.9 - 1.0 - gap])  # 0.4 / (0.9 - 0.5) = 1: the gap is left over
+    arrow = np.diag(np.concatenate([h, mu]))
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(w[0])
+    expected = np.linalg.eigvalsh(arrow)[-1]
+    assert abs(zerobounds.linalg._largest_secular_root(h, w, mu)[0] - expected) <= 1e-14
+
+
+def test_sweep_of_a_huge_coefficient_is_that_coefficient():
+    c = build_companion(make_monic([1, 1e150, 1, 2]))
+    assert abs(numerical_radius_sweep(c) / 1e150 - 1.0) <= 1e-12
+
+
+def test_sweep_routes_by_structure(monkeypatch):
+    dense_calls = []
+
+    def spy(m, thetas):
+        dense_calls.append(len(thetas))
+        return _dense_peaks(m, thetas)
+
+    monkeypatch.setattr(zerobounds.linalg, "_dense_peaks", spy)
+    c = _companion([complex(k, 1) for k in range(1, 7)])
+    swept = numerical_radius_sweep(c, samples=64)
+    assert dense_calls == []
+    perturbed = c.copy()
+    perturbed[3, 2] = 1.0 + 1e-9
+    assert abs(numerical_radius_sweep(perturbed, samples=64) - swept) <= 1e-6 * swept
+    assert sum(dense_calls) > 64
+
+
+def test_companion_route_raises_when_the_solve_fails(monkeypatch):
+    monkeypatch.setattr(zerobounds.linalg, "_SECULAR_MAX_STEPS", 1)
+    c = _companion([complex(k, 1) for k in range(1, 7)])
+    with pytest.raises(InternalConsistencyError):
+        numerical_radius_sweep(c)
