@@ -14,12 +14,14 @@ plus_one variant is the safe one); see the validity tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegreeTooSmallError, NegativeRadicandError
 from .polynomial import Polynomial
 
 __all__ = [
+    "LINDEN_VARIANTS",
+    "KITTANEH_VARIANTS",
     "BoundResult",
     "cauchy",
     "carmichael_mason",
@@ -31,6 +33,10 @@ __all__ = [
     "abu_omar_kittaneh",
     "al_dolat",
 ]
+
+# formula variants; the first of each is the displayed form and the default
+LINDEN_VARIANTS = ("printed", "table")
+KITTANEH_VARIANTS = ("printed", "plus_one")
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def linden(p: Polynomial, variant: str = "printed") -> BoundResult:
     printed: T = |a_n|^2/n. table: T = |a_n|/n (the substitution that
     reproduces the published comparison tables).
     """
-    if variant not in ("printed", "table"):
+    if variant not in LINDEN_VARIANTS:
         raise ValueError(f"unknown linden variant {variant!r}")
     n = p.degree
     if n < 2:
@@ -119,7 +125,7 @@ def kittaneh_disk(p: Polynomial, variant: str = "printed") -> BoundResult:
     the published tables use; also the only variant that is a valid bound in
     general).
     """
-    if variant not in ("printed", "plus_one"):
+    if variant not in KITTANEH_VARIANTS:
         raise ValueError(f"unknown kittaneh_disk variant {variant!r}")
     n = p.degree
     if n < 3:
@@ -150,49 +156,22 @@ def abu_omar_kittaneh(p: Polynomial) -> BoundResult:
     return BoundResult("abu_omar_kittaneh", value)
 
 
-def al_dolat(p: Polynomial, grid: int = 1024) -> BoundResult:
+def al_dolat(p: Polynomial) -> BoundResult:
     """min over t in [0,1] of
     (|a_n| + 2 cos(pi/n) + sqrt(t^2 |a_n|^2 + S) + sqrt(1 + (1-t)^2 |a_n|^2)) / 2,
-    S = sum_{k<=n-1} |a_k|^2. Dense grid then golden-section refinement;
-    the minimizing t is reported in notes.
+    S = sum_{k<=n-1} |a_k|^2.
+
+    The two square roots are the distances from (t |a_n|, 0) to (0, sqrt(S))
+    and to (|a_n|, -1), so their sum is least where the straight line between
+    those points crosses the axis: at t* = sqrt(S) / (1 + sqrt(S)), with sum
+    hypot(|a_n|, sqrt(S) + 1). t* is reported in notes.
     """
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("al_dolat needs degree >= 2")
     mods = _moduli(p)
     a_n = mods[-1]
-    head = sum(m * m for m in mods[:-1])
-    two_cos = 2.0 * math.cos(math.pi / n)
-
-    def objective(t: float) -> float:
-        return 0.5 * (
-            a_n
-            + two_cos
-            + math.sqrt(t * t * a_n * a_n + head)
-            + math.sqrt(1.0 + (1.0 - t) ** 2 * a_n * a_n)
-        )
-
-    step = 1.0 / grid
-    samples = [i * step for i in range(grid + 1)]
-    values = [objective(t) for t in samples]
-    best = min(range(len(samples)), key=values.__getitem__)
-    lo = samples[max(0, best - 1)]
-    hi = samples[min(len(samples) - 1, best + 1)]
-
-    ratio = (math.sqrt(5.0) - 1) / 2
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = objective(d)
-    t_star = (lo + hi) / 2
-    return BoundResult(
-        "al_dolat", min(fc, fd), notes=(f"t_star={t_star:.6f}",)
-    )
+    root_head = math.sqrt(sum(m * m for m in mods[:-1]))
+    value = 0.5 * (a_n + 2.0 * math.cos(math.pi / n) + math.hypot(a_n, root_head + 1.0))
+    t_star = root_head / (1.0 + root_head)
+    return BoundResult("al_dolat", value, notes=(f"t_star={t_star:.6f}",))

@@ -19,6 +19,7 @@ from .errors import NoConvergenceError, PolynomialParseError, UnknownFixtureErro
 from .polynomial import parse_polynomial
 from .report import (
     ALL_METHODS,
+    METHODS,
     CompareOptions,
     format_compare_csv,
     format_compare_json,
@@ -34,10 +35,13 @@ from .roots import find_roots
 
 __all__ = ["main"]
 
-_LINDEN_VARIANTS = ("printed", "table")
-_KITTANEH_VARIANTS = ("printed", "plus_one")
+# --variant family (also a config key) -> (CompareOptions field, allowed values)
+_VARIANT_FAMILIES = {
+    m.option.removesuffix("_variant"): (m.option, m.variants)
+    for m in METHODS.values() if m.option is not None
+}
 _CONFIG_KEYS = (
-    "methods", "linden", "kittaneh", "alpha", "theta-samples",
+    "methods", *_VARIANT_FAMILIES, "alpha", "theta-samples",
     "strict-mw", "oracle", "format", "tolerance",
 )
 
@@ -61,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"comma-separated method ids or 'all' (default); "
                               f"known: {', '.join(ALL_METHODS)}")
     compare.add_argument("--variant", action="append", default=None, metavar="NAME=VALUE",
-                         help="formula variant, repeatable: linden=printed|table, "
-                              "kittaneh=printed|plus_one")
+                         help="formula variant, repeatable: " + ", ".join(
+                             f"{family}={'|'.join(allowed)}"
+                             for family, (_, allowed) in _VARIANT_FAMILIES.items()))
     compare.add_argument("--alpha", type=float, default=None,
                          help="block_cartesian interpolation exponent in (0,1), default 0.5")
     compare.add_argument("--theta-samples", type=int, default=None,
@@ -129,12 +134,11 @@ def _parse_variants(pairs: list[str] | None) -> dict[str, str]:
         if not sep:
             raise CliInputError(f"--variant wants NAME=VALUE, got {pair!r}")
         name, value = name.strip(), value.strip()
-        if name == "linden":
-            allowed = _LINDEN_VARIANTS
-        elif name == "kittaneh":
-            allowed = _KITTANEH_VARIANTS
-        else:
-            raise CliInputError(f"unknown variant family {name!r} (linden, kittaneh)")
+        if name not in _VARIANT_FAMILIES:
+            raise CliInputError(
+                f"unknown variant family {name!r} ({', '.join(_VARIANT_FAMILIES)})"
+            )
+        _, allowed = _VARIANT_FAMILIES[name]
         if value not in allowed:
             raise CliInputError(f"variant {name} must be one of {', '.join(allowed)}")
         chosen[name] = value
@@ -172,13 +176,13 @@ class _Effective:
 
 def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
     eff = _Effective(_load_config(args.config))
-    variants = _parse_variants(args.variant)
-    linden = variants.get("linden") or eff.text(None, "linden", "printed")
-    kittaneh = variants.get("kittaneh") or eff.text(None, "kittaneh", "printed")
-    if linden not in _LINDEN_VARIANTS:
-        raise CliInputError(f"config: linden must be one of {', '.join(_LINDEN_VARIANTS)}")
-    if kittaneh not in _KITTANEH_VARIANTS:
-        raise CliInputError(f"config: kittaneh must be one of {', '.join(_KITTANEH_VARIANTS)}")
+    flags = _parse_variants(args.variant)
+    variants: dict[str, str] = {}
+    for family, (field, allowed) in _VARIANT_FAMILIES.items():
+        value = flags.get(family) or eff.text(None, family, allowed[0])
+        if value not in allowed:
+            raise CliInputError(f"config: {family} must be one of {', '.join(allowed)}")
+        variants[field] = value
 
     alpha = float(eff.number(args.alpha, "alpha", 0.5, float))
     if not 0.0 < alpha < 1.0:
@@ -195,12 +199,11 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
 
     options = CompareOptions(
         methods=methods,
-        linden_variant=linden,
-        kittaneh_variant=kittaneh,
         alpha=alpha,
         theta_samples=theta,
         strict_mw=eff.flag_bool(args.strict_mw, "strict-mw", False),
         oracle=eff.flag_bool(args.oracle, "oracle", True),
+        **variants,
     )
     out_format = eff.text(args.format, "format", "text")
     if out_format not in ("text", "csv", "json"):

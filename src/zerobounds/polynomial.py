@@ -29,6 +29,7 @@ from .errors import (
 
 __all__ = [
     "Polynomial",
+    "horner",
     "make_monic",
     "odd_reduce",
     "parse_complex",
@@ -66,10 +67,18 @@ class Polynomial:
         return (1.0 + 0j,) + tuple(reversed(self.lower))
 
     def evaluate(self, z: complex) -> complex:
-        value = 0j
-        for c in self.descending():
-            value = value * z + c
-        return value
+        return horner(self.descending(), z)
+
+
+def horner(descending, z):
+    """Evaluate the polynomial with degree-descending coefficients at z.
+
+    z may be a scalar or a NumPy array, which is evaluated elementwise.
+    """
+    value = 0j
+    for c in descending:
+        value = value * z + c
+    return value
 
 
 def make_monic(coeffs_desc) -> Polynomial:

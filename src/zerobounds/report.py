@@ -15,6 +15,7 @@ import io
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import classical
@@ -43,9 +44,10 @@ __all__ = [
     "CompareReport",
     "FixtureCheck",
     "FixtureReport",
-    "DISK_METHODS",
-    "RECTANGLE_METHODS",
+    "Method",
+    "METHODS",
     "ALL_METHODS",
+    "resolve_methods",
     "run_compare",
     "run_fixture",
     "run_all_fixtures",
@@ -56,44 +58,87 @@ __all__ = [
     "format_fixture_json",
 ]
 
-# method id -> (kind, needs even degree, minimum degree)
-_REGISTRY: dict[str, tuple[str, bool, int]] = {
-    "cauchy": ("disk", False, 1),
-    "carmichael_mason": ("disk", False, 1),
-    "montel": ("disk", False, 1),
-    "fujii_kubo": ("disk", False, 1),
-    "abdurakhmanov": ("disk", False, 2),
-    "linden": ("disk", False, 2),
-    "kittaneh_disk": ("disk", False, 3),
-    "abu_omar_kittaneh": ("disk", False, 2),
-    "al_dolat": ("disk", False, 2),
-    "cartesian_disk": ("disk", True, 4),
-    "block_cartesian": ("disk", True, 4),
-    "partition_disk": ("disk", True, 4),
-    "unit_tail_disk": ("disk", True, 4),
-    "mw": ("disk", False, 2),
-    "radius_sweep": ("disk", False, 2),
-    "kittaneh_rectangle": ("rectangle", False, 3),
-    "partition_rectangle": ("rectangle", True, 4),
-    "hermitian_rectangle": ("rectangle", False, 2),
-}
-
-ALL_METHODS: tuple[str, ...] = tuple(_REGISTRY)
-DISK_METHODS: tuple[str, ...] = tuple(m for m, (k, _, _) in _REGISTRY.items() if k == "disk")
-RECTANGLE_METHODS: tuple[str, ...] = tuple(
-    m for m, (k, _, _) in _REGISTRY.items() if k == "rectangle"
-)
-
-
 @dataclass(frozen=True)
 class CompareOptions:
-    methods: tuple[str, ...] | None = None  # None means every registered method
+    methods: tuple[str, ...] | None = None  # None means every method in METHODS
     linden_variant: str = "printed"
     kittaneh_variant: str = "printed"
     alpha: float = 0.5  # block_cartesian interpolation exponent
     theta_samples: int = 512  # radius_sweep resolution
     strict_mw: bool = False
     oracle: bool = True
+
+
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table.
+
+    min_degree applies to the input as given; even methods refuse odd input
+    unless a zero constant term lets them run on the even quotient. option
+    names the CompareOptions field that picks one of variants; the CLI family
+    is that name without its "_variant" suffix. run reaches its bound through
+    a module attribute at call time, so wrappers installed on those
+    attributes (tracing, mocking) see the call.
+    """
+
+    kind: str  # "disk" or "rectangle"
+    min_degree: int
+    run: Callable[[Polynomial, CompareOptions], BoundResult | Rectangle]
+    even: bool = False
+    variants: tuple[str, ...] = ()
+    option: str | None = None
+
+
+def _classical(name: str, option: str | None = None) -> Callable:
+    if option is None:
+        return lambda p, opt: getattr(classical, name)(p)
+    return lambda p, opt: getattr(classical, name)(p, getattr(opt, option))
+
+
+def _block_cartesian(p: Polynomial, opt: CompareOptions) -> BoundResult:
+    bc = build_block_companion(p)
+    value = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]], s_exponent=opt.alpha)
+    return BoundResult("block_cartesian", value, notes=(f"s={opt.alpha:.10g}",))
+
+
+def _mw(p: Polynomial, opt: CompareOptions) -> BoundResult:
+    result, applic = mw_bound(p, strict=opt.strict_mw)
+    return replace(result, notes=applic.reasons + result.notes)
+
+
+def _radius_sweep(p: Polynomial, opt: CompareOptions) -> BoundResult:
+    value = numerical_radius_sweep(build_companion(p), samples=opt.theta_samples)
+    return BoundResult("radius_sweep", value, notes=(f"samples={opt.theta_samples}",))
+
+
+METHODS: dict[str, Method] = {
+    "cauchy": Method("disk", 1, _classical("cauchy")),
+    "carmichael_mason": Method("disk", 1, _classical("carmichael_mason")),
+    "montel": Method("disk", 1, _classical("montel")),
+    "fujii_kubo": Method("disk", 1, _classical("fujii_kubo")),
+    "abdurakhmanov": Method("disk", 2, _classical("abdurakhmanov")),
+    "linden": Method("disk", 2, _classical("linden", "linden_variant"),
+                     variants=classical.LINDEN_VARIANTS, option="linden_variant"),
+    "kittaneh_disk": Method("disk", 3, _classical("kittaneh_disk", "kittaneh_variant"),
+                            variants=classical.KITTANEH_VARIANTS, option="kittaneh_variant"),
+    "abu_omar_kittaneh": Method("disk", 2, _classical("abu_omar_kittaneh")),
+    "al_dolat": Method("disk", 2, _classical("al_dolat")),
+    "cartesian_disk": Method(
+        "disk", 4, lambda p, opt: cartesian_disk(build_block_companion(p)), even=True),
+    "block_cartesian": Method("disk", 4, _block_cartesian, even=True),
+    "partition_disk": Method("disk", 4, lambda p, opt: partition_disk(p), even=True),
+    "unit_tail_disk": Method(
+        "disk", 4, lambda p, opt: unit_tail_disk(p, -1 if p.coefficient(1) == -1 else 1),
+        even=True),
+    "mw": Method("disk", 2, _mw),
+    "radius_sweep": Method("disk", 2, _radius_sweep),
+    "kittaneh_rectangle": Method("rectangle", 3, lambda p, opt: kittaneh_rectangle(p)),
+    "partition_rectangle": Method(
+        "rectangle", 4, lambda p, opt: partition_rectangle(p), even=True),
+    "hermitian_rectangle": Method("rectangle", 2, lambda p, opt: hermitian_rectangle(p)),
+}
+
+ALL_METHODS: tuple[str, ...] = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -119,50 +164,12 @@ class CompareReport:
     reduced: bool = False  # partition methods ran on the even quotient
 
 
-def _run_one(method: str, p: Polynomial, opt: CompareOptions) -> tuple[object, tuple[str, ...]]:
-    """Evaluate one method; returns (BoundResult | Rectangle, extra notes)."""
-    if method == "linden":
-        return classical.linden(p, opt.linden_variant), ()
-    if method == "kittaneh_disk":
-        return classical.kittaneh_disk(p, opt.kittaneh_variant), ()
-    if method in ("cauchy", "carmichael_mason", "montel", "fujii_kubo", "abdurakhmanov",
-                  "abu_omar_kittaneh", "al_dolat"):
-        return getattr(classical, method)(p), ()
-    if method == "cartesian_disk":
-        return cartesian_disk(build_block_companion(p)), ()
-    if method == "block_cartesian":
-        bc = build_block_companion(p)
-        value = block_cartesian_radius(
-            [[bc.a11, bc.a12], [bc.a21, bc.a22]], s_exponent=opt.alpha
-        )
-        return BoundResult("block_cartesian", value, notes=(f"s={opt.alpha:.10g}",)), ()
-    if method == "partition_disk":
-        return partition_disk(p), ()
-    if method == "unit_tail_disk":
-        sign = -1 if p.coefficient(1) == -1 else 1
-        return unit_tail_disk(p, sign), ()
-    if method == "mw":
-        result, applic = mw_bound(p, strict=opt.strict_mw)
-        return result, applic.reasons
-    if method == "radius_sweep":
-        value = numerical_radius_sweep(build_companion(p), samples=opt.theta_samples)
-        note = f"samples={opt.theta_samples}"
-        return BoundResult("radius_sweep", value, notes=(note,)), ()
-    if method == "kittaneh_rectangle":
-        return kittaneh_rectangle(p), ()
-    if method == "partition_rectangle":
-        return partition_rectangle(p), ()
-    if method == "hermitian_rectangle":
-        return hermitian_rectangle(p), ()
-    raise ValueError(f"unknown method {method!r}")
-
-
 def resolve_methods(spec: str | None) -> tuple[str, ...]:
-    """Turn a comma-separated method list (or 'all'/None) into registry ids."""
+    """Turn a comma-separated method list (or 'all'/None) into METHODS ids."""
     if spec is None or spec.strip() == "all":
         return ALL_METHODS
     names = tuple(t for t in (s.strip() for s in spec.split(",")) if t)
-    unknown = [n for n in names if n not in _REGISTRY]
+    unknown = [n for n in names if n not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {', '.join(unknown)} (known: {', '.join(ALL_METHODS)})")
     if not names:
@@ -174,10 +181,7 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
     opt = options or CompareOptions()
     p = parse_polynomial(source) if isinstance(source, str) else source
     requested = opt.methods if opt.methods is not None else ALL_METHODS
-
-    quotient, reduced = (p, False)
-    if p.degree % 2 == 1:
-        quotient, reduced = odd_reduce(p)
+    quotient, reduced = odd_reduce(p)
 
     oracle: RootSet | None = None
     oracle_error: str | None = None
@@ -188,53 +192,36 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
             oracle_error = str(exc)
 
     rows: list[ReportRow] = []
-    for method in requested:
-        kind, needs_even, min_degree = _REGISTRY[method]
-        target = p
-        notes: list[str] = []
-        if needs_even and p.degree % 2 == 1:
-            if reduced:
-                target = quotient
-                notes.append("zero root factored out; computed on the even quotient")
-            else:
-                rows.append(
-                    ReportRow(method, None, None, "refused",
-                              notes=("requires even degree (constant term is nonzero)",))
-                )
-                continue
-        if target.degree < min_degree:
-            rows.append(
-                ReportRow(method, None, None, "refused",
-                          notes=(f"requires degree >= {min_degree}",))
-            )
+    for name in requested:
+        method = METHODS[name]
+        target, notes, refusal = p, (), None
+        if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
+            refusal = "requires even degree (constant term is nonzero)"
+        elif p.degree < method.min_degree:
+            refusal = f"requires degree >= {method.min_degree}"
+        elif method.even and reduced:
+            target, notes = quotient, ("zero root factored out; computed on the even quotient",)
+        if refusal is None:
+            try:
+                outcome = method.run(target, opt)
+            except HypothesisViolatedError as exc:
+                refusal = str(exc)
+        if refusal is not None:
+            rows.append(ReportRow(name, None, None, "refused", notes=(refusal,)))
             continue
-        try:
-            outcome, extra = _run_one(method, target, opt)
-        except HypothesisViolatedError as exc:
-            rows.append(ReportRow(method, None, None, "refused", notes=(str(exc),)))
-            continue
-        notes.extend(extra)
 
         if isinstance(outcome, Rectangle):
-            verdict = margin = None
-            if oracle is not None:
-                v = validate_rectangle(p, outcome, oracle)
-                verdict, margin = v.verdict, v.margin
-            rows.append(
-                ReportRow(method, None, None, "valid", rectangle=outcome,
-                          verdict=verdict, margin=margin, notes=tuple(notes))
-            )
+            rectangle, variant, value, applicability = outcome, None, None, "valid"
+            verdict = validate_rectangle(p, outcome, oracle) if oracle is not None else None
         else:
-            result: BoundResult = outcome
-            notes.extend(result.notes)
-            verdict = margin = None
-            if oracle is not None:
-                v = validate_bound(p, result.value, oracle)
-                verdict, margin = v.verdict, v.margin
-            rows.append(
-                ReportRow(method, result.variant, result.value, result.applicability,
-                          verdict=verdict, margin=margin, notes=tuple(notes))
-            )
+            rectangle, variant, value = None, outcome.variant, outcome.value
+            applicability, notes = outcome.applicability, notes + outcome.notes
+            verdict = validate_bound(p, value, oracle) if oracle is not None else None
+        rows.append(ReportRow(
+            name, variant, value, applicability, rectangle=rectangle,
+            verdict=None if verdict is None else verdict.verdict,
+            margin=None if verdict is None else verdict.margin, notes=notes,
+        ))
 
     ranked = sorted(
         (i for i, r in enumerate(rows) if r.value is not None and r.applicability != "refused"),
@@ -314,13 +301,11 @@ def run_fixture(
             )
             continue
 
+        method = METHODS[exp.method]
         run_opt = opt
         if variant is not None:
-            if exp.method == "linden":
-                run_opt = CompareOptions(linden_variant=variant, oracle=False)
-            elif exp.method == "kittaneh_disk":
-                run_opt = CompareOptions(kittaneh_variant=variant, oracle=False)
-        outcome, _ = _run_one(exp.method, p, run_opt)
+            run_opt = CompareOptions(oracle=False, **{method.option: variant})
+        outcome = method.run(p, run_opt)
 
         if isinstance(outcome, Rectangle):
             computed = outcome.re_hi if exp.component == "re_half" else outcome.im_hi

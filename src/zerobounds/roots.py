@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, horner
 
 __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_rectangle"]
 
@@ -47,18 +47,11 @@ class Verdict:
         return self.verdict == "holds"
 
 
-def _evaluate_all(descending: np.ndarray, z: np.ndarray) -> np.ndarray:
-    values = np.zeros_like(z)
-    for c in descending:
-        values = values * z + c
-    return values
-
-
 def _durand_kerner_pass(descending, z, tol, max_iterations):
     """Run Weierstrass updates until the max step is below tol."""
     n = len(z)
     for iteration in range(1, max_iterations + 1):
-        p_values = _evaluate_all(descending, z)
+        p_values = horner(descending, z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
         denominators = diff.prod(axis=1)
@@ -73,8 +66,8 @@ def _aberth_pass(descending, z, tol, max_iterations):
     """Aberth-Ehrlich updates (Newton correction with pairwise repulsion)."""
     derivative = np.polyder(np.asarray(descending))
     for iteration in range(1, max_iterations + 1):
-        p_values = _evaluate_all(descending, z)
-        dp_values = _evaluate_all(derivative, z)
+        p_values = horner(descending, z)
+        dp_values = horner(derivative, z)
         newton = np.where(dp_values != 0, p_values / np.where(dp_values == 0, 1, dp_values), 0.0)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)

@@ -64,8 +64,10 @@ def test_pure_power_anchors():
 
 def test_al_dolat_never_exceeds_the_endpoint_objectives():
     rng = np.random.default_rng(73)
-    for _ in range(15):
-        p = random_polynomial(rng, int(rng.integers(2, 9)))
+    inputs = [random_polynomial(rng, int(rng.integers(2, 9))) for _ in range(15)]
+    # S = 0 puts the minimum on the endpoint t = 0
+    inputs.append(Polynomial((0, 0, 2)))
+    for p in inputs:
         mods = [abs(c) for c in p.lower]
         a_n = mods[-1]
         head = sum(m * m for m in mods[:-1])
@@ -75,9 +77,13 @@ def test_al_dolat_never_exceeds_the_endpoint_objectives():
             return 0.5 * (a_n + two_cos + math.sqrt(t * t * a_n * a_n + head)
                           + math.sqrt(1.0 + (1.0 - t) ** 2 * a_n * a_n))
 
-        value = al_dolat(p).value
+        result = al_dolat(p)
+        value = result.value
         assert value <= objective(0.0) + 1e-12
         assert value <= objective(1.0) + 1e-12
+        assert all(value <= objective(k / 1024) + 1e-12 for k in range(1025))
+        note = next(n for n in result.notes if n.startswith("t_star="))
+        assert abs(value - objective(float(note.split("=")[1]))) <= 1e-12
 
 
 def test_al_dolat_reports_the_minimizing_t():

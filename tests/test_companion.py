@@ -50,20 +50,25 @@ def test_block_partition_reassembles_the_companion():
 def test_cartesian_blocks_match_global_slices():
     p = random_polynomial(np.random.default_rng(61), 8)
     bc = build_block_companion(p)
-    n = bc.n
-    full = bc.companion
-    p_global = (full + full.conj().T) / 2
-    q_global = (full - full.conj().T) / 2j
-    assert np.allclose(bc.p11, p_global[:n, :n], atol=1e-14)
-    assert np.allclose(bc.p12, p_global[:n, n:], atol=1e-14)
-    assert np.allclose(bc.p21, p_global[n:, :n], atol=1e-14)
-    assert np.allclose(bc.p22, p_global[n:, n:], atol=1e-14)
-    assert np.allclose(bc.q11, q_global[:n, :n], atol=1e-14)
-    assert np.allclose(bc.q12, q_global[:n, n:], atol=1e-14)
-    assert np.allclose(bc.q21, q_global[n:, :n], atol=1e-14)
-    assert np.allclose(bc.q22, q_global[n:, n:], atol=1e-14)
-    # P and Q recombine to the companion
-    assert np.allclose(p_global + 1j * q_global, full, atol=1e-14)
+
+    def h(m):
+        return m.conj().T
+
+    # each block equals the blockwise Cartesian part of the partition
+    assert np.allclose(bc.p11, (bc.a11 + h(bc.a11)) / 2, atol=1e-14)
+    assert np.allclose(bc.p12, (bc.a12 + h(bc.a21)) / 2, atol=1e-14)
+    assert np.allclose(bc.p21, h(bc.p12), atol=1e-14)
+    assert np.allclose(bc.p22, (bc.a22 + h(bc.a22)) / 2, atol=1e-14)
+    assert np.allclose(bc.q11, (bc.a11 - h(bc.a11)) / 2j, atol=1e-14)
+    assert np.allclose(bc.q12, (bc.a12 - h(bc.a21)) / 2j, atol=1e-14)
+    assert np.allclose(bc.q21, h(bc.q12), atol=1e-14)
+    assert np.allclose(bc.q22, (bc.a22 - h(bc.a22)) / 2j, atol=1e-14)
+    # the blocks reassemble P and Q, which recombine to the companion
+    p_full = np.block([[bc.p11, bc.p12], [bc.p21, bc.p22]])
+    q_full = np.block([[bc.q11, bc.q12], [bc.q21, bc.q22]])
+    assert np.allclose(p_full, h(p_full), atol=1e-14)
+    assert np.allclose(q_full, h(q_full), atol=1e-14)
+    assert np.allclose(p_full + 1j * q_full, bc.companion, atol=1e-14)
 
 
 def test_zero_constant_term_flag():

@@ -112,6 +112,19 @@ def test_compare_refuses_even_only_methods_on_odd_degrees():
     assert "even degree" in note
 
 
+def test_compare_refuses_below_the_minimum_degree_before_parity():
+    # degree 1 with a zero constant term is not reducible; the parity reason
+    # would claim a nonzero constant term
+    methods = ("cartesian_disk", "partition_rectangle", "kittaneh_disk")
+    report = run_compare("1, 0", CompareOptions(methods=methods))
+    assert [r.applicability for r in report.rows] == ["refused"] * 3
+    assert [r.notes for r in report.rows] == [
+        ("requires degree >= 4",), ("requires degree >= 4",), ("requires degree >= 3",)]
+    # odd degree 5 with a nonzero constant term still names parity
+    report = run_compare("1, 2, 3, 1, 2, 7", CompareOptions(methods=("cartesian_disk",)))
+    assert report.rows[0].notes == ("requires even degree (constant term is nonzero)",)
+
+
 def test_compare_factors_out_a_zero_root_for_odd_degrees():
     report = run_compare("1, 2, 3, 1, 2, 0")  # degree 5, quotient degree 4
     assert report.reduced

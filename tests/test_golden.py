@@ -5,6 +5,10 @@ The files under tests/golden/ hold the output of
     zerobounds compare --poly <fixture coefficients> --format json --methods all
 
 for each of the eight fixtures, and of ``zerobounds fixture all --format json``.
+Three more files cover the paths the defaults do not reach: the non-default
+``linden`` / ``kittaneh`` variants (CSV and text, on table1) and an
+odd-degree input with a zero constant term, whose partition methods run on
+the even quotient (text).
 A change that is meant to keep behaviour (a refactor or a faster route to the
 same numbers) must leave them untouched; a change that moves a printed value
 has to regenerate them and say why.
@@ -36,3 +40,18 @@ def test_compare_json_matches_golden(capsys, name):
 def test_fixture_all_json_matches_golden(capsys):
     expected = (GOLDEN / "fixture_all.json").read_text(encoding="utf-8")
     assert _cli_output(capsys, ["fixture", "all", "--format", "json"]) == expected
+
+
+_TABLE1_VARIANTS = ["compare", "--poly", FIXTURES["table1"].coefficients, "--methods", "all",
+                    "--variant", "linden=table", "--variant", "kittaneh=plus_one"]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (_TABLE1_VARIANTS + ["--format", "csv"], "compare_table1_variants.csv"),
+    (_TABLE1_VARIANTS + ["--format", "text"], "compare_table1_variants.txt"),
+    (["compare", "--poly", "2, 1/3, 0, 1/4, 1/5, 0", "--methods", "all", "--format", "text"],
+     "compare_odd_reduced.txt"),
+], ids=["table1-variants-csv", "table1-variants-text", "odd-reduced-text"])
+def test_non_default_paths_match_golden(capsys, argv, golden):
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert _cli_output(capsys, argv) == expected
