@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .companion import BlockCompanion, build_companion
+from .companion import BlockCompanion, build_companion, cartesian_parts
 from .classical import BoundResult
 from .errors import (
     BlockShapeMismatchError,
@@ -106,13 +106,9 @@ def _lam_max(h: np.ndarray) -> float:
     return float(hermitian_eigs(h).values[-1])
 
 
-def _cartesian_parts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (block + block.conj().T) / 2, (block - block.conj().T) / 2j
-
-
 def _diag_coupling(block: np.ndarray) -> float:
     """w(P^2 + Q^2) for the Cartesian parts of one square block."""
-    p, q = _cartesian_parts(block)
+    p, q = cartesian_parts(block)
     return _lam_max(p @ p + q @ q)
 
 
@@ -141,7 +137,7 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
         for j in range(m):
             if k == j:
                 continue
-            p, q = _cartesian_parts(grid[k][j])
+            p, q = cartesian_parts(grid[k][j])
             pa, qa = psd_abs(p), psd_abs(q)
             mixed = (
                 psd_power(pa, 2 * s_exponent)
@@ -272,10 +268,7 @@ def unit_tail_disk(q: Polynomial, sign: int = 1) -> BoundResult:
     bad = [k for k in range(2, n + 1) if a(k) != 0]
     if bad:
         raise HypothesisViolatedError(f"coefficients a_{bad} must vanish")
-    head = sum(abs(a(k)) ** 2 for k in range(n + 2, 2 * n + 1))
-    big_l = 0.5 * (math.sqrt(head) + math.sqrt(head + (abs(a(n + 1)) + 1) ** 2))
-    cos_n1 = math.cos(math.pi / (n + 1))
-    value = 0.5 * (big_l + cos_n1 + math.sqrt((big_l - cos_n1) ** 2 + 1.0))
+    value, big_l, _, _ = partition_disk_parts(q)  # D1 + D2 is exactly 1.0 here
     return BoundResult("unit_tail_disk", value, notes=(f"L={big_l:.10g}", f"sign={sign:+d}"))
 
 
@@ -335,9 +328,7 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
 def hermitian_rectangle(p: Polynomial) -> Rectangle:
     """[lam_min(Re C), lam_max(Re C)] x [lam_min(Im C), lam_max(Im C)] for the
     unpartitioned companion matrix C."""
-    comp = build_companion(p)
-    re_part = (comp + comp.conj().T) / 2
-    im_part = (comp - comp.conj().T) / 2j
+    re_part, im_part = cartesian_parts(build_companion(p))
     ev_re = hermitian_eigs(re_part).values
     ev_im = hermitian_eigs(im_part).values
     return Rectangle(float(ev_re[0]), float(ev_re[-1]), float(ev_im[0]), float(ev_im[-1]))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import NoConvergenceError, PolynomialParseError, UnknownFixtureError
 from .polynomial import parse_polynomial
@@ -118,15 +117,6 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _config_bool(text: str, key: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise CliInputError(f"config key {key} wants a boolean, got {text!r}")
-
-
 def _parse_variants(pairs: list[str] | None) -> dict[str, str]:
     chosen: dict[str, str] = {}
     for pair in pairs or []:
@@ -145,53 +135,47 @@ def _parse_variants(pairs: list[str] | None) -> dict[str, str]:
     return chosen
 
 
-@dataclass
-class _Effective:
-    """Flag value if given, else config value, else default."""
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False)
 
-    config: dict[str, str]
 
-    def text(self, flag, key: str, default: str | None) -> str | None:
-        if flag is not None:
-            return flag
-        return self.config.get(key, default)
+def _setting(flag, config: dict[str, str], key: str, default, cast=None):
+    """The flag if given, else the config value passed through cast, else the default.
 
-    def number(self, flag, key: str, default, cast) -> object:
-        if flag is not None:
-            return flag
-        if key in self.config:
-            try:
-                return cast(self.config[key])
-            except ValueError as exc:
-                raise CliInputError(f"config key {key}: {exc}") from exc
+    cast=bool reads 1/true/yes/on and 0/false/no/off, in any case."""
+    if flag is not None:
+        return flag
+    if key not in config:
         return default
-
-    def flag_bool(self, flag, key: str, default: bool) -> bool:
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return _config_bool(self.config[key], key)
-        return default
+    text = config[key]
+    if cast is bool:
+        if text.lower() not in _BOOLEANS:
+            raise CliInputError(f"config key {key} wants a boolean, got {text!r}")
+        return _BOOLEANS[text.lower()]
+    try:
+        return text if cast is None else cast(text)
+    except ValueError as exc:
+        raise CliInputError(f"config key {key}: {exc}") from exc
 
 
 def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
-    eff = _Effective(_load_config(args.config))
+    config = _load_config(args.config)
     flags = _parse_variants(args.variant)
     variants: dict[str, str] = {}
     for family, (field, allowed) in _VARIANT_FAMILIES.items():
-        value = flags.get(family) or eff.text(None, family, allowed[0])
+        value = _setting(flags.get(family), config, family, allowed[0])
         if value not in allowed:
             raise CliInputError(f"config: {family} must be one of {', '.join(allowed)}")
         variants[field] = value
 
-    alpha = float(eff.number(args.alpha, "alpha", 0.5, float))
+    alpha = _setting(args.alpha, config, "alpha", 0.5, float)
     if not 0.0 < alpha < 1.0:
         raise CliInputError(f"--alpha must lie in (0, 1), got {alpha}")
-    theta = int(eff.number(args.theta_samples, "theta-samples", 512, int))
+    theta = _setting(args.theta_samples, config, "theta-samples", 512, int)
     if theta < 64:
         raise CliInputError(f"--theta-samples must be at least 64, got {theta}")
 
-    methods_text = eff.text(args.methods, "methods", None)
+    methods_text = _setting(args.methods, config, "methods", None)
     try:
         methods = resolve_methods(methods_text)
     except ValueError as exc:
@@ -201,11 +185,11 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
         methods=methods,
         alpha=alpha,
         theta_samples=theta,
-        strict_mw=eff.flag_bool(args.strict_mw, "strict-mw", False),
-        oracle=eff.flag_bool(args.oracle, "oracle", True),
+        strict_mw=_setting(args.strict_mw, config, "strict-mw", False, bool),
+        oracle=_setting(args.oracle, config, "oracle", True, bool),
         **variants,
     )
-    out_format = eff.text(args.format, "format", "text")
+    out_format = _setting(args.format, config, "format", "text")
     if out_format not in ("text", "csv", "json"):
         raise CliInputError(f"config: format must be text, csv, or json, got {out_format!r}")
     return options, out_format
@@ -230,9 +214,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    eff = _Effective(_load_config(args.config))
-    tolerance = float(eff.number(args.tolerance, "tolerance", 1e-7, float))
-    out_format = eff.text(args.format, "format", "text")
+    config = _load_config(args.config)
+    tolerance = _setting(args.tolerance, config, "tolerance", 1e-7, float)
+    out_format = _setting(args.format, config, "format", "text")
     if out_format not in ("text", "json"):
         raise CliInputError(f"fixture format must be text or json, got {out_format!r}")
     if args.name == "all":

@@ -16,7 +16,10 @@ import numpy as np
 from .errors import DegreeTooSmallError, OddDegreeError
 from .polynomial import Polynomial
 
-__all__ = ["BlockCompanion", "build_companion", "build_block_companion", "real_part_charpoly"]
+__all__ = [
+    "BlockCompanion", "build_companion", "build_block_companion", "cartesian_parts",
+    "real_part_charpoly",
+]
 
 
 def build_companion(p: Polynomial) -> np.ndarray:
@@ -29,6 +32,11 @@ def build_companion(p: Polynomial) -> np.ndarray:
     for i in range(1, n):
         matrix[i, i - 1] = 1.0
     return matrix
+
+
+def cartesian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian parts P = (M + M*)/2 and Q = (M - M*)/(2i), so M = P + iQ."""
+    return (m + m.conj().T) / 2, (m - m.conj().T) / 2j
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,7 @@ def build_block_companion(q: Polynomial) -> BlockCompanion:
     n = degree // 2
 
     full = build_companion(q)
-    p_full = (full + full.conj().T) / 2
-    q_full = (full - full.conj().T) / 2j
+    p_full, q_full = cartesian_parts(full)
 
     def blocks(m: np.ndarray) -> tuple[np.ndarray, ...]:
         return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]

@@ -39,6 +39,7 @@ _EPS = float(np.finfo(float).eps)
 _SWEEP_CHUNK = 64  # grid angles per peak evaluation; bounds the companion route's memory
 _TINY = float(np.finfo(float).tiny)
 _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
+_REFINE_STEPS = 40  # golden-section steps after the grid
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
@@ -190,7 +191,7 @@ def _companion_peaks(first_row: np.ndarray):
     return peaks
 
 
-def numerical_radius_sweep(x, samples: int = 512, refine_iters: int = 40) -> float:
+def numerical_radius_sweep(x, samples: int = 512) -> float:
     """Numerical radius by sweeping theta over [0, 2*pi).
 
     Evaluates lambda_max of the Hermitian part of e^{i theta} X on a uniform
@@ -237,7 +238,7 @@ def numerical_radius_sweep(x, samples: int = 512, refine_iters: int = 40) -> flo
     c = hi - ratio * (hi - lo)
     d = lo + ratio * (hi - lo)
     fc, fd = peak(c), peak(d)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_STEPS):
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - ratio * (hi - lo)

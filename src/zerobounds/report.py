@@ -177,6 +177,40 @@ def resolve_methods(spec: str | None) -> tuple[str, ...]:
     return names
 
 
+def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
+         opt: CompareOptions, oracle: RootSet | None) -> ReportRow:
+    """One method's row: the method table's refusal rules, the run, and the
+    oracle's verdict on the result (none without an oracle)."""
+    method = METHODS[name]
+    target, notes, refusal = p, (), None
+    if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
+        refusal = "requires even degree (constant term is nonzero)"
+    elif p.degree < method.min_degree:
+        refusal = f"requires degree >= {method.min_degree}"
+    elif method.even and reduced:
+        target, notes = quotient, ("zero root factored out; computed on the even quotient",)
+    if refusal is None:
+        try:
+            outcome = method.run(target, opt)
+        except HypothesisViolatedError as exc:
+            refusal = str(exc)
+    if refusal is not None:
+        return ReportRow(name, None, None, "refused", notes=notes + (refusal,))
+
+    if isinstance(outcome, Rectangle):
+        rectangle, variant, value, applicability = outcome, None, None, "valid"
+        verdict = validate_rectangle(p, outcome, oracle) if oracle is not None else None
+    else:
+        rectangle, variant, value = None, outcome.variant, outcome.value
+        applicability, notes = outcome.applicability, notes + outcome.notes
+        verdict = validate_bound(p, value, oracle) if oracle is not None else None
+    return ReportRow(
+        name, variant, value, applicability, rectangle=rectangle,
+        verdict=None if verdict is None else verdict.verdict,
+        margin=None if verdict is None else verdict.margin, notes=notes,
+    )
+
+
 def run_compare(source: str | Polynomial, options: CompareOptions | None = None) -> CompareReport:
     opt = options or CompareOptions()
     p = parse_polynomial(source) if isinstance(source, str) else source
@@ -191,38 +225,7 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
         except NoConvergenceError as exc:
             oracle_error = str(exc)
 
-    rows: list[ReportRow] = []
-    for name in requested:
-        method = METHODS[name]
-        target, notes, refusal = p, (), None
-        if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
-            refusal = "requires even degree (constant term is nonzero)"
-        elif p.degree < method.min_degree:
-            refusal = f"requires degree >= {method.min_degree}"
-        elif method.even and reduced:
-            target, notes = quotient, ("zero root factored out; computed on the even quotient",)
-        if refusal is None:
-            try:
-                outcome = method.run(target, opt)
-            except HypothesisViolatedError as exc:
-                refusal = str(exc)
-        if refusal is not None:
-            rows.append(ReportRow(name, None, None, "refused", notes=(refusal,)))
-            continue
-
-        if isinstance(outcome, Rectangle):
-            rectangle, variant, value, applicability = outcome, None, None, "valid"
-            verdict = validate_rectangle(p, outcome, oracle) if oracle is not None else None
-        else:
-            rectangle, variant, value = None, outcome.variant, outcome.value
-            applicability, notes = outcome.applicability, notes + outcome.notes
-            verdict = validate_bound(p, value, oracle) if oracle is not None else None
-        rows.append(ReportRow(
-            name, variant, value, applicability, rectangle=rectangle,
-            verdict=None if verdict is None else verdict.verdict,
-            margin=None if verdict is None else verdict.margin, notes=notes,
-        ))
-
+    rows = [_row(name, p, quotient, reduced, opt, oracle) for name in requested]
     ranked = sorted(
         (i for i, r in enumerate(rows) if r.value is not None and r.applicability != "refused"),
         key=lambda i: rows[i].value,
@@ -265,28 +268,23 @@ def _relative_error(computed: float, reference: float) -> float:
     return abs(computed - reference) / scale
 
 
-def run_fixture(
-    name: str | Fixture,
-    options: CompareOptions | None = None,
-    tolerance: float = 1e-7,
-) -> FixtureReport:
-    """Evaluate one bundled fixture.
+def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
+    """Evaluate one bundled fixture; each method row is computed as compare computes it.
 
     exact / variant-matched rows are asserted against the reference value at
     the given relative tolerance. reference-divergent rows can never be
     asserted for equality; instead the reference and computed values are
     reported side by side and both are checked for validity against the
     oracle (disk values must dominate the max root modulus, rectangles must
-    contain every root).
+    contain every root). A refused row fails its check.
     """
     fixture = get_fixture(name) if isinstance(name, str) else name
-    opt = options or CompareOptions()
     p = fixture.polynomial()
+    quotient, reduced = odd_reduce(p)
     oracle = find_roots(p)
     checks: list[FixtureCheck] = []
 
     for exp in fixture.expected:
-        variant = exp.variant
         if exp.method == "max_modulus":
             computed = oracle.max_modulus
             if exp.status == DIVERGENT:
@@ -301,35 +299,26 @@ def run_fixture(
             )
             continue
 
-        method = METHODS[exp.method]
-        run_opt = opt
-        if variant is not None:
-            run_opt = CompareOptions(oracle=False, **{method.option: variant})
-        outcome = method.run(p, run_opt)
-
-        if isinstance(outcome, Rectangle):
-            computed = outcome.re_hi if exp.component == "re_half" else outcome.im_hi
-            if exp.status == DIVERGENT:
-                verdict = validate_rectangle(p, outcome, oracle)
-                passed = verdict.holds
-                detail = "divergent reference; computed rectangle checked for root containment"
-            else:
-                passed = _relative_error(computed, exp.value) <= tolerance
-                detail = ""
+        opt = CompareOptions() if exp.variant is None else CompareOptions(
+            **{METHODS[exp.method].option: exp.variant})
+        row = _row(exp.method, p, quotient, reduced, opt, oracle)
+        rect = row.rectangle
+        if rect is not None:
+            computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
         else:
-            result: BoundResult = outcome
-            computed = result.value
-            if exp.status == DIVERGENT:
-                slack = 1e-9
-                ref_valid = exp.value >= oracle.max_modulus - slack
-                own_valid = computed >= oracle.max_modulus - slack
-                passed = ref_valid and own_valid
-                detail = "divergent reference; both values checked against the oracle"
-            else:
-                passed = _relative_error(computed, exp.value) <= tolerance
-                detail = ""
+            computed = math.nan if row.value is None else row.value
+        if row.applicability == "refused":
+            passed, detail = False, "; ".join(row.notes)
+        elif exp.status != DIVERGENT:
+            passed, detail = _relative_error(computed, exp.value) <= tolerance, ""
+        elif rect is not None:
+            passed = row.verdict == "holds"
+            detail = "divergent reference; computed rectangle checked for root containment"
+        else:
+            passed = row.verdict == "holds" and validate_bound(p, exp.value, oracle).holds
+            detail = "divergent reference; both values checked against the oracle"
         checks.append(
-            FixtureCheck(exp.method, variant, exp.component, exp.status, exp.value,
+            FixtureCheck(exp.method, exp.variant, exp.component, exp.status, exp.value,
                          computed, passed, detail)
         )
 
@@ -356,10 +345,8 @@ def run_fixture(
     )
 
 
-def run_all_fixtures(
-    options: CompareOptions | None = None, tolerance: float = 1e-7
-) -> list[FixtureReport]:
-    return [run_fixture(name, options, tolerance) for name in FIXTURES]
+def run_all_fixtures(tolerance: float = 1e-7) -> list[FixtureReport]:
+    return [run_fixture(name, tolerance) for name in FIXTURES]
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +384,18 @@ def format_compare_text(report: CompareReport) -> str:
         lines.append("odd degree with zero constant term: partition bounds use the even quotient")
     lines.append("")
 
-    header = f"{'method':<20} {'variant':<9} {'value':<22} {'applicability':<13} " \
+    values = [_f10(row.value) if row.rectangle is None else
+              f"[{_f10(row.rectangle.re_lo)}, {_f10(row.rectangle.re_hi)}] x "
+              f"[{_f10(row.rectangle.im_lo)}, {_f10(row.rectangle.im_hi)}]"
+              for row in report.rows]
+    width = max([22, *map(len, values)])
+    header = f"{'method':<20} {'variant':<9} {'value':<{width}} {'applicability':<13} " \
              f"{'verdict':<9} {'margin':<13} {'rank':<4} notes"
     lines.append(header)
     lines.append("-" * len(header))
-    for row in report.rows:
-        if row.rectangle is not None:
-            rect = row.rectangle
-            value_text = (
-                f"[{_f10(rect.re_lo)}, {_f10(rect.re_hi)}] x "
-                f"[{_f10(rect.im_lo)}, {_f10(rect.im_hi)}]"
-            )
-        else:
-            value_text = _f10(row.value)
+    for row, value_text in zip(report.rows, values):
         lines.append(
-            f"{row.method:<20} {row.variant or '':<9} {value_text:<22} "
+            f"{row.method:<20} {row.variant or '':<9} {value_text:<{width}} "
             f"{row.applicability:<13} {row.verdict or '':<9} {_f10(row.margin):<13} "
             f"{row.rank if row.rank is not None else '':<4} {'; '.join(row.notes)}"
         )

@@ -48,7 +48,7 @@ class Verdict:
 
 
 def _durand_kerner_pass(descending, z, tol, max_iterations):
-    """Run Weierstrass updates until the max step is below tol."""
+    """Run Weierstrass updates until the max step is below tol (or not finite)."""
     n = len(z)
     for iteration in range(1, max_iterations + 1):
         p_values = horner(descending, z)
@@ -57,8 +57,9 @@ def _durand_kerner_pass(descending, z, tol, max_iterations):
         denominators = diff.prod(axis=1)
         step = p_values / denominators
         z = z - step
-        if float(np.max(np.abs(step))) <= tol:
-            return z, iteration, True
+        largest = float(np.max(np.abs(step)))
+        if largest <= tol or not np.isfinite(largest):  # NaN and inf iterates never recover
+            return z, iteration, largest <= tol
     return z, max_iterations, False
 
 
@@ -74,8 +75,9 @@ def _aberth_pass(descending, z, tol, max_iterations):
         repulsion = (1.0 / diff).sum(axis=1) - 1.0  # remove the diagonal 1/1 terms
         step = newton / (1.0 - newton * repulsion)
         z = z - step
-        if float(np.max(np.abs(step))) <= tol:
-            return z, iteration, True
+        largest = float(np.max(np.abs(step)))
+        if largest <= tol or not np.isfinite(largest):  # NaN and inf iterates never recover
+            return z, iteration, largest <= tol
     return z, max_iterations, False
 
 
@@ -85,8 +87,9 @@ def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
     Initial guesses sit on a circle of radius (1 + max|a_k|) * 0.9 (inside
     the Cauchy disk) at angles 2*pi*k/degree + 0.4 to break symmetry.
     Convergence when the max step is <= 1e-13 * (1 + max|a_k|); if the cap
-    is hit, one Aberth-Ehrlich restart from the stalled state. Deterministic
-    for fixed input.
+    is hit, one Aberth-Ehrlich restart from the stalled state. A non-finite
+    step (overflow) ends either pass unconverged at once. Deterministic for
+    fixed input.
     """
     n = p.degree
     descending = np.asarray(p.descending())

@@ -1,7 +1,10 @@
-"""The README's method table agrees with the method table that drives compare."""
+"""The README agrees with the code: its method table with the method table
+that drives compare, and its compare example with real CLI output."""
 
+import shlex
 from pathlib import Path
 
+from zerobounds.cli import main
 from zerobounds.report import ALL_METHODS, METHODS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,3 +32,14 @@ def test_readme_methods_table_matches_the_method_table():
         assert (kind, needs) == (method.kind, f"{parity}deg >= {method.min_degree}"), name
         for variant in method.variants:
             assert f"`{variant}`" in notes, (name, variant)
+
+
+def test_readme_compare_example_matches_the_cli(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    blocks = section.split("```")
+    command, shown = blocks[1], blocks[3]  # the ```sh command, then its output block
+    argv = shlex.split(command.removeprefix("sh").replace("\\\n", " "))
+    assert argv[:2] == ["zerobounds", "compare"]
+    assert main(argv[1:]) == 0
+    printed = capsys.readouterr().out
+    assert [line.rstrip() for line in printed.splitlines()] == shown.strip("\n").splitlines()

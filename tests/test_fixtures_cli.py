@@ -9,6 +9,8 @@ import pytest
 import zerobounds.report
 from zerobounds import (
     CompareOptions,
+    Expectation,
+    Fixture,
     NoConvergenceError,
     UnknownFixtureError,
     get_fixture,
@@ -22,6 +24,7 @@ from zerobounds.report import (
     format_compare_csv,
     format_compare_json,
     format_compare_text,
+    format_fixture_json,
     format_fixture_text,
     resolve_methods,
 )
@@ -85,6 +88,28 @@ def test_fixture_text_marks_divergent_rows():
 def test_strict_tolerance_fails_the_rounded_references():
     # published values carry ~10 digits; demanding 1e-12 must fail
     assert not run_fixture("table1", tolerance=1e-12).passed
+
+
+def test_fixture_rows_follow_compare_refusals_and_validity():
+    # odd degree, zero constant term: partition methods run on the even quotient
+    fixture = Fixture("custom", "2, 1/3, 0, 1/4, 1/5, 0", (
+        Expectation("partition_disk", 1.113338579, "exact"),
+        Expectation("unit_tail_disk", 1.0, "exact"),
+        Expectation("cauchy", 0.1, "reference-divergent"),  # below the max modulus
+        Expectation("cauchy", 2.0, "reference-divergent"),
+    ))
+    report = run_fixture(fixture)
+    assert not report.passed
+    assert [c.passed for c in report.checks] == [True, False, False, True]
+    refused = report.checks[1]
+    assert refused.detail == ("zero root factored out; computed on the even quotient; "
+                              "constant coefficient must equal +1 exactly")
+    assert json.loads(format_fixture_json([report]))[0]["checks"][1]["computed"] is None
+    # odd degree, nonzero constant term: refused, not raised
+    report = run_fixture(Fixture("odd", "1, 2, 3, 5", (
+        Expectation("partition_disk", 1.0, "exact"),)))
+    assert [(c.passed, c.detail) for c in report.checks] == [
+        (False, "requires even degree (constant term is nonzero)")]
 
 
 # ------------------------------------------------------------------- compare
@@ -159,6 +184,21 @@ def test_text_rendering_shows_rectangles_and_ranks():
     assert "cartesian_disk" in text
     assert "] x [" in text  # rectangle extents
     assert "holds" in text
+
+
+@pytest.mark.parametrize("source, options", [
+    (TABLE1, CompareOptions()),
+    ("2, 1/3, 0, 1/4, 1/5, 0", CompareOptions()),
+])
+def test_text_columns_line_up_with_the_header(source, options):
+    report = run_compare(source, options)
+    lines = format_compare_text(report).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("method "))
+    column = lines[start].index("applicability")
+    rows = lines[start + 2:]
+    assert len(rows) == len(report.rows)
+    for line, row in zip(rows, report.rows):
+        assert line[column - 1] == " " and line[column:].startswith(row.applicability), line
 
 
 def test_csv_rendering_has_the_pinned_column_shape():

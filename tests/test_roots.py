@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import zerobounds.roots
 from conftest import random_polynomial
 from zerobounds import (
     NoConvergenceError,
@@ -10,10 +11,12 @@ from zerobounds import (
     build_companion,
     find_roots,
     get_fixture,
+    make_monic,
     parse_polynomial,
     validate_bound,
     validate_rectangle,
 )
+from zerobounds.polynomial import horner
 
 
 def test_quadratic_with_known_roots():
@@ -77,6 +80,24 @@ def test_no_convergence_error_carries_best_effort_roots():
         find_roots(p, max_iterations=1)
     assert len(err.value.best_roots) == 8
     assert len(err.value.residuals) == 8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("coefficients", [
+    [1, 1e200, 1],
+    list(np.poly(np.arange(1, 21))),  # Wilkinson-20: its starting circle overflows Horner
+], ids=["1e200", "wilkinson20"])
+def test_overflow_to_nan_fails_fast(monkeypatch, coefficients):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(zerobounds.roots, "horner", counted)
+    with pytest.raises(NoConvergenceError, match=r"max residual nan, guard nan"):
+        find_roots(make_monic(coefficients))
+    assert len(calls) < 10
 
 
 def test_degree_one_is_solved_directly():
