@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="evaluate bounds for one polynomial")
     compare.add_argument("--poly", required=True,
                          help="degree-descending coefficients, comma separated; "
-                              "entries like 2, -1/3, 1/4+1/4i")
+                              "entries like 2, -1/3, 2.5e-3, 1/4+1/4i")
     compare.add_argument("--methods", default=None,
                          help=f"comma-separated method ids or 'all' (default); "
                               f"known: {', '.join(ALL_METHODS)}")
@@ -274,13 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixture":
             return _cmd_fixture(args)
         return _cmd_roots(args)
-    except PolynomialParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownFixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CliInputError as exc:
+    except (PolynomialParseError, UnknownFixtureError, CliInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:

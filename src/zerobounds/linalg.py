@@ -39,7 +39,8 @@ _EPS = float(np.finfo(float).eps)
 _SWEEP_CHUNK = 64  # grid angles per peak evaluation; bounds the companion route's memory
 _TINY = float(np.finfo(float).tiny)
 _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
-_REFINE_STEPS = 40  # golden-section steps after the grid
+_ZOOM_POINTS = 32  # intervals per zoom round, evaluated as one batch; at most _SWEEP_CHUNK
+_ZOOM_FINAL = 2.0**-28  # final half-width of the zoom bracket, in grid cells: 7 rounds
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
@@ -195,9 +196,12 @@ def numerical_radius_sweep(x, samples: int = 512) -> float:
     """Numerical radius by sweeping theta over [0, 2*pi).
 
     Evaluates lambda_max of the Hermitian part of e^{i theta} X on a uniform
-    grid, then golden-section-refines inside the bracketing grid cells.
-    The estimate is lower-biased (each evaluation is a true lower bound for
-    w(X)) and accurate to about 1e-7 at the default resolution.
+    grid, then zooms in on the best grid angle: each round evaluates 33
+    equally spaced angles across the bracket in one batch, re-centres on the
+    best and shrinks the bracket 16-fold, down to 2**-28 of a grid cell.
+    Every evaluation is a lower bound for w(X); the largest is returned. It
+    is accurate to rounding level once the grid brackets the highest peak,
+    so the grid is the limit: it can miss a narrow highest peak for a lower one.
 
     lambda_max comes from one of two routes, chosen from X itself:
 
@@ -210,7 +214,7 @@ def numerical_radius_sweep(x, samples: int = 512) -> float:
       no eigensolver call;
     - dense route, for every other matrix: one ``eigvalsh`` per angle.
 
-    Both routes share the grid and the refinement steps.
+    Both routes share the grid and the zoom.
     """
     if samples < 64:
         raise ValueError("samples must be at least 64")
@@ -221,33 +225,23 @@ def numerical_radius_sweep(x, samples: int = 512) -> float:
         def peaks(thetas: np.ndarray) -> np.ndarray:
             return _dense_peaks(m, thetas)
 
-    def peak(theta: float) -> float:
-        return float(peaks(np.array([theta]))[0])
-
     thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     values = np.concatenate([
         peaks(thetas[i:i + _SWEEP_CHUNK]) for i in range(0, samples, _SWEEP_CHUNK)
     ])
     best_index = int(np.argmax(values))
-    best = float(values[best_index])
+    centre, best = thetas[best_index], float(values[best_index])
 
-    # refine within the two grid cells around the best sample
-    lo = thetas[best_index] - 2 * np.pi / samples
-    hi = thetas[best_index] + 2 * np.pi / samples
-    ratio = (np.sqrt(5.0) - 1) / 2
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = peak(c), peak(d)
-    for _ in range(_REFINE_STEPS):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = peak(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = peak(d)
-    return max(best, fc, fd)
+    # zoom within the two grid cells around the best sample
+    cell = half = 2 * np.pi / samples
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS + 1)
+    while half > cell * _ZOOM_FINAL:
+        angles = centre + half * offsets
+        values = peaks(angles)
+        i = int(np.argmax(values))
+        centre, best = angles[i], max(best, float(values[i]))
+        half *= 2 / _ZOOM_POINTS
+    return best
 
 
 def nonneg_numrad(c) -> float:

@@ -10,7 +10,8 @@ Boundary input is degree-descending (human-friendly) and converted here, at
 a single point, to the ascending a_k indexing every formula uses.
 
 Coefficient literals accept decimals and exact fractions: ``a``, ``bi``,
-``a+bi``, ``a-bi`` where each part is a decimal number or a fraction ``p/q``.
+``a+bi``, ``a-bi`` where each part is a decimal number, optionally with an
+exponent (``1e-3``, ``-1.5E+2``), or a fraction ``p/q``.
 Fractions parse exactly (via fractions.Fraction), so tests like "a_1 is
 literally zero" in odd_reduce are algebraic, not numerical.
 """
@@ -110,39 +111,40 @@ def odd_reduce(p: Polynomial) -> tuple[Polynomial, bool]:
     return p, False
 
 
-_NUMBER = r"(?:\d+/\d+|\d+\.\d*|\.\d+|\d+)"
-_REAL_RE = re.compile(rf"^([+-]?)({_NUMBER})$")
-_IMAG_RE = re.compile(rf"^([+-]?)({_NUMBER})i$")
-_BOTH_RE = re.compile(rf"^([+-]?)({_NUMBER})([+-])({_NUMBER})i$")
+# at most 4 exponent digits: Fraction builds 10**|exponent| exactly, and 10**4 is past float range
+_NUMBER = r"(?:\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?0*\d{1,4})?)"
+# a, bi or a+bi in one match: patterns tried in turn backtrack through the digits of each miss
+_COEFFICIENT_RE = re.compile(rf"([+-]?)({_NUMBER})(?:([+-])({_NUMBER}))?(i?)")
 
 
-def _signed(sign: str, magnitude: str) -> float:
+def _signed(sign: str, magnitude: str, token: str) -> float:
     try:
         value = float(Fraction(magnitude))
     except ZeroDivisionError:
         raise PolynomialParseError(f"zero denominator in {magnitude!r}") from None
+    except OverflowError:
+        raise PolynomialParseError(f"coefficient {token!r} overflows a float") from None
+    except ValueError:  # Python's limit on the digits of an int (4300 by default)
+        raise PolynomialParseError(f"too many digits in {token!r}") from None
     return -value if sign == "-" else value
 
 
 def parse_complex(token: str) -> complex:
     """Parse one coefficient literal: ``a``, ``bi``, ``a+bi``, or ``a-bi``.
 
-    Each part is a decimal number or an exact fraction ``p/q``.
+    Each part is a decimal number with an optional exponent of at most four
+    digits (``2.5e-3``) or an exact fraction ``p/q``; it is rounded to a float
+    once, from its exact value. A part beyond float range raises
+    PolynomialParseError.
     """
-    text = token.strip()
-    match = _REAL_RE.match(text)
-    if match:
-        return complex(_signed(match.group(1), match.group(2)), 0.0)
-    match = _IMAG_RE.match(text)
-    if match:
-        return complex(0.0, _signed(match.group(1), match.group(2)))
-    match = _BOTH_RE.match(text)
-    if match:
-        return complex(
-            _signed(match.group(1), match.group(2)),
-            _signed(match.group(3), match.group(4)),
-        )
-    raise PolynomialParseError(f"cannot parse coefficient {token!r}")
+    match = _COEFFICIENT_RE.fullmatch(token.strip())
+    if match is None or (match.group(3) and not match.group(5)):  # a+b without the i
+        raise PolynomialParseError(f"cannot parse coefficient {token!r}")
+    sign, first, op, second, imaginary = match.groups()
+    value = _signed(sign, first, token)
+    if op:
+        return complex(value, _signed(op, second, token))
+    return complex(0.0, value) if imaginary else complex(value, 0.0)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -276,65 +276,67 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
     asserted for equality; instead the reference and computed values are
     reported side by side and both are checked for validity against the
     oracle (disk values must dominate the max root modulus, rectangles must
-    contain every root). A refused row fails its check.
+    contain every root). A refused row, an unknown method and a variant the
+    method does not have each fail their check.
     """
     fixture = get_fixture(name) if isinstance(name, str) else name
     p = fixture.polynomial()
     quotient, reduced = odd_reduce(p)
     oracle = find_roots(p)
     checks: list[FixtureCheck] = []
+    mw_row: ReportRow | None = None  # shared by the mw expectation and the guard checks
 
     for exp in fixture.expected:
+        method, computed, detail = METHODS.get(exp.method), math.nan, ""
         if exp.method == "max_modulus":
             computed = oracle.max_modulus
+            passed = exp.status == DIVERGENT or _relative_error(computed, exp.value) <= tolerance
             if exp.status == DIVERGENT:
-                passed = True
                 detail = "reference max modulus does not match the dual-route oracle"
-            else:
+        elif method is None:
+            passed, detail = False, f"unknown method {exp.method!r}"
+        elif exp.variant not in (None, *method.variants):
+            passed = False
+            detail = (f"method {exp.method!r} has no variant {exp.variant!r}" if method.variants
+                      else f"method {exp.method!r} has no variants")
+        else:
+            opt = CompareOptions(**({} if exp.variant is None else {method.option: exp.variant}))
+            row = _row(exp.method, p, quotient, reduced, opt, oracle)
+            if exp.method == "mw":
+                mw_row = row
+            rect = row.rectangle
+            if rect is not None:
+                computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
+            elif row.value is not None:
+                computed = row.value
+            if row.applicability == "refused":
+                passed, detail = False, "; ".join(row.notes)
+            elif exp.status != DIVERGENT:
                 passed = _relative_error(computed, exp.value) <= tolerance
-                detail = ""
-            checks.append(
-                FixtureCheck("max_modulus", None, None, exp.status, exp.value,
-                             computed, passed, detail)
-            )
-            continue
-
-        opt = CompareOptions() if exp.variant is None else CompareOptions(
-            **{METHODS[exp.method].option: exp.variant})
-        row = _row(exp.method, p, quotient, reduced, opt, oracle)
-        rect = row.rectangle
-        if rect is not None:
-            computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
-        else:
-            computed = math.nan if row.value is None else row.value
-        if row.applicability == "refused":
-            passed, detail = False, "; ".join(row.notes)
-        elif exp.status != DIVERGENT:
-            passed, detail = _relative_error(computed, exp.value) <= tolerance, ""
-        elif rect is not None:
-            passed = row.verdict == "holds"
-            detail = "divergent reference; computed rectangle checked for root containment"
-        else:
-            passed = row.verdict == "holds" and validate_bound(p, exp.value, oracle).holds
-            detail = "divergent reference; both values checked against the oracle"
-        checks.append(
-            FixtureCheck(exp.method, exp.variant, exp.component, exp.status, exp.value,
-                         computed, passed, detail)
-        )
+            elif rect is not None:
+                passed = row.verdict == "holds"
+                detail = "divergent reference; computed rectangle checked for root containment"
+            else:
+                passed = row.verdict == "holds" and validate_bound(p, exp.value, oracle).holds
+                detail = "divergent reference; both values checked against the oracle"
+        checks.append(FixtureCheck(exp.method, exp.variant, exp.component, exp.status,
+                                   exp.value, computed, passed, detail))
 
     if fixture.mw_guard is not None:
-        result, applic = mw_bound(p)
-        guard_ok = applic.status == fixture.mw_guard
+        if mw_row is None:
+            mw_row = _row("mw", p, quotient, reduced, CompareOptions(), oracle)
+        # mw_bound's last note is "guard=<status>"; a refused row has none
+        status = next((n[6:] for n in mw_row.notes if n.startswith("guard=")), "refused")
         checks.append(
-            FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan, guard_ok,
-                         f"guard status {applic.status!r}, expected {fixture.mw_guard!r}")
+            FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan,
+                         status == fixture.mw_guard,
+                         f"guard status {status!r}, expected {fixture.mw_guard!r}")
         )
         if fixture.mw_verdict is not None:
-            verdict = validate_bound(p, result.value, oracle)
-            verdict_ok = verdict.verdict == fixture.mw_verdict
             checks.append(
-                FixtureCheck("mw", None, "verdict", "exact", math.nan, math.nan, verdict_ok,
-                             f"oracle verdict {verdict.verdict!r}, expected {fixture.mw_verdict!r}")
+                FixtureCheck("mw", None, "verdict", "exact", math.nan, math.nan,
+                             mw_row.verdict == fixture.mw_verdict,
+                             f"oracle verdict {mw_row.verdict!r}, expected {fixture.mw_verdict!r}")
             )
 
     return FixtureReport(

@@ -18,6 +18,7 @@ from zerobounds import (
     run_compare,
     run_fixture,
 )
+from zerobounds.cartesian import mw_bound
 from zerobounds.cli import main
 from zerobounds.report import (
     ALL_METHODS,
@@ -110,6 +111,45 @@ def test_fixture_rows_follow_compare_refusals_and_validity():
         Expectation("partition_disk", 1.0, "exact"),)))
     assert [(c.passed, c.detail) for c in report.checks] == [
         (False, "requires even degree (constant term is nonzero)")]
+
+
+def test_fixture_rows_name_unknown_methods_and_variants():
+    report = run_fixture(Fixture("x", "1, 2, 3, 4", (
+        Expectation("nope", 1.0, "exact"),
+        Expectation("cauchy", 1.0, "exact", variant="table"),
+        Expectation("linden", 1.0, "exact", variant="bogus"),
+        Expectation("cauchy", 5.0, "exact"),
+    )))
+    assert [(c.method, c.passed, c.detail) for c in report.checks] == [
+        ("nope", False, "unknown method 'nope'"),
+        ("cauchy", False, "method 'cauchy' has no variants"),
+        ("linden", False, "method 'linden' has no variant 'bogus'"),
+        ("cauchy", True, ""),
+    ]
+    assert json.loads(format_fixture_json([report]))[0]["checks"][0]["computed"] is None
+
+
+def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):
+    calls = []
+
+    def spy(p, strict=False):
+        calls.append(p)
+        return mw_bound(p, strict=strict)
+
+    monkeypatch.setattr(zerobounds.report, "mw_bound", spy)
+    for name in ("table4", "table5", "h1", "h2", "h3"):
+        calls.clear()
+        assert run_fixture(name).passed
+        assert len(calls) == 1, name
+    # a guard without an mw expectation still runs the bound, once
+    calls.clear()
+    report = run_fixture(Fixture("guard", get_fixture("table4").coefficients, (),
+                                 mw_guard="guaranteed", mw_verdict="violated"))
+    assert len(calls) == 1
+    assert [(c.component, c.passed, c.detail) for c in report.checks] == [
+        ("guard", False, "guard status 'heuristic', expected 'guaranteed'"),
+        ("verdict", False, "oracle verdict 'holds', expected 'violated'"),
+    ]
 
 
 # ------------------------------------------------------------------- compare

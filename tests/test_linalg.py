@@ -265,3 +265,73 @@ def test_companion_route_raises_when_the_solve_fails(monkeypatch):
     c = _companion([complex(k, 1) for k in range(1, 7)])
     with pytest.raises(InternalConsistencyError):
         numerical_radius_sweep(c)
+
+
+# ------------------------------------------------------ the sweep's zoom
+
+def _count_peak_calls(monkeypatch):
+    """Record the angle count of every lambda_max batch on either route."""
+    calls = []
+    companion_peaks, dense_peaks = _companion_peaks, _dense_peaks
+
+    def companion_spy(first_row):
+        peaks = companion_peaks(first_row)
+
+        def counted(thetas):
+            calls.append(len(thetas))
+            return peaks(thetas)
+
+        return counted
+
+    def dense_spy(m, thetas):
+        calls.append(len(thetas))
+        return dense_peaks(m, thetas)
+
+    monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
+    monkeypatch.setattr(zerobounds.linalg, "_dense_peaks", dense_spy)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["companion", "dense"])
+def test_sweep_refines_in_a_few_batched_calls(monkeypatch, route):
+    calls = _count_peak_calls(monkeypatch)
+    c = _companion([complex(k, 1) for k in range(1, 7)])
+    numerical_radius_sweep(c if route == "companion" else c + 0.1 * np.eye(6))
+    grid_calls = 512 // zerobounds.linalg._SWEEP_CHUNK
+    assert calls[:grid_calls] == [zerobounds.linalg._SWEEP_CHUNK] * grid_calls
+    assert 1 <= len(calls) - grid_calls <= 8
+    assert max(calls) <= zerobounds.linalg._SWEEP_CHUNK
+
+
+def _grid_peak(m, count=4096, chunk=256):
+    """Largest eigvalsh lambda_max of the Hermitian part of e^{i theta} M on a uniform grid."""
+    best, mh = -np.inf, m.conj().T
+    for start in range(0, count, chunk):
+        turn = np.exp(2j * np.pi * np.arange(start, start + chunk) / count)[:, None, None]
+        best = max(best, float(np.linalg.eigvalsh((turn * m + turn.conj() * mh) / 2)[:, -1].max()))
+    return best
+
+
+def test_sweep_reaches_the_fine_grid_peak_and_stays_below_the_norm():
+    rng = np.random.default_rng(29)
+    matrices = [
+        _companion(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (2, 3, 5, 9, 17, 33, 64)
+    ] + [random_matrix(rng, n) for n in range(2, 9)]
+    for m in matrices:
+        w = numerical_radius_sweep(m)
+        assert _grid_peak(m) * (1 - 1e-12) <= w <= operator_norm(m)
+
+
+@pytest.mark.parametrize("phi", [0.1, 1.0, 2.345, 4.0, 5.5])
+def test_sweep_is_exact_between_grid_angles(phi):
+    # w([[0, b], [c, 0]]) = (|b| + |c|) / 2, attained at 2 theta = arg(c) - arg(b),
+    # off the grid for these phi; the companion is on one route, its transpose on the other
+    c = _companion([3.0 * np.exp(1j * phi), 0.0])
+    assert abs(numerical_radius_sweep(c) - 2.0) <= 1e-14
+    assert abs(numerical_radius_sweep(c.T) - 2.0) <= 1e-14
+    # a normal matrix: w is the spectral radius
+    rng = np.random.default_rng(int(10 * phi))
+    d = rng.normal(size=5) + 1j * rng.normal(size=5)
+    q, _ = np.linalg.qr(random_matrix(rng, 5))
+    r = np.max(np.abs(d))
+    assert abs(numerical_radius_sweep(q @ np.diag(d) @ q.conj().T) - r) <= 1e-14 * r

@@ -1,5 +1,6 @@
 """Parsing, normalization, and evaluation of monic polynomials."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zerobounds.polynomial
 from zerobounds import (
     DegreeTooSmallError,
     Polynomial,
@@ -14,6 +16,7 @@ from zerobounds import (
     ZeroLeadingCoefficientError,
     make_monic,
     odd_reduce,
+    parse_complex,
     parse_polynomial,
 )
 
@@ -44,7 +47,7 @@ def test_parse_normalizes_non_monic_input():
 
 @pytest.mark.parametrize(
     "text",
-    ["1, bogus", "1, 1+j", "", "1", "1, 2,, 3", "1, 1/0", "1, i"],
+    ["1, bogus", "1, 1+j", "", "1", "1, 2,, 3", "1, 1/0", "1, i", "1, 1+2", "1, 1e", "1, 1e2.5"],
 )
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(PolynomialParseError):
@@ -56,6 +59,44 @@ def test_parse_error_names_the_offending_token():
         parse_polynomial("1, 2, bogus")
     with pytest.raises(PolynomialParseError, match="1/0"):
         parse_polynomial("1, 1/0")
+
+
+@pytest.mark.parametrize("token, want", [
+    ("1e200", complex(1e200, 0.0)),
+    ("2.5e-3", complex(float(Fraction(5, 2000)), 0.0)),
+    ("-1.5E+2", complex(-150.0, 0.0)),
+    ("1e-3-2e-4i", complex(float(Fraction(1, 1000)), -float(Fraction(2, 10000)))),
+    ("3.e1i", complex(0.0, 30.0)),
+    (".5e1+1/3i", complex(5.0, float(Fraction(1, 3)))),
+    ("1e-400", 0j),
+    ("1E-0009999", 0j),
+])
+def test_parse_exponent_notation(token, want):
+    assert parse_complex(token) == want
+    assert parse_polynomial(f"1, {token}").descending()[1] == want
+
+
+@pytest.mark.parametrize("text", ["1, 1e400", "1, 2-1e400i", "1, -1E+309", "1, 1e99999"])
+def test_parse_rejects_magnitudes_beyond_float_range(text):
+    token = text.split(", ")[1]
+    with pytest.raises(PolynomialParseError, match=re.escape(repr(token))):
+        parse_polynomial(text)
+
+
+def test_parse_rejects_more_digits_than_python_converts():
+    with pytest.raises(PolynomialParseError, match="too many digits"):
+        parse_polynomial("1, 0." + "1" * 5000)
+
+
+def test_parse_refuses_huge_exponents_before_exact_arithmetic(monkeypatch):
+    # Fraction would build 10**exponent exactly: a 1e+20-digit integer here
+    def refuse(text):
+        raise AssertionError(f"Fraction({text!r}) called")
+
+    monkeypatch.setattr(zerobounds.polynomial, "Fraction", refuse)
+    for token in ("1e" + "9" * 20, "1e-" + "9" * 20, "-2.5E+" + "1" * 12 + "i"):
+        with pytest.raises(PolynomialParseError, match="cannot parse"):
+            parse_complex(token)
 
 
 def test_make_monic_divides_through_by_leading_coefficient():
