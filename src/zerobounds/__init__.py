@@ -42,8 +42,8 @@ from .errors import (
     InternalConsistencyError,
     NegativeEntryError,
     NegativeInputError,
-    NegativeRadicandError,
     NoConvergenceError,
+    NonFiniteMatrixError,
     NonSquareError,
     NotHermitianError,
     OddDegreeError,
@@ -106,7 +106,7 @@ __all__ = [
     # errors
     "ZeroBoundsError", "NonSquareError", "NotHermitianError", "NegativeEntryError",
     "NegativeInputError", "InternalConsistencyError", "ZeroLeadingCoefficientError",
-    "DegreeTooSmallError", "OddDegreeError", "NegativeRadicandError",
+    "DegreeTooSmallError", "OddDegreeError", "NonFiniteMatrixError",
     "BlockShapeMismatchError", "ExponentOutOfRangeError", "HypothesisViolatedError",
     "NoConvergenceError", "PolynomialParseError", "UnknownFixtureError",
 ]

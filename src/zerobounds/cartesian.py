@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .companion import BlockCompanion, build_companion, cartesian_parts
-from .classical import BoundResult
+from .classical import BoundResult, coupled
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -25,7 +25,7 @@ from .errors import (
     NegativeInputError,
     OddDegreeError,
 )
-from .linalg import as_matrix, hermitian_eigs, nonneg_numrad, operator_norm, psd_abs, psd_power
+from .linalg import as_matrix, hermitian_eigs, nonneg_numrad, operator_norm, psd_abs
 from .polynomial import Polynomial
 
 __all__ = [
@@ -75,6 +75,10 @@ class Rectangle:
         )
 
 
+# mw_bound's guard status -> the applicability of its result, one to one
+MW_APPLICABILITY = {"guaranteed": "valid", "heuristic": "conditional", "refused": "refused"}
+
+
 @dataclass(frozen=True)
 class MwApplicability:
     """Guard outcome for mw_bound: guaranteed, heuristic, or refused."""
@@ -93,13 +97,13 @@ def radius_from_norm_coupling(w_a: float, w_d: float, norm_b: float, norm_c: flo
     """Numerical-radius bound for [[A,B],[C,D]] from w(A), w(D), ||B||, ||C||:
     (w(A) + w(D) + sqrt((w(A) - w(D))^2 + (||B|| + ||C||)^2)) / 2."""
     _require_nonneg(w_a=w_a, w_d=w_d, norm_b=norm_b, norm_c=norm_c)
-    return 0.5 * (w_a + w_d + math.sqrt((w_a - w_d) ** 2 + (norm_b + norm_c) ** 2))
+    return coupled(w_a, w_d, norm_b + norm_c)
 
 
 def radius_from_pm_coupling(w_a: float, w_d: float, w_plus: float, w_minus: float) -> float:
     """Same coupling shape with the off-diagonal measured by w(B+C) and w(B-C)."""
     _require_nonneg(w_a=w_a, w_d=w_d, w_plus=w_plus, w_minus=w_minus)
-    return 0.5 * (w_a + w_d + math.sqrt((w_a - w_d) ** 2 + (w_plus + w_minus) ** 2))
+    return coupled(w_a, w_d, w_plus + w_minus)
 
 
 def _lam_max(h: np.ndarray) -> float:
@@ -110,6 +114,14 @@ def _diag_coupling(block: np.ndarray) -> float:
     """w(P^2 + Q^2) for the Cartesian parts of one square block."""
     p, q = cartesian_parts(block)
     return _lam_max(p @ p + q @ q)
+
+
+def _abs_power_sum(h: np.ndarray, s: float) -> np.ndarray:
+    """|H|^{2s} + |H|^{2(1-s)} for Hermitian H: |H| has H's eigenvectors and
+    the moduli of its eigenvalues, so one eigendecomposition gives both powers."""
+    eig = hermitian_eigs(h)
+    mods = np.abs(eig.values)
+    return (eig.vectors * (mods ** (2 * s) + mods ** (2 * (1 - s)))) @ eig.vectors.conj().T
 
 
 def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
@@ -138,22 +150,16 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
             if k == j:
                 continue
             p, q = cartesian_parts(grid[k][j])
-            pa, qa = psd_abs(p), psd_abs(q)
-            mixed = (
-                psd_power(pa, 2 * s_exponent)
-                + psd_power(pa, 2 * (1 - s_exponent))
-                + psd_power(qa, 2 * s_exponent)
-                + psd_power(qa, 2 * (1 - s_exponent))
-            )
-            weights[k, j] = (m / 4) * operator_norm(mixed) ** 2
+            norm = operator_norm(_abs_power_sum(p, s_exponent) + _abs_power_sum(q, s_exponent))
+            weights[k, j] = (m / 4) * norm * norm
     return math.sqrt(nonneg_numrad(weights))
 
 
 def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
     """(w1, w2, N) ingredients of cartesian_disk, using the global-decomposition
-    blocks carried by the BlockCompanion."""
-    w1 = _lam_max(bc.p11 @ bc.p11 + bc.q11 @ bc.q11)
-    w2 = _lam_max(bc.p22 @ bc.p22 + bc.q22 @ bc.q22)
+    blocks carried by the BlockCompanion (P11, Q11 are the Cartesian parts of A11)."""
+    w1 = _diag_coupling(bc.a11)
+    w2 = _diag_coupling(bc.a22)
     coupling = operator_norm(psd_abs(bc.p12) + psd_abs(bc.q12)) + operator_norm(
         psd_abs(bc.p21) + psd_abs(bc.q21)
     )
@@ -165,7 +171,7 @@ def cartesian_disk(bc: BlockCompanion) -> BoundResult:
     w_k = w(P_kk^2 + Q_kk^2) of the global Cartesian blocks and
     N = || |P12| + |Q12| || + || |P21| + |Q21| ||."""
     w1, w2, coupling = cartesian_disk_parts(bc)
-    value = math.sqrt(w1 + w2 + math.sqrt((w1 - w2) ** 2 + coupling**2))
+    value = math.sqrt(2 * coupled(w1, w2, coupling))
     return BoundResult(
         "cartesian_disk",
         value,
@@ -192,11 +198,10 @@ def kittaneh_rectangle(p: Polynomial) -> Rectangle:
         raise DegreeTooSmallError("kittaneh_rectangle needs degree >= 3")
     a_n = p.coefficient(n)
     a_n1 = p.coefficient(n - 1)
-    tail = sum(abs(p.coefficient(k)) ** 2 for k in range(1, n - 1))
+    tail = [abs(p.coefficient(k)) for k in range(1, n - 1)]
     cos_n = math.cos(math.pi / n)
-    re, im = abs(a_n.real), abs(a_n.imag)
-    c = 0.5 * (re + cos_n + math.sqrt((re - cos_n) ** 2 + abs(a_n1 - 1) ** 2 + tail))
-    d = 0.5 * (im + cos_n + math.sqrt((im - cos_n) ** 2 + abs(a_n1 + 1) ** 2 + tail))
+    c = coupled(abs(a_n.real), cos_n, abs(a_n1 - 1), *tail)
+    d = coupled(abs(a_n.imag), cos_n, abs(a_n1 + 1), *tail)
     return Rectangle(-c, c, -d, d)
 
 
@@ -213,20 +218,17 @@ def partition_rectangle(q: Polynomial) -> Rectangle:
     companion matrix's real/imaginary parts bounded row by row."""
     n = _even_half(q)
     a = q.coefficient
-    re2n, im2n = abs(a(2 * n).real), abs(a(2 * n).imag)
     cos_n = math.cos(math.pi / n)
     cos_n1 = math.cos(math.pi / (n + 1))
-    mid = sum(abs(a(k)) ** 2 for k in range(n + 1, 2 * n - 1))
-    tail = sum(abs(a(k)) ** 2 for k in range(2, n))
-    f_term = math.sqrt((re2n - cos_n) ** 2 + abs(1 - a(2 * n - 1)) ** 2 + mid)
-    j_term = math.sqrt((im2n - cos_n) ** 2 + abs(1 + a(2 * n - 1)) ** 2 + mid)
-    g_term = math.sqrt(abs(a(n).real) ** 2 + abs(1 - a(1)) ** 2 + tail)
-    h_term = math.sqrt(abs(a(n).imag) ** 2 + abs(1 + a(1)) ** 2 + tail)
-    off = (abs(a(n).real) + g_term + abs(a(n).imag) + h_term) / 2
-    s_top = 0.5 * (re2n + cos_n + f_term)
-    t_top = 0.5 * (im2n + cos_n + j_term)
-    s = 0.5 * s_top + 0.5 * cos_n1 + 0.5 * math.sqrt((s_top - cos_n1) ** 2 + off**2)
-    t = 0.5 * t_top + 0.5 * cos_n1 + 0.5 * math.sqrt((t_top - cos_n1) ** 2 + off**2)
+    mid = [abs(a(k)) for k in range(n + 1, 2 * n - 1)]
+    tail = [abs(a(k)) for k in range(2, n)]
+    re_n, im_n = abs(a(n).real), abs(a(n).imag)
+    off = (re_n + math.hypot(re_n, abs(1 - a(1)), *tail)
+           + im_n + math.hypot(im_n, abs(1 + a(1)), *tail)) / 2
+    s_top = coupled(abs(a(2 * n).real), cos_n, abs(1 - a(2 * n - 1)), *mid)
+    t_top = coupled(abs(a(2 * n).imag), cos_n, abs(1 + a(2 * n - 1)), *mid)
+    s = coupled(s_top, cos_n1, off)
+    t = coupled(t_top, cos_n1, off)
     return Rectangle(-s, s, -t, t)
 
 
@@ -234,14 +236,12 @@ def partition_disk_parts(q: Polynomial) -> tuple[float, float, float, float]:
     """(value, L, D1, D2) for partition_disk."""
     n = _even_half(q)
     a = q.coefficient
-    head = sum(abs(a(k)) ** 2 for k in range(n + 2, 2 * n + 1))
-    big_l = 0.5 * (math.sqrt(head) + math.sqrt(head + (abs(a(n + 1)) + 1) ** 2))
-    tail = sum(abs(a(k)) ** 2 for k in range(2, n))
-    a_n = abs(a(n))
-    d1 = 0.5 * (a_n + math.sqrt(a_n**2 + abs(1 - a(1)) ** 2 + tail))
-    d2 = 0.5 * (a_n + math.sqrt(a_n**2 + abs(1 + a(1)) ** 2 + tail))
-    cos_n1 = math.cos(math.pi / (n + 1))
-    value = 0.5 * (big_l + cos_n1 + math.sqrt((big_l - cos_n1) ** 2 + (d1 + d2) ** 2))
+    head = math.hypot(*(abs(a(k)) for k in range(n + 2, 2 * n + 1)))
+    big_l = coupled(head, 0.0, abs(a(n + 1)) + 1)
+    tail = [abs(a(k)) for k in range(2, n)]
+    d1 = coupled(abs(a(n)), 0.0, abs(1 - a(1)), *tail)
+    d2 = coupled(abs(a(n)), 0.0, abs(1 + a(1)), *tail)
+    value = coupled(big_l, math.cos(math.pi / (n + 1)), d1 + d2)
     return value, big_l, d1, d2
 
 
@@ -287,8 +287,7 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
         raise DegreeTooSmallError("mw_bound needs degree >= 2")
     c = g.lower
     mods = [abs(x) for x in c]
-    tail_sq = sum(m * m for m in mods[1:])
-    value = 0.5 * (math.sqrt(tail_sq) + math.sqrt(tail_sq + (mods[0] + 1.0) ** 2))
+    value = coupled(math.hypot(*mods[1:]), 0.0, mods[0] + 1.0)
 
     some_ge1 = any(m >= 1.0 for m in mods[1:])
     all_real = all(x.imag == 0 for x in c)
@@ -320,8 +319,8 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
         status = "refused"
         reasons.append("strict mode refuses heuristic use")
 
-    applic = {"guaranteed": "valid", "heuristic": "conditional", "refused": "refused"}[status]
-    result = BoundResult("mw", value, applicability=applic, notes=(f"guard={status}",))
+    result = BoundResult("mw", value, applicability=MW_APPLICABILITY[status],
+                         notes=(f"guard={status}",))
     return result, MwApplicability(status, tuple(reasons))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeTooSmallError, NegativeRadicandError
+from .errors import DegreeTooSmallError
 from .polynomial import Polynomial
 
 __all__ = [
@@ -59,6 +59,12 @@ def _moduli(p: Polynomial) -> list[float]:
     return [abs(c) for c in p.lower]
 
 
+def coupled(x: float, y: float, *off: float) -> float:
+    """(x + y + sqrt((x - y)^2 + sum off^2)) / 2, the coupling root that ends every
+    partitioned bound; hypot scales the squares, so it is finite when representable."""
+    return (x + y + math.hypot(x - y, *off)) / 2
+
+
 def cauchy(p: Polynomial) -> BoundResult:
     """1 + max|a_k|."""
     return BoundResult("cauchy", 1.0 + max(_moduli(p)))
@@ -66,7 +72,7 @@ def cauchy(p: Polynomial) -> BoundResult:
 
 def carmichael_mason(p: Polynomial) -> BoundResult:
     """sqrt(1 + sum |a_k|^2)."""
-    return BoundResult("carmichael_mason", math.sqrt(1.0 + sum(m * m for m in _moduli(p))))
+    return BoundResult("carmichael_mason", math.hypot(1.0, *_moduli(p)))
 
 
 def montel(p: Polynomial) -> BoundResult:
@@ -89,18 +95,17 @@ def abdurakhmanov(p: Polynomial) -> BoundResult:
     if n < 2:
         raise DegreeTooSmallError("abdurakhmanov needs degree >= 2")
     mods = _moduli(p)
-    a_n = mods[-1]
     head = sum(m * m for m in mods[:-1])
-    cos_n = math.cos(math.pi / n)
-    value = 0.5 * (a_n + cos_n + math.sqrt((a_n - cos_n) ** 2 + (1.0 + head) ** 2))
-    return BoundResult("abdurakhmanov", value)
+    return BoundResult("abdurakhmanov", coupled(mods[-1], math.cos(math.pi / n), 1.0 + head))
 
 
 def linden(p: Polynomial, variant: str = "printed") -> BoundResult:
     """|a_n|/n + sqrt(((n-1)/n) (n - 1 + sum|a_k|^2 - T)).
 
     printed: T = |a_n|^2/n. table: T = |a_n|/n (the substitution that
-    reproduces the published comparison tables).
+    reproduces the published comparison tables). The bracket is a sum of squares:
+    (n-1) + sum_{k<n} |a_k|^2 + ((n-1)/n) |a_n|^2 for printed and
+    (n-1-1/(4n^2)) + sum_{k<n} |a_k|^2 + (|a_n| - 1/(2n))^2 for table.
     """
     if variant not in LINDEN_VARIANTS:
         raise ValueError(f"unknown linden variant {variant!r}")
@@ -109,12 +114,12 @@ def linden(p: Polynomial, variant: str = "printed") -> BoundResult:
         raise DegreeTooSmallError("linden needs degree >= 2")
     mods = _moduli(p)
     a_n = mods[-1]
-    total = sum(m * m for m in mods)
-    subtracted = a_n * a_n / n if variant == "printed" else a_n / n
-    radicand = (n - 1) / n * (n - 1 + total - subtracted)
-    if radicand < 0:
-        raise NegativeRadicandError("linden radicand is negative")
-    return BoundResult("linden", a_n / n + math.sqrt(radicand), variant=variant)
+    ratio = math.sqrt((n - 1) / n)
+    if variant == "printed":
+        root = math.hypot(math.sqrt(n - 1), *mods[:-1], ratio * a_n)
+    else:
+        root = math.hypot(math.sqrt(n - 1 - 1 / (4 * n * n)), *mods[:-1], a_n - 1 / (2 * n))
+    return BoundResult("linden", a_n / n + ratio * root, variant=variant)
 
 
 def kittaneh_disk(p: Polynomial, variant: str = "printed") -> BoundResult:
@@ -131,12 +136,8 @@ def kittaneh_disk(p: Polynomial, variant: str = "printed") -> BoundResult:
     if n < 3:
         raise DegreeTooSmallError("kittaneh_disk needs degree >= 3")
     mods = _moduli(p)
-    a_n = mods[-1]
-    a_n1 = mods[-2]
-    tail = sum(m * m for m in mods[: n - 2])
-    edge = (a_n1 - 1.0) ** 2 if variant == "printed" else (1.0 + a_n1) ** 2
-    cos_n = math.cos(math.pi / n)
-    value = 0.5 * (a_n + cos_n + math.sqrt((a_n - cos_n) ** 2 + edge + tail))
+    edge = mods[-2] - 1.0 if variant == "printed" else mods[-2] + 1.0
+    value = coupled(mods[-1], math.cos(math.pi / n), edge, *mods[: n - 2])
     return BoundResult("kittaneh_disk", value, variant=variant)
 
 
@@ -148,11 +149,9 @@ def abu_omar_kittaneh(p: Polynomial) -> BoundResult:
     if n < 2:
         raise DegreeTooSmallError("abu_omar_kittaneh needs degree >= 2")
     mods = _moduli(p)
-    alpha = math.sqrt(sum(m * m for m in mods))
-    beta = math.sqrt(sum(m * m for m in mods[:-1]))
-    mid = (mods[-1] + alpha) / 2
-    cos_n1 = math.cos(math.pi / (n + 1))
-    value = 0.5 * (mid + cos_n1 + math.sqrt((mid - cos_n1) ** 2 + 4.0 * beta))
+    mid = (mods[-1] + math.hypot(*mods)) / 2
+    beta = math.hypot(*mods[:-1])
+    value = coupled(mid, math.cos(math.pi / (n + 1)), 2.0 * math.sqrt(beta))
     return BoundResult("abu_omar_kittaneh", value)
 
 
@@ -171,7 +170,7 @@ def al_dolat(p: Polynomial) -> BoundResult:
         raise DegreeTooSmallError("al_dolat needs degree >= 2")
     mods = _moduli(p)
     a_n = mods[-1]
-    root_head = math.sqrt(sum(m * m for m in mods[:-1]))
+    root_head = math.hypot(*mods[:-1])
     value = 0.5 * (a_n + 2.0 * math.cos(math.pi / n) + math.hypot(a_n, root_head + 1.0))
     t_star = root_head / (1.0 + root_head)
     return BoundResult("al_dolat", value, notes=(f"t_star={t_star:.6f}",))

@@ -46,8 +46,6 @@ class BlockCompanion:
     n is the half-degree; each block is n x n. The p/q blocks are slices of
     P = (C + C*)/2 and Q = (C - C*)/(2i), so p12 = (A12 + A21*)/2, p21 = p12*,
     q12 = (A12 - A21*)/(2i) and q21 = q12*.
-    zero_constant_term flags a_1 = 0: the formulas remain evaluable, but the
-    partition's standing hypothesis is not met, so reports should note it.
     """
 
     n: int
@@ -64,7 +62,6 @@ class BlockCompanion:
     q12: np.ndarray
     q21: np.ndarray
     q22: np.ndarray
-    zero_constant_term: bool
 
 
 def build_block_companion(q: Polynomial) -> BlockCompanion:
@@ -92,7 +89,6 @@ def build_block_companion(q: Polynomial) -> BlockCompanion:
         a11=a11, a12=a12, a21=a21, a22=a22,
         p11=p11, p12=p12, p21=p21, p22=p22,
         q11=q11, q12=q12, q21=q21, q22=q22,
-        zero_constant_term=(q.coefficient(1) == 0),
     )
 
 

@@ -38,8 +38,8 @@ class OddDegreeError(ZeroBoundsError):
     """An even-degree polynomial was required."""
 
 
-class NegativeRadicandError(ZeroBoundsError):
-    """A bound formula produced a negative radicand; the result is refused."""
+class NonFiniteMatrixError(ZeroBoundsError, ValueError):
+    """A matrix entry is infinite or NaN: on finite input, an intermediate overflowed."""
 
 
 class BlockShapeMismatchError(ZeroBoundsError):

@@ -19,6 +19,7 @@ from .companion import _bordered_hermitian_part
 from .errors import (
     InternalConsistencyError,
     NegativeEntryError,
+    NonFiniteMatrixError,
     NonSquareError,
     NotHermitianError,
 )
@@ -51,7 +52,7 @@ def as_matrix(a, square: bool = True) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteMatrixError("matrix entries must be finite")
     return m
 
 

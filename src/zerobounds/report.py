@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from . import classical
 from .cartesian import (
+    MW_APPLICABILITY,
     Rectangle,
     block_cartesian_radius,
     cartesian_disk,
@@ -32,7 +33,7 @@ from .cartesian import (
 )
 from .classical import BoundResult
 from .companion import build_block_companion, build_companion
-from .errors import HypothesisViolatedError, NoConvergenceError
+from .errors import HypothesisViolatedError, NoConvergenceError, NonFiniteMatrixError
 from .fixtures import DIVERGENT, EXACT, FIXTURES, Fixture, get_fixture
 from .linalg import numerical_radius_sweep
 from .polynomial import Polynomial, odd_reduce, parse_polynomial
@@ -194,6 +195,8 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
             outcome = method.run(target, opt)
         except HypothesisViolatedError as exc:
             refusal = str(exc)
+        except NonFiniteMatrixError as exc:
+            refusal = f"overflow: {exc}"
     if refusal is not None:
         return ReportRow(name, None, None, "refused", notes=notes + (refusal,))
 
@@ -325,8 +328,8 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
     if fixture.mw_guard is not None:
         if mw_row is None:
             mw_row = _row("mw", p, quotient, reduced, CompareOptions(), oracle)
-        # mw_bound's last note is "guard=<status>"; a refused row has none
-        status = next((n[6:] for n in mw_row.notes if n.startswith("guard=")), "refused")
+        # a row the method table refuses reads "refused" too
+        status = next(s for s, a in MW_APPLICABILITY.items() if a == mw_row.applicability)
         checks.append(
             FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan,
                          status == fixture.mw_guard,

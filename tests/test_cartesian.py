@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import zerobounds.cartesian
+import zerobounds.linalg
 from conftest import random_matrix, random_polynomial
 from zerobounds import (
     BlockShapeMismatchError,
@@ -22,14 +24,18 @@ from zerobounds import (
     diagonal_block_radius,
     find_roots,
     get_fixture,
+    hermitian_eigs,
     hermitian_rectangle,
     kittaneh_rectangle,
     mw_bound,
+    nonneg_numrad,
     numerical_radius_sweep,
     operator_norm,
     parse_polynomial,
     partition_disk,
     partition_rectangle,
+    psd_abs,
+    psd_power,
     radius_from_norm_coupling,
     radius_from_pm_coupling,
     unit_tail_disk,
@@ -155,6 +161,49 @@ def test_block_radius_dominates_sweep_on_generic_grids(s):
         whole = np.block(grid)
         value = block_cartesian_radius(grid, s_exponent=s)
         assert value >= numerical_radius_sweep(whole, samples=128) - 1e-6
+
+
+def _psd_composition_radius(grid, s):
+    """block_cartesian_radius as first written: |P| and |Q| through psd_abs's
+    Gram matrix, then psd_power for each exponent (6 eigensolves per
+    off-diagonal block)."""
+    m = len(grid)
+    weights = np.zeros((m, m))
+    for k in range(m):
+        for j in range(m):
+            p = (grid[k][j] + grid[k][j].conj().T) / 2
+            q = (grid[k][j] - grid[k][j].conj().T) / 2j
+            if k == j:
+                weights[k, k] = m * np.linalg.eigvalsh(p @ p + q @ q)[-1]
+                continue
+            pa, qa = psd_abs(p), psd_abs(q)
+            mixed = sum(psd_power(x, e) for x in (pa, qa) for e in (2 * s, 2 * (1 - s)))
+            weights[k, j] = (m / 4) * operator_norm(mixed) ** 2
+    return math.sqrt(nonneg_numrad(weights))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_block_radius_equals_the_psd_composition_with_two_eigensolves_per_block(m, monkeypatch):
+    calls = []
+
+    def spy(h):
+        calls.append(h.shape)
+        return hermitian_eigs(h)
+
+    rng = np.random.default_rng(109 + m)
+    for trial in range(8):
+        k = int(rng.integers(1, 5))
+        s = float(rng.uniform(0.05, 0.95))
+        grid = [[random_matrix(rng, k) for _ in range(m)] for _ in range(m)]
+        want = _psd_composition_radius(grid, s)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(zerobounds.cartesian, "hermitian_eigs", spy)
+            patch.setattr(zerobounds.linalg, "hermitian_eigs", spy)
+            got = block_cartesian_radius(grid, s_exponent=s)
+        assert abs(got - want) <= 1e-12 * want, (trial, got, want)
+        # one per diagonal block for w(P^2 + Q^2), then 2 per off-diagonal block
+        assert len(calls) == m + 2 * m * (m - 1)
 
 
 def test_block_radius_rejects_bad_grids():

@@ -71,11 +71,6 @@ def test_cartesian_blocks_match_global_slices():
     assert np.allclose(p_full + 1j * q_full, bc.companion, atol=1e-14)
 
 
-def test_zero_constant_term_flag():
-    assert build_block_companion(parse_polynomial("1, 0, 0, 0, 0")).zero_constant_term
-    assert not build_block_companion(parse_polynomial("1, 0, 0, 0, 1")).zero_constant_term
-
-
 def test_block_partition_rejects_odd_and_small_degrees():
     with pytest.raises(OddDegreeError):
         build_block_companion(parse_polynomial("1, 0, 0, 0, 0, 1"))

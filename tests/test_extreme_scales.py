@@ -1,0 +1,179 @@
+"""Finite input, finite answer: the closed forms at coefficient scales from
+1e-300 to 1e300, and the CLI on inputs whose intermediates overflow.
+
+Each closed form is checked against the same formula written out naively in
+mpmath at 50 digits, where nothing overflows or underflows.
+"""
+
+import json
+import math
+import sys
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zerobounds import (
+    Polynomial,
+    abdurakhmanov,
+    abu_omar_kittaneh,
+    al_dolat,
+    carmichael_mason,
+    cauchy,
+    fujii_kubo,
+    kittaneh_disk,
+    kittaneh_rectangle,
+    linden,
+    montel,
+    mw_bound,
+    partition_disk,
+    partition_rectangle,
+    radius_from_norm_coupling,
+    radius_from_pm_coupling,
+)
+from zerobounds.cli import main
+from zerobounds.report import ALL_METHODS
+
+FLOAT_MAX = mpmath.mpf(sys.float_info.max)
+
+
+def _coupled(x, y, off_sq):
+    """(x + y + sqrt((x - y)^2 + off_sq)) / 2 in mpmath."""
+    return (x + y + mpmath.sqrt((x - y) ** 2 + off_sq)) / 2
+
+
+def _sq(values):
+    return mpmath.fsum(v * v for v in values)
+
+
+def _reference(a):
+    """name -> (float-side callable, mpmath value) for every closed form that
+    applies to the lower coefficients a (a[k-1] is a_k)."""
+    p = Polynomial(tuple(a))
+    n = p.degree
+    z = [mpmath.mpc(c.real, c.imag) for c in a]
+    m = [abs(c) for c in z]
+    pi = mpmath.pi
+    out = {
+        "cauchy": (lambda: cauchy(p).value, 1 + max(m)),
+        "carmichael_mason": (lambda: carmichael_mason(p).value, mpmath.sqrt(1 + _sq(m))),
+        "montel": (lambda: montel(p).value, max(mpmath.mpf(1), mpmath.fsum(m))),
+        "fujii_kubo": (lambda: fujii_kubo(p).value,
+                       mpmath.cos(pi / (n + 1)) + (m[-1] + _sq(m)) / 2),
+    }
+    if n >= 2:
+        cos_n, cos_n1 = mpmath.cos(pi / n), mpmath.cos(pi / (n + 1))
+        head = _sq(m[:-1])
+        out["abdurakhmanov"] = (lambda: abdurakhmanov(p).value,
+                                _coupled(m[-1], cos_n, (1 + head) ** 2))
+        for variant, t in (("printed", m[-1] ** 2 / n), ("table", m[-1] / n)):
+            out[f"linden[{variant}]"] = (
+                lambda v=variant: linden(p, v).value,
+                m[-1] / n + mpmath.sqrt(mpmath.mpf(n - 1) / n * (n - 1 + _sq(m) - t)))
+        mid = (m[-1] + mpmath.sqrt(_sq(m))) / 2
+        out["abu_omar_kittaneh"] = (lambda: abu_omar_kittaneh(p).value,
+                                    _coupled(mid, cos_n1, 4 * mpmath.sqrt(head)))
+        out["al_dolat"] = (
+            lambda: al_dolat(p).value,
+            (m[-1] + 2 * cos_n + mpmath.sqrt(m[-1] ** 2 + (mpmath.sqrt(head) + 1) ** 2)) / 2)
+        tail = _sq(m[1:])
+        out["mw"] = (lambda: mw_bound(p)[0].value,
+                     (mpmath.sqrt(tail) + mpmath.sqrt(tail + (m[0] + 1) ** 2)) / 2)
+    if n >= 3:
+        tail = _sq(m[:n - 2])
+        for variant, edge in (("printed", m[-2] - 1), ("plus_one", m[-2] + 1)):
+            out[f"kittaneh_disk[{variant}]"] = (lambda v=variant: kittaneh_disk(p, v).value,
+                                                _coupled(m[-1], cos_n, edge ** 2 + tail))
+        for part, sign, half in (("re", -1, lambda r: r.re_hi), ("im", 1, lambda r: r.im_hi)):
+            lead = abs(mpmath.re(z[-1]) if part == "re" else mpmath.im(z[-1]))
+            out[f"kittaneh_rectangle.{part}"] = (
+                lambda half=half: half(kittaneh_rectangle(p)),
+                _coupled(lead, cos_n, abs(z[-2] + sign) ** 2 + tail))
+    if n >= 4 and n % 2 == 0:
+        h = n // 2
+        coef = [None, *z]  # coef[k] is a_k
+        mod = [None, *m]
+        cos_h, cos_h1 = mpmath.cos(pi / h), mpmath.cos(pi / (h + 1))
+        head = _sq(mod[h + 2:])
+        big_l = (mpmath.sqrt(head) + mpmath.sqrt(head + (mod[h + 1] + 1) ** 2)) / 2
+        low = _sq(mod[2:h])
+        d1 = (mod[h] + mpmath.sqrt(mod[h] ** 2 + abs(1 - coef[1]) ** 2 + low)) / 2
+        d2 = (mod[h] + mpmath.sqrt(mod[h] ** 2 + abs(1 + coef[1]) ** 2 + low)) / 2
+        out["partition_disk"] = (lambda: partition_disk(p).value,
+                                 _coupled(big_l, cos_h1, (d1 + d2) ** 2))
+        mid = _sq(mod[h + 1:2 * h - 1])
+        re_h, im_h = abs(mpmath.re(coef[h])), abs(mpmath.im(coef[h]))
+        off = (re_h + mpmath.sqrt(re_h ** 2 + abs(1 - coef[1]) ** 2 + low)
+               + im_h + mpmath.sqrt(im_h ** 2 + abs(1 + coef[1]) ** 2 + low)) / 2
+        for part, sign, half in (("re", -1, lambda r: r.re_hi), ("im", 1, lambda r: r.im_hi)):
+            lead = abs(mpmath.re(coef[n]) if part == "re" else mpmath.im(coef[n]))
+            top = _coupled(lead, cos_h, abs(1 + sign * coef[n - 1]) ** 2 + mid)
+            out[f"partition_rectangle.{part}"] = (lambda half=half: half(partition_rectangle(p)),
+                                                  _coupled(top, cos_h1, off ** 2))
+    return out
+
+
+def _assert_close_or_inf(name, got, want):
+    assert not math.isnan(got), name
+    if want > FLOAT_MAX:
+        assert got == math.inf, (name, got, want)
+    elif mpmath.mpf("1e-300") <= want <= mpmath.mpf("1e300"):
+        assert abs(got - want) <= 1e-12 * want, (name, got, want)
+    elif want > 1:  # representable, but intermediate squares may overflow
+        assert got == math.inf or abs(got - want) <= 1e-12 * want, (name, got, want)
+    else:
+        assert math.isfinite(got), (name, got, want)
+
+
+_SCALED = st.builds(
+    lambda re, im, e: complex(re, im) * 10.0**e,
+    st.floats(-1, 1), st.floats(-1, 1), st.integers(-300, 300),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SCALED, min_size=2, max_size=16))
+def test_closed_forms_match_mpmath_at_every_scale(lower):
+    with mpmath.workdps(50):
+        for name, (compute, want) in _reference(lower).items():
+            _assert_close_or_inf(name, compute(), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(lambda x, e: abs(x) * 10.0**e, st.floats(0, 1), st.integers(-300, 300)),
+                min_size=4, max_size=4))
+def test_coupling_radii_match_mpmath_at_every_scale(args):
+    w_a, w_d, b, c = args
+    with mpmath.workdps(50):
+        x, y, u, v = map(mpmath.mpf, args)
+        want = _coupled(x, y, (u + v) ** 2)
+        _assert_close_or_inf("norm", radius_from_norm_coupling(w_a, w_d, b, c), want)
+        _assert_close_or_inf("pm", radius_from_pm_coupling(w_a, w_d, b, c), want)
+
+
+def test_huge_quadratic_gives_finite_closed_forms_except_fujii_kubo(capsys):
+    code = main(["compare", "--poly", "1, 1e200, 1", "--format", "json"])
+    assert code == 4  # the oracle overflows; the bounds are still reported
+    report = json.loads(capsys.readouterr().out)
+    rows = {row["method"]: row for row in report["rows"]}
+    assert list(rows) == list(ALL_METHODS)
+    assert rows["fujii_kubo"]["value"] == "inf"  # true value about 5e399
+    for name, row in rows.items():
+        if row["applicability"] == "refused" or name == "fujii_kubo":
+            continue
+        cells = [row["value"]] if row["rectangle"] is None else row["rectangle"].values()
+        assert all(math.isfinite(float(cell)) for cell in cells), (name, row)
+
+
+@pytest.mark.parametrize("poly", ["1, 1e200, 1, 1, 1", "1e200, 1, 1, 1, 1"])
+@pytest.mark.parametrize("out_format", ["text", "csv", "json"])
+def test_overflowing_intermediates_print_every_row(poly, out_format, capsys):
+    code = main(["compare", "--poly", poly, "--format", out_format])
+    assert code in (0, 4)
+    printed = capsys.readouterr().out
+    for name in ALL_METHODS:
+        assert name in printed, name
+    if poly.startswith("1, 1e200") and out_format != "csv":
+        # the dense Cartesian rows square entries of 1e200 and refuse
+        assert printed.count("overflow: matrix entries must be finite") == 2

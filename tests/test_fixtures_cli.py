@@ -1,6 +1,7 @@
 """Fixture evaluation, report formats, CLI behavior and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -150,6 +151,21 @@ def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):
         ("guard", False, "guard status 'heuristic', expected 'guaranteed'"),
         ("verdict", False, "oracle verdict 'holds', expected 'violated'"),
     ]
+
+
+def test_fixture_mw_guard_is_read_from_the_row_applicability(monkeypatch):
+    """The guard status comes from the mw row's applicability, which
+    mw_bound maps one to one from its status; the notes play no part."""
+    fixture = Fixture("guard", get_fixture("table4").coefficients, (), mw_guard="heuristic")
+    for force, status in ((False, "heuristic"), (True, "refused")):
+        def without_notes(p, strict=False, force=force):
+            result, applic = mw_bound(p, strict=force)
+            return dataclasses.replace(result, notes=()), applic
+
+        monkeypatch.setattr(zerobounds.report, "mw_bound", without_notes)
+        check = run_fixture(fixture).checks[0]
+        assert check.detail == f"guard status {status!r}, expected 'heuristic'"
+        assert check.passed == (status == "heuristic")
 
 
 # ------------------------------------------------------------------- compare
