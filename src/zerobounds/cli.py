@@ -40,8 +40,7 @@ _VARIANT_FAMILIES = {
     for m in METHODS.values() if m.option is not None
 }
 _CONFIG_KEYS = (
-    "methods", *_VARIANT_FAMILIES, "alpha", "theta-samples",
-    "strict-mw", "oracle", "format", "tolerance",
+    "methods", *_VARIANT_FAMILIES, "alpha", "strict-mw", "oracle", "format", "tolerance",
 )
 
 
@@ -69,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                              for family, (_, allowed) in _VARIANT_FAMILIES.items()))
     compare.add_argument("--alpha", type=float, default=None,
                          help="block_cartesian interpolation exponent in (0,1), default 0.5")
-    compare.add_argument("--theta-samples", type=int, default=None,
-                         help="radius_sweep grid resolution, default 512")
     compare.add_argument("--strict-mw", action="store_true", default=None,
                          help="refuse the MW bound when its guard is not guaranteed")
     compare.add_argument("--format", choices=("text", "csv", "json"), default=None)
@@ -171,9 +168,6 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
     alpha = _setting(args.alpha, config, "alpha", 0.5, float)
     if not 0.0 < alpha < 1.0:
         raise CliInputError(f"--alpha must lie in (0, 1), got {alpha}")
-    theta = _setting(args.theta_samples, config, "theta-samples", 512, int)
-    if theta < 64:
-        raise CliInputError(f"--theta-samples must be at least 64, got {theta}")
 
     methods_text = _setting(args.methods, config, "methods", None)
     try:
@@ -184,7 +178,6 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
     options = CompareOptions(
         methods=methods,
         alpha=alpha,
-        theta_samples=theta,
         strict_mw=_setting(args.strict_mw, config, "strict-mw", False, bool),
         oracle=_setting(args.oracle, config, "oracle", True, bool),
         **variants,

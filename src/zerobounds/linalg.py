@@ -3,10 +3,11 @@
 Matrices are plain numpy arrays (complex dtype) of modest size, so the
 general kernels favor clarity and tight contracts over asymptotic
 cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``).
-The numerical-radius sweep maximizes
-w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) over theta;
-it takes lambda_max from a dense eigensolve for a general matrix and from
-an O(n) secular equation for a companion matrix.
+The numerical-radius sweep brackets
+w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
+best sampled value and the farthest vertex of the outer polygon the sampled
+support lines cut out; it takes lambda_max from a dense eigensolve for a
+general matrix and from an O(n) secular equation for a companion matrix.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ __all__ = [
 
 _HERMITIAN_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-_SWEEP_CHUNK = 64  # grid angles per peak evaluation; bounds the companion route's memory
 _TINY = float(np.finfo(float).tiny)
 _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
-_ZOOM_POINTS = 32  # intervals per zoom round, evaluated as one batch; at most _SWEEP_CHUNK
-_ZOOM_FINAL = 2.0**-28  # final half-width of the zoom bracket, in grid cells: 7 rounds
+_SWEEP_START = 32  # equally spaced angles of the first round
+_SWEEP_SPLIT = 16  # a wide interval is split into this many
+_SWEEP_RTOL = 1e-14  # an interval is closed once its vertex is this close to max f
+_SWEEP_MIN_GAP = 1e-10  # radians; closer angles give a vertex of rounding noise
+_SWEEP_BUDGET = 4096  # most angles one sweep evaluates
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
@@ -182,67 +185,66 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     return peaks
 
 
-def _companion_peaks(first_row: np.ndarray):
-    """thetas -> lambda_max of the Hermitian part of e^{i theta} C, C a companion matrix."""
-    scale = max(1.0, float(np.max(np.abs(first_row))))  # max |C_ij|; w(sC) = s w(C)
+def _companion_peaks(first_row: np.ndarray, scale: float):
+    """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, C a
+    companion matrix; scale >= max |C_ij| keeps the secular weights finite."""
     mu, bordered = _bordered_hermitian_part(first_row, scale)
-
-    def peaks(thetas: np.ndarray) -> np.ndarray:
-        return scale * _largest_secular_root(*bordered(thetas), mu)
-
-    return peaks
+    return lambda thetas: _largest_secular_root(*bordered(thetas), mu)
 
 
-def numerical_radius_sweep(x, samples: int = 512) -> float:
-    """Numerical radius by sweeping theta over [0, 2*pi).
+def numerical_radius_sweep(x) -> tuple[float, float]:
+    """Bracket (lower, upper) of the numerical radius w(X) by Johnson's outer
+    polygon (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).
 
-    Evaluates lambda_max of the Hermitian part of e^{i theta} X on a uniform
-    grid, then zooms in on the best grid angle: each round evaluates 33
-    equally spaced angles across the bracket in one batch, re-centres on the
-    best and shrinks the bracket 16-fold, down to 2**-28 of a grid cell.
-    Every evaluation is a lower bound for w(X); the largest is returned. It
-    is accurate to rounding level once the grid brackets the highest peak,
-    so the grid is the limit: it can miss a narrow highest peak for a lower one.
+    At each angle theta, f = lambda_max of the Hermitian part of e^{i theta} X
+    is at most w(X), and W(X) lies in the half-plane Re(e^{i theta} z) <= f.
+    The lines at theta_c -+ h meet at a vertex of modulus
+    sqrt((f1 - f2)^2 + 4 f1 f2 sin^2 h) / sin 2h, the hypot of (f1 + f2) /
+    (2 cos h) and (f1 - f2) / (2 sin h). The farthest point of the polygon is
+    such a vertex, so lower = max f <= w(X) <= upper = max vertex.
 
-    lambda_max comes from one of two routes, chosen from X itself:
+    On X / max |X_ij|, from 32 equally spaced angles, each round evaluates
+    one batch: 16-fold splits of every interval whose vertex exceeds max f
+    by over 1e-14 relative, and one angle aimed where the farthest vertex
+    points (at a corner of W(X), f there is w(X)). Angles within 1e-10 of
+    one taken are dropped; their vertex would be rounding noise. The sweep
+    stops when no angle is left or before a batch would pass 4096 angles;
+    a flat f (W(X) a disk) leaves a bracket about 2e-5 wide.
 
-    - companion route, when X is n x n (n >= 2) with an arbitrary first row,
-      ones on the subdiagonal and exact zeros elsewhere: the Hermitian part
-      is a tridiagonal Toeplitz matrix bordered by one row and column, so
-      lambda_max is the largest root of a rank-one secular equation over the
-      known Toeplitz spectrum. The grid costs O(n^2 m) for m angles (one
-      sine-basis product per angle, evaluated in chunks of 64 angles) and
-      no eigensolver call;
-    - dense route, for every other matrix: one ``eigvalsh`` per angle.
-
-    Both routes share the grid and the zoom.
+    A companion matrix (any first row, ones on the subdiagonal, exact zeros
+    elsewhere, n >= 2) gets f from a rank-one secular equation over the known
+    Toeplitz spectrum, O(n^2) per angle; any other X one ``eigvalsh`` per angle.
     """
-    if samples < 64:
-        raise ValueError("samples must be at least 64")
     m = as_matrix(x)
-    if _is_companion(m):
-        peaks = _companion_peaks(m[0])
-    else:
-        def peaks(thetas: np.ndarray) -> np.ndarray:
-            return _dense_peaks(m, thetas)
-
-    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    values = np.concatenate([
-        peaks(thetas[i:i + _SWEEP_CHUNK]) for i in range(0, samples, _SWEEP_CHUNK)
-    ])
-    best_index = int(np.argmax(values))
-    centre, best = thetas[best_index], float(values[best_index])
-
-    # zoom within the two grid cells around the best sample
-    cell = half = 2 * np.pi / samples
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS + 1)
-    while half > cell * _ZOOM_FINAL:
-        angles = centre + half * offsets
-        values = peaks(angles)
-        i = int(np.argmax(values))
-        centre, best = angles[i], max(best, float(values[i]))
-        half *= 2 / _ZOOM_POINTS
-    return best
+    scale = float(np.max(np.abs(m))) or 1.0
+    peaks = (_companion_peaks(m[0], scale) if _is_companion(m)
+             else lambda thetas: _dense_peaks(m / scale, thetas))
+    steps = np.arange(1, _SWEEP_SPLIT) / _SWEEP_SPLIT
+    thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
+    values = peaks(thetas)
+    while True:
+        order = np.argsort(thetas)
+        thetas, values = thetas[order], values[order]
+        half = np.diff(thetas, append=2 * np.pi) / 2  # thetas[0] is 0
+        following = np.roll(values, -1)
+        re = (values + following) / (2 * np.cos(half))
+        im = (values - following) / (2 * np.sin(half))
+        vertex = np.hypot(re, im)
+        lower, far = float(values.max()), int(np.argmax(vertex))
+        wide = vertex > lower * (1 + _SWEEP_RTOL)
+        if not wide.any():
+            break
+        split = wide & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)  # keeps new angles apart
+        fresh = (thetas[split, None] + 2 * half[split, None] * steps).ravel()
+        aim = np.mod(thetas[far] + half[far] - np.arctan2(im[far], re[far]), 2 * np.pi)
+        gaps = np.mod(np.append(thetas, fresh) - aim + np.pi, 2 * np.pi) - np.pi
+        if np.abs(gaps).min() > _SWEEP_MIN_GAP:
+            fresh = np.append(fresh, aim)
+        if fresh.size == 0 or thetas.size + fresh.size > _SWEEP_BUDGET:
+            break
+        thetas = np.concatenate([thetas, fresh])
+        values = np.concatenate([values, peaks(fresh)])
+    return scale * lower, scale * float(vertex[far])
 
 
 def nonneg_numrad(c) -> float:

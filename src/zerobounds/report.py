@@ -18,6 +18,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import classical
 from .cartesian import (
     MW_APPLICABILITY,
@@ -65,7 +67,6 @@ class CompareOptions:
     linden_variant: str = "printed"
     kittaneh_variant: str = "printed"
     alpha: float = 0.5  # block_cartesian interpolation exponent
-    theta_samples: int = 512  # radius_sweep resolution
     strict_mw: bool = False
     oracle: bool = True
 
@@ -108,8 +109,8 @@ def _mw(p: Polynomial, opt: CompareOptions) -> BoundResult:
 
 
 def _radius_sweep(p: Polynomial, opt: CompareOptions) -> BoundResult:
-    value = numerical_radius_sweep(build_companion(p), samples=opt.theta_samples)
-    return BoundResult("radius_sweep", value, notes=(f"samples={opt.theta_samples}",))
+    lower, upper = numerical_radius_sweep(build_companion(p))
+    return BoundResult("radius_sweep", upper, notes=(f"lower={lower:.10g}",))
 
 
 METHODS: dict[str, Method] = {
@@ -192,7 +193,8 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
         target, notes = quotient, ("zero root factored out; computed on the even quotient",)
     if refusal is None:
         try:
-            outcome = method.run(target, opt)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported as refusal or inf
+                outcome = method.run(target, opt)
         except HypothesisViolatedError as exc:
             refusal = str(exc)
         except NonFiniteMatrixError as exc:
@@ -206,6 +208,8 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
     else:
         rectangle, variant, value = None, outcome.variant, outcome.value
         applicability, notes = outcome.applicability, notes + outcome.notes
+        if value == math.inf:
+            notes += ("overflow: true value exceeds the float range",)
         verdict = validate_bound(p, value, oracle) if oracle is not None else None
     return ReportRow(
         name, variant, value, applicability, rectangle=rectangle,
@@ -295,7 +299,7 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
             computed = oracle.max_modulus
             passed = exp.status == DIVERGENT or _relative_error(computed, exp.value) <= tolerance
             if exp.status == DIVERGENT:
-                detail = "reference max modulus does not match the dual-route oracle"
+                detail = "reference max modulus does not match the root oracle"
         elif method is None:
             passed, detail = False, f"unknown method {exp.method!r}"
         elif exp.variant not in (None, *method.variants):

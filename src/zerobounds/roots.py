@@ -104,10 +104,11 @@ def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
     angles = 2 * np.pi * np.arange(n) / n + 0.4
     z = 0.9 * scale * np.exp(1j * angles)
 
-    z, iterations, converged = _durand_kerner_pass(descending, z, tol, max_iterations)
-    if not converged:
-        z, extra, converged = _aberth_pass(descending, z, tol, max_iterations)
-        iterations += extra
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the guard below
+        z, iterations, converged = _durand_kerner_pass(descending, z, tol, max_iterations)
+        if not converged:
+            z, extra, converged = _aberth_pass(descending, z, tol, max_iterations)
+            iterations += extra
 
     order = sorted(range(n), key=lambda i: (-abs(z[i]), np.angle(z[i])))
     roots = tuple(complex(z[i]) for i in order)

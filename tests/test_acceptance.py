@@ -294,13 +294,13 @@ def test_criterion_7_linear_algebra_invariants():
         a = psd_abs(x)
         assert np.linalg.norm(a @ a - x.conj().T @ x) <= 1e-9 * (1 + np.linalg.norm(x) ** 2)
 
-        w = numerical_radius_sweep(x)
+        w, _ = numerical_radius_sweep(x)
         nrm = operator_norm(x)
         assert 0.5 * nrm - 1e-12 <= w <= nrm + 1e-7
 
     for n in range(2, 9):
         shift = build_companion(Polynomial((0,) * n))  # strict lower shift
-        assert abs(numerical_radius_sweep(shift) - math.cos(math.pi / (n + 1))) <= 1e-6
+        assert abs(numerical_radius_sweep(shift)[0] - math.cos(math.pi / (n + 1))) <= 1e-6
 
 
 def test_criterion_8_toeplitz_spectral_radius():
@@ -334,7 +334,7 @@ def test_criterion_8_toeplitz_spectral_radius():
             complex(rng.normal(), rng.normal()),
             mod * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         )
-        w = numerical_radius_sweep(t.matrix())
+        w, _ = numerical_radius_sweep(t.matrix())
         r = toeplitz_spectral_radius(t)
         assert abs(w - r) <= 1e-6 * max(r, 1.0)
 

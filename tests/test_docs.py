@@ -1,10 +1,13 @@
 """The README agrees with the code: its method table with the method table
-that drives compare, and its compare example with real CLI output."""
+that drives compare, its compare example with real CLI output, and its flag
+list with the compare parser."""
 
+import argparse
+import re
 import shlex
 from pathlib import Path
 
-from zerobounds.cli import main
+from zerobounds.cli import build_parser, main
 from zerobounds.report import ALL_METHODS, METHODS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +46,16 @@ def test_readme_compare_example_matches_the_cli(capsys):
     assert main(argv[1:]) == 0
     printed = capsys.readouterr().out
     assert [line.rstrip() for line in printed.splitlines()] == shown.strip("\n").splitlines()
+
+
+def test_readme_flag_list_names_exactly_the_compare_options():
+    section = README.read_text(encoding="utf-8").split("\nUseful flags:\n\n", 1)[1]
+    named = set(re.findall(r"--[a-z][a-z-]*", section.split("\n\n", 1)[0]))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = [set(a.option_strings) for a in subparsers.choices["compare"]._actions
+               if a.option_strings and a.dest not in ("help", "poly")]
+    # every option is named (one spelling of --oracle/--no-oracle is enough),
+    # and every name is an option
+    assert all(names & named for names in options), (options, named)
+    assert named <= set().union(*options), named - set().union(*options)

@@ -177,3 +177,25 @@ def test_overflowing_intermediates_print_every_row(poly, out_format, capsys):
     if poly.startswith("1, 1e200") and out_format != "csv":
         # the dense Cartesian rows square entries of 1e200 and refuse
         assert printed.count("overflow: matrix entries must be finite") == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("poly", ["1, 1e200, 1", "1, 1e200, 1, 1, 1", "1e200, 1, 1, 1, 1"])
+def test_overflowing_inputs_write_no_runtime_warnings(poly, capsys):
+    # the oracle failure and the refused rows already report these overflows
+    assert main(["compare", "--poly", poly]) in (0, 4)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("poly, method", [
+    ("1, 1e200, 1", "fujii_kubo"),
+    ("1, 1e200, 1e200, 1e200, 1e200", "fujii_kubo"),
+    ("1, 1e200, 1e200, 1e200, 1e200", "abdurakhmanov"),
+])
+def test_an_infinite_value_on_finite_input_carries_a_note(poly, method, capsys):
+    main(["compare", "--poly", poly, "--format", "json"])
+    rows = {row["method"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows[method]["value"] == "inf"
+    assert rows[method]["notes"] == ["overflow: true value exceeds the float range"]
+    finite = [row for row in rows.values() if row["value"] not in (None, "inf")]
+    assert finite and all("float range" not in note for row in finite for note in row["notes"])

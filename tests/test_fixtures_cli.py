@@ -61,7 +61,7 @@ def test_divergent_reference_max_modulus_is_reported_not_asserted():
     mm = next(c for c in report.checks if c.method == "max_modulus")
     assert mm.status == "reference-divergent"
     assert mm.passed  # report-only row
-    assert mm.detail == "reference max modulus does not match the dual-route oracle"
+    assert mm.detail == "reference max modulus does not match the root oracle"
     assert abs(mm.reference - 0.6408240287) < 1e-9
     assert abs(mm.computed - 0.6319764145) < 1e-9
 
@@ -329,7 +329,6 @@ def test_cli_parse_error_names_the_token(capsys):
     [
         ["compare", "--poly", "1, 2, 3", "--methods", "nope"],
         ["compare", "--poly", "1, 2, 3", "--alpha", "1.5"],
-        ["compare", "--poly", "1, 2, 3", "--theta-samples", "32"],
         ["compare", "--poly", "1, 2, 3", "--variant", "linden=bogus"],
         ["compare", "--poly", "1, 2, 3", "--variant", "alpha=0.3"],
         ["fixture", "nope"],
@@ -338,6 +337,15 @@ def test_cli_parse_error_names_the_token(capsys):
 def test_cli_bad_input_exits_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_radius_sweep_holds_on_a_near_unitary_companion(capsys):
+    # lambda_max(theta) has 12 nearly equal narrow peaks here; a grid search
+    # settled on a low one and fell below the largest root modulus
+    poly = "1, 0, 1/10000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1"
+    assert main(["compare", "--poly", poly, "--methods", "radius_sweep", "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "radius_sweep" and row[5] == "holds"
 
 
 def test_cli_unknown_fixture_lists_known_names(capsys):

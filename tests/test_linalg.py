@@ -103,22 +103,17 @@ def test_operator_norm_matches_largest_singular_value():
     assert abs(operator_norm(r) - np.linalg.svd(r, compute_uv=False)[0]) <= 1e-10
 
 
-def test_sweep_rejects_coarse_grids():
-    with pytest.raises(ValueError):
-        numerical_radius_sweep(np.eye(2), samples=32)
-
-
 def test_sweep_on_normal_matrices_gives_spectral_radius():
     rng = np.random.default_rng(17)
     d = np.diag(rng.normal(size=4) + 1j * rng.normal(size=4))
     q, _ = np.linalg.qr(random_matrix(rng, 4))
     t = q @ d @ q.conj().T
     r = max(abs(z) for z in np.diag(d))
-    assert abs(numerical_radius_sweep(t) - r) <= 1e-6 * max(r, 1.0)
+    assert abs(numerical_radius_sweep(t)[0] - r) <= 1e-6 * max(r, 1.0)
 
 
 def test_sweep_nilpotent_two_by_two_is_half():
-    w = numerical_radius_sweep(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    w, _ = numerical_radius_sweep(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert abs(w - 0.5) <= 1e-9
 
 
@@ -127,14 +122,14 @@ def test_sweep_shift_matrix_anchors():
     for n in range(2, 9):
         shift = np.zeros((n, n))
         shift[np.arange(1, n), np.arange(n - 1)] = 1.0
-        assert abs(numerical_radius_sweep(shift) - math.cos(math.pi / (n + 1))) <= 1e-6
+        assert abs(numerical_radius_sweep(shift)[0] - math.cos(math.pi / (n + 1))) <= 1e-6
 
 
 def test_sweep_bracketed_by_operator_norm():
     rng = np.random.default_rng(19)
     for n in (2, 4, 7):
         x = random_matrix(rng, n)
-        w = numerical_radius_sweep(x)
+        w, _ = numerical_radius_sweep(x)
         nrm = operator_norm(x)
         assert 0.5 * nrm - 1e-9 <= w <= nrm + 1e-7
 
@@ -153,7 +148,7 @@ def test_nonneg_numrad_matches_sweep_on_nonnegative_matrices():
     for _ in range(10):
         r = rng.uniform(0.0, 2.0, size=(4, 4))
         direct = nonneg_numrad(r)
-        swept = numerical_radius_sweep(r.astype(complex))
+        swept, _ = numerical_radius_sweep(r.astype(complex))
         assert abs(direct - swept) <= 1e-6 * max(direct, 1.0)
         assert direct >= swept - 1e-6
 
@@ -170,8 +165,14 @@ def _companion(lower):
     return build_companion(Polynomial(tuple(lower)))
 
 
+def _fast_peaks(c, thetas):
+    """The companion route at the sweep's scale, max |C_ij|, scaled back."""
+    scale = np.max(np.abs(c))
+    return scale * _companion_peaks(c[0], scale)(thetas)
+
+
 def _assert_routes_agree(c):
-    fast = _companion_peaks(c[0])(AGREEMENT_THETAS)
+    fast = _fast_peaks(c, AGREEMENT_THETAS)
     dense = _dense_peaks(c, AGREEMENT_THETAS)
     assert np.all(np.isfinite(fast))
     # relative to the largest peak, about w(C): both routes are accurate to
@@ -217,7 +218,7 @@ def test_companion_route_when_the_top_weight_vanishes():
     for n in (4, 7, 12):
         c = _top_weight_vanishes(n)
         _assert_routes_agree(c)
-        assert _companion_peaks(c[0])(np.zeros(1))[0] >= math.cos(math.pi / n)
+        assert _fast_peaks(c, np.zeros(1))[0] >= math.cos(math.pi / n)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -240,7 +241,7 @@ def test_secular_root_next_to_a_nearly_decoupled_top_pole(top_weight, gap):
 
 def test_sweep_of_a_huge_coefficient_is_that_coefficient():
     c = build_companion(make_monic([1, 1e150, 1, 2]))
-    assert abs(numerical_radius_sweep(c) / 1e150 - 1.0) <= 1e-12
+    assert abs(numerical_radius_sweep(c)[0] / 1e150 - 1.0) <= 1e-12
 
 
 def test_sweep_routes_by_structure(monkeypatch):
@@ -252,11 +253,11 @@ def test_sweep_routes_by_structure(monkeypatch):
 
     monkeypatch.setattr(zerobounds.linalg, "_dense_peaks", spy)
     c = _companion([complex(k, 1) for k in range(1, 7)])
-    swept = numerical_radius_sweep(c, samples=64)
+    swept, _ = numerical_radius_sweep(c)
     assert dense_calls == []
     perturbed = c.copy()
     perturbed[3, 2] = 1.0 + 1e-9
-    assert abs(numerical_radius_sweep(perturbed, samples=64) - swept) <= 1e-6 * swept
+    assert abs(numerical_radius_sweep(perturbed)[0] - swept) <= 1e-6 * swept
     assert sum(dense_calls) > 64
 
 
@@ -267,15 +268,15 @@ def test_companion_route_raises_when_the_solve_fails(monkeypatch):
         numerical_radius_sweep(c)
 
 
-# ------------------------------------------------------ the sweep's zoom
+# ------------------------------------------------- the sweep's bracket loop
 
 def _count_peak_calls(monkeypatch):
     """Record the angle count of every lambda_max batch on either route."""
     calls = []
     companion_peaks, dense_peaks = _companion_peaks, _dense_peaks
 
-    def companion_spy(first_row):
-        peaks = companion_peaks(first_row)
+    def companion_spy(first_row, scale):
+        peaks = companion_peaks(first_row, scale)
 
         def counted(thetas):
             calls.append(len(thetas))
@@ -296,11 +297,22 @@ def _count_peak_calls(monkeypatch):
 def test_sweep_refines_in_a_few_batched_calls(monkeypatch, route):
     calls = _count_peak_calls(monkeypatch)
     c = _companion([complex(k, 1) for k in range(1, 7)])
-    numerical_radius_sweep(c if route == "companion" else c + 0.1 * np.eye(6))
-    grid_calls = 512 // zerobounds.linalg._SWEEP_CHUNK
-    assert calls[:grid_calls] == [zerobounds.linalg._SWEEP_CHUNK] * grid_calls
-    assert 1 <= len(calls) - grid_calls <= 8
-    assert max(calls) <= zerobounds.linalg._SWEEP_CHUNK
+    lower, upper = numerical_radius_sweep(c if route == "companion" else c + 0.1 * np.eye(6))
+    assert calls[0] == 32
+    assert 2 <= len(calls) <= 8
+    assert lower <= upper <= lower * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(6, k=1),  # a nilpotent Jordan block, dense route; W is a disk about 0, so f is flat
+    build_companion(Polynomial((0.0,) * 8)),  # the shift, companion route, also flat
+    _companion([-1.0] + [0.0] * 63),  # z^64 - 1, unitary with 64 corners
+], ids=["jordan-dense", "shift-companion", "unitary-64"])
+def test_sweep_evaluates_at_most_the_angle_budget(monkeypatch, matrix):
+    calls = _count_peak_calls(monkeypatch)
+    lower, upper = numerical_radius_sweep(matrix)
+    assert sum(calls) <= 4096
+    assert lower <= upper <= operator_norm(matrix) * (1 + 1e-14)
 
 
 def _grid_peak(m, count=4096, chunk=256):
@@ -318,8 +330,8 @@ def test_sweep_reaches_the_fine_grid_peak_and_stays_below_the_norm():
         _companion(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (2, 3, 5, 9, 17, 33, 64)
     ] + [random_matrix(rng, n) for n in range(2, 9)]
     for m in matrices:
-        w = numerical_radius_sweep(m)
-        assert _grid_peak(m) * (1 - 1e-12) <= w <= operator_norm(m)
+        w, upper = numerical_radius_sweep(m)
+        assert _grid_peak(m) * (1 - 1e-12) <= w <= upper <= operator_norm(m)
 
 
 @pytest.mark.parametrize("phi", [0.1, 1.0, 2.345, 4.0, 5.5])
@@ -327,11 +339,48 @@ def test_sweep_is_exact_between_grid_angles(phi):
     # w([[0, b], [c, 0]]) = (|b| + |c|) / 2, attained at 2 theta = arg(c) - arg(b),
     # off the grid for these phi; the companion is on one route, its transpose on the other
     c = _companion([3.0 * np.exp(1j * phi), 0.0])
-    assert abs(numerical_radius_sweep(c) - 2.0) <= 1e-14
-    assert abs(numerical_radius_sweep(c.T) - 2.0) <= 1e-14
+    assert abs(numerical_radius_sweep(c)[0] - 2.0) <= 1e-14
+    assert abs(numerical_radius_sweep(c.T)[0] - 2.0) <= 1e-14
     # a normal matrix: w is the spectral radius
     rng = np.random.default_rng(int(10 * phi))
     d = rng.normal(size=5) + 1j * rng.normal(size=5)
     q, _ = np.linalg.qr(random_matrix(rng, 5))
     r = np.max(np.abs(d))
-    assert abs(numerical_radius_sweep(q @ np.diag(d) @ q.conj().T) - r) <= 1e-14 * r
+    lower, upper = numerical_radius_sweep(q @ np.diag(d) @ q.conj().T)
+    assert abs(lower - r) <= 1e-14 * r
+    # W is a polygon: two angles a rounding error apart would make its
+    # vertex noise, far above w
+    assert r * (1 - 1e-14) <= upper <= r * (1 + 1e-9)
+
+
+def test_sweep_upper_end_is_tight_on_unitary_companions():
+    # C of z^n - e^{i phi} is unitary: W(C) is the polygon of its n eigenvalues
+    # on the unit circle, so w(C) = 1
+    for n in range(2, 33):
+        lower, upper = numerical_radius_sweep(_companion([-np.exp(0.7j * n)] + [0.0] * (n - 1)))
+        assert lower <= 1 + 1e-12 and 1 - 1e-12 <= upper <= 1 + 1e-9, (n, lower, upper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.floats(0.0, 2 * np.pi),
+    st.integers(0, 63),
+    st.floats(-12.0, -2.0),
+    st.floats(0.0, 2 * np.pi),
+)
+def test_sweep_upper_end_bounds_near_unitary_spectral_radii(n, phi, k, exponent, turn):
+    # z^n - e^{i phi} with one coefficient moved by up to 1e-2: lambda_max(theta)
+    # has n nearly equal narrow peaks, where a grid search settles on a low one
+    lower = [-np.exp(1j * phi)] + [0.0] * (n - 1)
+    lower[k % n] += 10.0**exponent * np.exp(1j * turn)
+    c = _companion(lower)
+    _, upper = numerical_radius_sweep(c)
+    assert upper >= np.max(np.abs(np.linalg.eigvals(c))) * (1 - 1e-12)
+
+
+def test_sweep_of_a_huge_middle_coefficient_is_finite():
+    # 1, 1e200, 1: the sweep runs on C / 1e200, so the vertex moduli cannot overflow
+    lower, upper = numerical_radius_sweep(build_companion(make_monic([1, 1e200, 1])))
+    assert math.isfinite(upper)
+    assert 1e200 * (1 - 1e-12) <= lower <= upper <= 1e200 * (1 + 1e-12)

@@ -78,7 +78,7 @@ def test_normal_case_numerical_radius_equals_spectral_radius():
         t = TriToeplitz(n, b, a, c)
         assert is_normal(t)
         r = toeplitz_spectral_radius(t)
-        w = numerical_radius_sweep(t.matrix())
+        w, _ = numerical_radius_sweep(t.matrix())
         assert abs(w - r) <= 1e-6 * max(r, 1.0)
 
 
