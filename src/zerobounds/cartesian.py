@@ -6,6 +6,11 @@ closed-form bound with its applicability guard.
 Conventions: for a monic polynomial of even degree 2n the companion matrix is
 split into four n x n blocks; P and Q denote the Hermitian real/imaginary
 parts of the full matrix (or of an individual block where stated).
+
+The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
+A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
+compare's rows work from the first row, with no n x n eigensolve; the dense
+eigensolves remain for general blocks.
 """
 
 from __future__ import annotations
@@ -15,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .companion import BlockCompanion, build_companion, cartesian_parts
 from .classical import BoundResult, coupled
+from .companion import (
+    BlockCompanion,
+    _bordered_hermitian_part,
+    _leading_block_gram,
+    build_companion,
+    cartesian_parts,
+)
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -25,7 +36,14 @@ from .errors import (
     NegativeInputError,
     OddDegreeError,
 )
-from .linalg import as_matrix, hermitian_eigs, nonneg_numrad, operator_norm, psd_abs
+from .linalg import (
+    _is_companion,
+    _largest_secular_root,
+    as_matrix,
+    hermitian_eigs,
+    nonneg_numrad,
+    operator_norm,
+)
 from .polynomial import Polynomial
 
 __all__ = [
@@ -124,13 +142,46 @@ def _abs_power_sum(h: np.ndarray, s: float) -> np.ndarray:
     return (eig.vectors * (mods ** (2 * s) + mods ** (2 * (1 - s)))) @ eig.vectors.conj().T
 
 
+def _companion_diagonal_couplings(r: np.ndarray) -> tuple[float, float]:
+    """(w(P11^2 + Q11^2), w(P22^2 + Q22^2)) for the n x n blocks of a companion
+    matrix whose first row begins with r, n = r.size >= 2.
+
+    P_kk^2 + Q_kk^2 = (A_kk* A_kk + A_kk A_kk*)/2 is PSD, so w is its lambda_max.
+    For A22 = Z it is diag(1/2, 1, ..., 1, 1/2); for A11 = Z + e_1 r^T it is I
+    plus the difference that _leading_block_gram compresses.
+    """
+    return 1.0 + _lam_max(_leading_block_gram(r)), 1.0 if r.size > 2 else 0.5
+
+
+def _companion_block_weights(row: np.ndarray, n: int, s_exponent: float) -> np.ndarray:
+    """block_cartesian_radius's 2 x 2 weights for a companion matrix with first
+    row (r, s) in n x n blocks, n >= 2, without an n x n eigensolve.
+
+    A12 = e_1 s^T maps span{e_1, u}, u = (0, conj(s_2), ..., conj(s_n)) / t
+    with t = |(s_2, ..., s_n)|, into itself as [[s_1, t], [0, 0]], and both A12
+    and A12* vanish on the rest of C^n, so the powers of |P12| and |Q12| are
+    those of that 2 x 2 block (0^{2s} = 0). A21 = e_1 e_n^T has Cartesian parts
+    of modulus I/2 on span{e_1, e_n} and 0 off it, so its norm is
+    2 (2^{-2s} + 2^{-2(1-s)}).
+    """
+    w1, w2 = _companion_diagonal_couplings(row[:n])
+    s = row[n:]
+    p12, q12 = cartesian_parts(np.array([[s[0], math.hypot(*np.abs(s[1:]))], [0.0, 0.0]]))
+    norm12 = operator_norm(_abs_power_sum(p12, s_exponent) + _abs_power_sum(q12, s_exponent))
+    norm21 = 2 * (2 ** (-2 * s_exponent) + 2 ** (-2 * (1 - s_exponent)))
+    return np.array([[2 * w1, norm12 * norm12 / 2], [norm21 * norm21 / 2, 2 * w2]])
+
+
 def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
     """Numerical-radius bound for an m x m block matrix via per-block Cartesian
     decomposition.
 
     Diagonal weight: c_kk = m * w(P_kk^2 + Q_kk^2). Off-diagonal weight:
     c_kj = (m/4) * || |P_kj|^{2s} + |P_kj|^{2(1-s)} + |Q_kj|^{2s} + |Q_kj|^{2(1-s)} ||^2.
-    Returns sqrt(w([c_kj])) with w of the nonnegative matrix.
+    Returns sqrt(w([c_kj])) with w of the nonnegative matrix. A 2 x 2 grid of
+    blocks of size >= 2 that assembles to a companion matrix gets its weights
+    from the first row (_companion_block_weights); any other grid from dense
+    eigensolves of its blocks.
     """
     if not 0.0 < s_exponent < 1.0:
         raise ExponentOutOfRangeError(f"s_exponent must lie in (0, 1), got {s_exponent}")
@@ -142,6 +193,8 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
     if any(b.shape != (size, size) for row in grid for b in row):
         raise BlockShapeMismatchError("all blocks must be square and of equal size")
 
+    if m == 2 and size >= 2 and _is_companion(whole := np.block(grid)):
+        return math.sqrt(nonneg_numrad(_companion_block_weights(whole[0], size, s_exponent)))
     weights = np.zeros((m, m))
     for k in range(m):
         weights[k, k] = m * _diag_coupling(grid[k][k])
@@ -156,13 +209,26 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
 
 
 def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
-    """(w1, w2, N) ingredients of cartesian_disk, using the global-decomposition
-    blocks carried by the BlockCompanion (P11, Q11 are the Cartesian parts of A11)."""
-    w1 = _diag_coupling(bc.a11)
-    w2 = _diag_coupling(bc.a22)
-    coupling = operator_norm(psd_abs(bc.p12) + psd_abs(bc.q12)) + operator_norm(
-        psd_abs(bc.p21) + psd_abs(bc.q21)
-    )
+    """(w1, w2, N) ingredients of cartesian_disk, from the first row (r, s) of
+    the companion matrix (P11, Q11 are the Cartesian parts of A11).
+
+    P12 = (e_1 s^T + e_n e_1^T)/2 and Q12 = (e_1 s^T - e_n e_1^T)/(2i), so
+    |P12| + |Q12| = (conj(s) s^T + e_1 e_1^T)^{1/2}, whose norm is the square
+    root of lambda_max of X = [[|s|^2, s_1], [conj(s_1), 1]], the Gram matrix
+    of (conj(s), e_1). P21 = P12* and Q21 = Q12*, and P12 P12*, Q12 Q12* are X/4
+    and X/4 with s_1 negated, on span{e_1, e_n}. Both have trace (|s|^2 + 1)/4
+    and determinant t^2/16, t = |(s_2, ..., s_n)|; as Y^{1/2} =
+    (Y + det(Y)^{1/2} I) / (tr Y + 2 det(Y)^{1/2})^{1/2} for a 2 x 2 PSD Y,
+    |P21| + |Q21| = diag(|s|^2 + t, 1 + t) / (|s|^2 + 1 + 2t)^{1/2} there.
+    """
+    n = bc.n
+    row = bc.companion[0]
+    w1, w2 = _companion_diagonal_couplings(row[:n])
+    s = row[n:]
+    x = as_matrix([[np.vdot(s, s).real, s[0]], [np.conj(s[0]), 1.0]])  # refuses an overflowed |s|^2
+    squared, t = float(x[0, 0].real), math.hypot(*np.abs(s[1:]))
+    coupling = math.sqrt(coupled(squared, 1.0, 2 * abs(s[0]))) + (
+        (max(squared, 1.0) + t) / math.sqrt(squared + 1.0 + 2 * t))
     return w1, w2, coupling
 
 
@@ -326,8 +392,21 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
 
 def hermitian_rectangle(p: Polynomial) -> Rectangle:
     """[lam_min(Re C), lam_max(Re C)] x [lam_min(Im C), lam_max(Im C)] for the
-    unpartitioned companion matrix C."""
-    re_part, im_part = cartesian_parts(build_companion(p))
-    ev_re = hermitian_eigs(re_part).values
-    ev_im = hermitian_eigs(im_part).values
-    return Rectangle(float(ev_re[0]), float(ev_re[-1]), float(ev_im[0]), float(ev_im[-1]))
+    unpartitioned companion matrix C.
+
+    With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0),
+    Im C = H(-pi/2) and lam_min(H(theta)) = -lam_max(H(theta + pi)), so the
+    four extents are lambda_max at four angles, from one batched secular
+    equation (numerical_radius_sweep's companion route). Each part is scaled
+    by its own largest entry, so a huge Re C cannot wash out Im C.
+    """
+    row = build_companion(p)[0]
+    # the rest of the first row, halved, and the subdiagonal's 1/2 (degree >= 3)
+    rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
+    scales = np.repeat([max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0,
+                        max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0], 2)
+    mu, at = _bordered_hermitian_part(row, scales)
+    # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2: the powers of i, exactly
+    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 2, 1, 3], np.arange(1, row.size + 1)) % 4]
+    re_hi, re_neg, im_hi, im_neg = map(float, scales * _largest_secular_root(*at(turns), mu))
+    return Rectangle(0.0 - re_neg, re_hi, 0.0 - im_neg, im_hi)  # 0.0 - 0.0 is +0.0

@@ -2,7 +2,9 @@
 
 Matrices are plain numpy arrays (complex dtype) of modest size, so the
 general kernels favor clarity and tight contracts over asymptotic
-cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``).
+cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``);
+it serves general matrices and blocks, while compare's rows on a companion
+matrix reach it only for matrices of size 4 or less (see ``cartesian``).
 The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
@@ -43,6 +45,7 @@ _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
 _SWEEP_START = 32  # equally spaced angles of the first round
 _SWEEP_SPLIT = 16  # a wide interval is split into this many
 _SWEEP_RTOL = 1e-14  # an interval is closed once its vertex is this close to max f
+_SWEEP_NOISE = 16 * _EPS  # relative rounding error allowed in each f, for the closing test
 _SWEEP_MIN_GAP = 1e-10  # radians; closer angles give a vertex of rounding noise
 _SWEEP_BUDGET = 4096  # most angles one sweep evaluates
 
@@ -138,7 +141,8 @@ def _is_companion(m: np.ndarray) -> bool:
 def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """lambda_max of [[h, v*], [v, diag(mu)]] with |v|^2 = w, one row per angle.
 
-    mu is descending and the matrix is scaled to entries of modulus <= 1.
+    mu is descending, one row for every angle or one row per angle, and the
+    matrix is scaled to entries of modulus <= 1.
     Poles with weight <= eps^2 are dropped: that perturbs the matrix by at
     most sqrt(n) eps, the size of a dense eigensolver's backward error, and
     keeps a root next to the top pole far above underflow. With
@@ -157,9 +161,10 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     so Newton from that bound decreases monotonically onto it. Dropped poles
     are eigenvalues in their own right, hence the final max with mu_0.
     """
+    mu = np.broadcast_to(mu, w.shape)
     kept = w > _EPS**2
     top = kept.argmax(axis=1)  # 0 when nothing is kept: then delta = max(h - mu_0, 0)
-    base = mu[top]
+    base = mu[np.arange(len(w)), top]
     c = base - h
     w = np.where(kept, w, 0.0)
     gaps = np.where(kept, base[:, None] - mu, 1.0)  # 1.0: any positive gap, weight 0 there
@@ -179,7 +184,7 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
             break
     else:
         raise InternalConsistencyError("secular equation for lambda_max did not converge")
-    peaks = np.maximum(base + delta, mu[0])
+    peaks = np.maximum(base + delta, mu[:, 0])
     if not np.isfinite(peaks).all():
         raise InternalConsistencyError("secular equation gave a non-finite lambda_max")
     return peaks
@@ -189,7 +194,9 @@ def _companion_peaks(first_row: np.ndarray, scale: float):
     """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, C a
     companion matrix; scale >= max |C_ij| keeps the secular weights finite."""
     mu, bordered = _bordered_hermitian_part(first_row, scale)
-    return lambda thetas: _largest_secular_root(*bordered(thetas), mu)
+    powers = np.arange(1, first_row.size + 1)
+    return lambda thetas: _largest_secular_root(
+        *bordered(np.exp(1j * thetas[:, None] * powers)), mu)
 
 
 def numerical_radius_sweep(x) -> tuple[float, float]:
@@ -205,8 +212,11 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
 
     On X / max |X_ij|, from 32 equally spaced angles, each round evaluates
     one batch: 16-fold splits of every interval whose vertex exceeds max f
-    by over 1e-14 relative, and one angle aimed where the farthest vertex
-    points (at a corner of W(X), f there is w(X)). Angles within 1e-10 of
+    by over 1e-14 relative plus 16 eps |im| / sin h, the rounding of f that
+    the vertex formula amplifies, and one angle aimed where the farthest
+    vertex points (at a corner of W(X), f there is w(X)). Without that
+    allowance a polygon W(X), as for a normal X, is refined on rounding noise
+    until the budget binds. Angles within 1e-10 of
     one taken are dropped; their vertex would be rounding noise. The sweep
     stops when no angle is left or before a batch would pass 4096 angles;
     a flat f (W(X) a disk) leaves a bracket about 2e-5 wide.
@@ -231,7 +241,9 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         im = (values - following) / (2 * np.sin(half))
         vertex = np.hypot(re, im)
         lower, far = float(values.max()), int(np.argmax(vertex))
-        wide = vertex > lower * (1 + _SWEEP_RTOL)
+        # f carries a rounding error of a few eps max f, which the vertex
+        # formula divides by sin h; only the share along im reaches the modulus
+        wide = vertex > lower * (1 + _SWEEP_RTOL) + _SWEEP_NOISE * np.abs(im) / np.sin(half)
         if not wide.any():
             break
         split = wide & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)  # keeps new angles apart

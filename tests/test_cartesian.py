@@ -1,6 +1,5 @@
 """Cartesian-decomposition bounds: couplings, block radius, disks, rectangles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -271,13 +270,11 @@ def test_cartesian_disk_covers_unit_circle_roots():
     assert cartesian_disk(bc).value >= 1.0
 
 
-def test_cartesian_disk_collapses_without_coupling():
+def test_cartesian_disk_collapses_without_coupling(monkeypatch):
     bc = build_block_companion(get_fixture("table1").polynomial())
-    zero = np.zeros_like(bc.p12)
-    decoupled = dataclasses.replace(bc, p12=zero, q12=zero, p21=zero, q21=zero)
-    w1, w2, coupling = cartesian_disk_parts(decoupled)
-    assert coupling == 0.0
-    assert abs(cartesian_disk(decoupled).value - math.sqrt(2 * max(w1, w2))) <= 1e-12
+    w1, w2, _ = cartesian_disk_parts(bc)
+    monkeypatch.setattr(zerobounds.cartesian, "cartesian_disk_parts", lambda _: (w1, w2, 0.0))
+    assert abs(cartesian_disk(bc).value - math.sqrt(2 * max(w1, w2))) <= 1e-12
 
 
 # ----------------------------------------------------- diagonal block radius
@@ -503,6 +500,13 @@ def test_hermitian_rectangle_for_real_quadratic():
     r = hermitian_rectangle(parse_polynomial("1, 0, -1"))
     assert abs(r.re_lo + 1.0) <= 1e-12 and abs(r.re_hi - 1.0) <= 1e-12
     assert abs(r.im_lo) <= 1e-12 and abs(r.im_hi) <= 1e-12
+
+
+def test_hermitian_rectangle_of_a_zero_part_is_an_unsigned_zero():
+    # z^2 + 1: Re C is the zero matrix, and its extents print as 0, not -0
+    r = hermitian_rectangle(parse_polynomial("1, 0, 1"))
+    assert (r.re_lo, r.re_hi) == (0.0, 0.0)
+    assert math.copysign(1.0, r.re_lo) == math.copysign(1.0, r.re_hi) == 1.0
 
 
 def test_hermitian_rectangle_imaginary_part_symmetric_for_real_input():

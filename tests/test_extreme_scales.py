@@ -199,3 +199,18 @@ def test_an_infinite_value_on_finite_input_carries_a_note(poly, method, capsys):
     assert rows[method]["notes"] == ["overflow: true value exceeds the float range"]
     finite = [row for row in rows.values() if row["value"] not in (None, "inf")]
     assert finite and all("float range" not in note for row in finite for note in row["notes"])
+
+
+@pytest.mark.parametrize("poly, refused", [
+    ("1, 1, 1, 1e200, 1", True),  # |s|^2 overflows
+    ("1, 1e160, 1, 1, 1", True),  # |r|^2 overflows
+    ("1, 1, 1, 1e150, 1", False),  # |s|^2 = 1e300 is finite
+])
+def test_the_cartesian_rows_refuse_exactly_when_a_squared_half_row_overflows(poly, refused, capsys):
+    assert main(["compare", "--poly", poly, "--no-oracle", "--format", "json",
+                 "--methods", "cartesian_disk,block_cartesian,hermitian_rectangle"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for row in rows[:2]:
+        assert (row["notes"] == ["overflow: matrix entries must be finite"]) == refused, row
+    extents = [float(v) for v in rows[2]["rectangle"].values()]
+    assert all(math.isfinite(v) for v in extents)

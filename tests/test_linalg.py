@@ -353,6 +353,22 @@ def test_sweep_is_exact_between_grid_angles(phi):
     assert r * (1 - 1e-14) <= upper <= r * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_closes_a_normal_matrix_without_refining_on_rounding_noise(monkeypatch, seed):
+    # W(X) is the polygon of the eigenvalues: two angles inside one corner's
+    # normal cone meet at that corner, up to the rounding in f over sin h
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    lam = rng.normal(size=5) + 1j * rng.normal(size=5)
+    rho = np.max(np.abs(lam))
+    calls = _count_peak_calls(monkeypatch)
+    lower, upper = numerical_radius_sweep(q @ np.diag(lam) @ q.conj().T)
+    assert sum(calls) <= 400  # one eigvalsh per angle
+    # U diag(lam) U* carries rounding of about eps rho, so w is rho only to that
+    assert lower <= rho * (1 + 1e-14)
+    assert rho * (1 - 1e-14) <= upper <= rho * (1 + 1e-9)
+
+
 def test_sweep_upper_end_is_tight_on_unitary_companions():
     # C of z^n - e^{i phi} is unitary: W(C) is the polygon of its n eigenvalues
     # on the unit circle, so w(C) = 1
