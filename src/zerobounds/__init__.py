@@ -33,7 +33,7 @@ from .classical import (
     linden,
     montel,
 )
-from .companion import BlockCompanion, build_block_companion, build_companion, real_part_charpoly
+from .companion import BlockCompanion, build_block_companion, build_companion
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -59,8 +59,6 @@ from .linalg import (
     nonneg_numrad,
     numerical_radius_sweep,
     operator_norm,
-    psd_abs,
-    psd_power,
 )
 from .polynomial import Polynomial, make_monic, odd_reduce, parse_complex, parse_polynomial
 from .report import (
@@ -83,9 +81,9 @@ __all__ = [
     # polynomials
     "Polynomial", "make_monic", "odd_reduce", "parse_complex", "parse_polynomial",
     # companion
-    "BlockCompanion", "build_companion", "build_block_companion", "real_part_charpoly",
+    "BlockCompanion", "build_companion", "build_block_companion",
     # linear algebra
-    "HermitianEigen", "hermitian_eigs", "psd_abs", "psd_power", "operator_norm",
+    "HermitianEigen", "hermitian_eigs", "operator_norm",
     "numerical_radius_sweep", "nonneg_numrad",
     # classical bounds
     "BoundResult", "cauchy", "carmichael_mason", "montel", "fujii_kubo",

@@ -3,8 +3,7 @@
 For a monic degree-n polynomial p the companion matrix C(p) has first row
 (-a_n, -a_{n-1}, ..., -a_1) and ones on the subdiagonal; its eigenvalues are
 exactly the zeros of p. For even degree 2n the matrix is partitioned into
-four n x n blocks A11, A12, A21, A22, and the Hermitian parts
-P = (C + C*)/2, Q = (C - C*)/(2i) are partitioned the same way.
+four n x n blocks A11, A12, A21, A22.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import numpy as np
 from .errors import DegreeTooSmallError, OddDegreeError
 from .polynomial import Polynomial
 
-__all__ = [
-    "BlockCompanion", "build_companion", "build_block_companion", "cartesian_parts",
-    "real_part_charpoly",
-]
+__all__ = ["BlockCompanion", "build_companion", "build_block_companion", "cartesian_parts"]
 
 
 def build_companion(p: Polynomial) -> np.ndarray:
@@ -27,10 +23,8 @@ def build_companion(p: Polynomial) -> np.ndarray:
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("companion matrix needs degree >= 2")
-    matrix = np.zeros((n, n), dtype=complex)
-    matrix[0, :] = [-p.coefficient(n - j) for j in range(n)]
-    for i in range(1, n):
-        matrix[i, i - 1] = 1.0
+    matrix = np.eye(n, k=-1, dtype=complex)
+    matrix[0] = np.negative(p.lower[::-1])
     return matrix
 
 
@@ -43,9 +37,7 @@ def cartesian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BlockCompanion:
     """Companion matrix of an even-degree polynomial in 2x2 block form.
 
-    n is the half-degree; each block is n x n. The p/q blocks are slices of
-    P = (C + C*)/2 and Q = (C - C*)/(2i), so p12 = (A12 + A21*)/2, p21 = p12*,
-    q12 = (A12 - A21*)/(2i) and q21 = q12*.
+    n is the half-degree; the four n x n blocks are views of companion.
     """
 
     n: int
@@ -54,42 +46,18 @@ class BlockCompanion:
     a12: np.ndarray
     a21: np.ndarray
     a22: np.ndarray
-    p11: np.ndarray
-    p12: np.ndarray
-    p21: np.ndarray
-    p22: np.ndarray
-    q11: np.ndarray
-    q12: np.ndarray
-    q21: np.ndarray
-    q22: np.ndarray
 
 
 def build_block_companion(q: Polynomial) -> BlockCompanion:
-    """Partition C(q) for even degree 2n >= 4 and attach Cartesian parts."""
+    """Partition C(q) for even degree 2n >= 4 into four n x n blocks."""
     degree = q.degree
     if degree % 2 != 0:
         raise OddDegreeError(f"block partition needs even degree, got {degree}")
     if degree < 4:
         raise DegreeTooSmallError("block partition needs degree >= 4")
     n = degree // 2
-
     full = build_companion(q)
-    p_full, q_full = cartesian_parts(full)
-
-    def blocks(m: np.ndarray) -> tuple[np.ndarray, ...]:
-        return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
-
-    a11, a12, a21, a22 = blocks(full)
-    p11, p12, p21, p22 = blocks(p_full)
-    q11, q12, q21, q22 = blocks(q_full)
-
-    return BlockCompanion(
-        n=n,
-        companion=full,
-        a11=a11, a12=a12, a21=a21, a22=a22,
-        p11=p11, p12=p12, p21=p21, p22=p22,
-        q11=q11, q12=q12, q21=q21, q22=q22,
-    )
+    return BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
 
 
 def _bordered_hermitian_part(first_row: np.ndarray, scale: float | np.ndarray = 1.0):
@@ -157,26 +125,3 @@ def _leading_block_gram(r: np.ndarray) -> np.ndarray:
     squared = float(np.vdot(r, r).real)
     b = np.array([[squared - 1, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]) / 2
     return tri @ b @ tri.conj().T
-
-
-def real_part_charpoly(p: Polynomial, z: complex) -> complex:
-    """Characteristic polynomial of Re C(p) = (C(p) + C(p)*)/2, evaluated at z.
-
-    Closed form:
-
-        (z + Re(a_n)) * prod_{j=1}^{n-1} (z - cos(j pi/n))
-          - sum_{j=1}^{n-1} [prod_{k != j} (z - cos(k pi/n))] * |v_j|^2,
-
-    with v_j = (1/sqrt(2n)) * [(1 - conj(a_{n-1})) sin(j pi/n)
-                               - sum_{k=2}^{n-1} conj(a_{n-k}) sin(k j pi/n)],
-
-    the theta = 0 case of the bordered form the numerical-radius sweep uses.
-    """
-    n = p.degree
-    if n < 3:
-        raise DegreeTooSmallError("real-part characteristic polynomial needs degree >= 3")
-    mu, at = _bordered_hermitian_part(build_companion(p)[0])
-    h, weights = at(np.ones((1, n)))
-    factors = z - mu
-    others = np.prod(np.where(np.eye(n - 1, dtype=bool), 1.0, factors), axis=1)
-    return complex((z - h[0]) * np.prod(factors) - weights[0] @ others)

@@ -22,8 +22,9 @@ class NegativeInputError(ZeroBoundsError):
 
 
 class InternalConsistencyError(ZeroBoundsError):
-    """A numerically impossible intermediate result (e.g. a PSD matrix with a
-    significantly negative eigenvalue); indicates a bug, not bad input."""
+    """A numerically impossible intermediate result (the secular equation for
+    lambda_max did not converge, or gave a non-finite root); indicates a bug,
+    not bad input."""
 
 
 class ZeroLeadingCoefficientError(ZeroBoundsError):

@@ -31,8 +31,6 @@ __all__ = [
     "HermitianEigen",
     "as_matrix",
     "hermitian_eigs",
-    "psd_abs",
-    "psd_power",
     "operator_norm",
     "numerical_radius_sweep",
     "nonneg_numrad",
@@ -85,36 +83,6 @@ def hermitian_eigs(a) -> HermitianEigen:
         raise NotHermitianError("matrix is not Hermitian to working precision")
     values, vectors = np.linalg.eigh(m)
     return HermitianEigen(values, vectors)
-
-
-def psd_abs(x) -> np.ndarray:
-    """Matrix absolute value |X| = (X* X)^(1/2), Hermitian PSD.
-
-    Eigenvalues of X*X within -1e-12 * ||X||_F**2 of zero are clamped to
-    zero; anything more negative is numerically impossible and raises
-    InternalConsistencyError.
-    """
-    m = as_matrix(x)
-    gram = m.conj().T @ m
-    eig = hermitian_eigs((gram + gram.conj().T) / 2)
-    floor = -1e-12 * float(np.linalg.norm(m, "fro")) ** 2
-    if eig.values.size and float(eig.values.min()) < floor:
-        raise InternalConsistencyError(
-            f"X*X produced eigenvalue {eig.values.min():.3e} below clamp window {floor:.3e}"
-        )
-    values = np.clip(eig.values, 0.0, None)
-    root = (eig.vectors * np.sqrt(values)) @ eig.vectors.conj().T
-    return (root + root.conj().T) / 2
-
-
-def psd_power(h, exponent: float) -> np.ndarray:
-    """h^exponent for Hermitian PSD h, via eigendecomposition.
-
-    Tiny negative eigenvalues (roundoff) are clamped to zero first.
-    """
-    eig = hermitian_eigs(h)
-    values = np.clip(eig.values, 0.0, None)
-    return (eig.vectors * values**exponent) @ eig.vectors.conj().T
 
 
 def operator_norm(x) -> float:

@@ -51,11 +51,11 @@ from zerobounds import (
     operator_norm,
     partition_disk,
     partition_rectangle,
-    psd_abs,
     toeplitz_spectral_radius,
     validate_bound,
     validate_rectangle,
 )
+from zerobounds.cartesian import _abs_power_sum
 
 
 def _rel(computed, reference):
@@ -291,8 +291,11 @@ def test_criterion_7_linear_algebra_invariants():
         rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10 * max(np.linalg.norm(h), 1.0)
 
-        a = psd_abs(x)
-        assert np.linalg.norm(a @ a - x.conj().T @ x) <= 1e-9 * (1 + np.linalg.norm(x) ** 2)
+        a = _abs_power_sum(h, 0.5) / 2  # |H|, from the |.| block_cartesian_radius computes
+        fro2 = np.linalg.norm(x) ** 2
+        assert np.linalg.norm(a @ a - h @ h) <= 1e-9 * (1 + fro2)
+        assert np.linalg.norm(a - a.conj().T) <= 1e-12 * (1 + fro2)
+        assert hermitian_eigs(a).values[0] >= -1e-9 * (1 + fro2)
 
         w, _ = numerical_radius_sweep(x)
         nrm = operator_norm(x)

@@ -7,7 +7,7 @@ import pytest
 
 import zerobounds.cartesian
 import zerobounds.linalg
-from conftest import random_matrix, random_polynomial
+from conftest import dense_abs, random_matrix, random_polynomial
 from zerobounds import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -33,8 +33,6 @@ from zerobounds import (
     parse_polynomial,
     partition_disk,
     partition_rectangle,
-    psd_abs,
-    psd_power,
     radius_from_norm_coupling,
     radius_from_pm_coupling,
     unit_tail_disk,
@@ -163,9 +161,8 @@ def test_block_radius_dominates_sweep_on_generic_grids(s):
 
 
 def _psd_composition_radius(grid, s):
-    """block_cartesian_radius as first written: |P| and |Q| through psd_abs's
-    Gram matrix, then psd_power for each exponent (6 eigensolves per
-    off-diagonal block)."""
+    """block_cartesian_radius as first written: each power of |P| and |Q|
+    from its own eigensolve of the Gram matrix (4 per off-diagonal block)."""
     m = len(grid)
     weights = np.zeros((m, m))
     for k in range(m):
@@ -175,8 +172,7 @@ def _psd_composition_radius(grid, s):
             if k == j:
                 weights[k, k] = m * np.linalg.eigvalsh(p @ p + q @ q)[-1]
                 continue
-            pa, qa = psd_abs(p), psd_abs(q)
-            mixed = sum(psd_power(x, e) for x in (pa, qa) for e in (2 * s, 2 * (1 - s)))
+            mixed = sum(dense_abs(x, e) for x in (p, q) for e in (2 * s, 2 * (1 - s)))
             weights[k, j] = (m / 4) * operator_norm(mixed) ** 2
     return math.sqrt(nonneg_numrad(weights))
 

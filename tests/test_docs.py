@@ -1,12 +1,18 @@
 """The README agrees with the code: its method table with the method table
-that drives compare, its compare example with real CLI output, and its flag
-list with the compare parser."""
+that drives compare, its compare example with real CLI output, its Python
+API example with what that code prints, and its flag list with the compare
+parser. Every name a module exports exists."""
 
 import argparse
+import contextlib
+import importlib
+import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import zerobounds
 from zerobounds.cli import build_parser, main
 from zerobounds.report import ALL_METHODS, METHODS
 
@@ -59,3 +65,26 @@ def test_readme_flag_list_names_exactly_the_compare_options():
     # and every name is an option
     assert all(names & named for names in options), (options, named)
     assert named <= set().union(*options), named - set().union(*options)
+
+
+def test_readme_python_example_prints_its_comments():
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(shown)
+    for line, comment in zip(printed, shown):
+        assert line.startswith(comment.split("...", 1)[0]), (line, comment)
+        if "..." not in comment:
+            assert line == comment
+
+
+def test_every_exported_name_exists():
+    modules = [zerobounds] + [importlib.import_module(f"zerobounds.{info.name}")
+                              for info in pkgutil.iter_modules(zerobounds.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -19,8 +19,6 @@ from zerobounds import (
     nonneg_numrad,
     numerical_radius_sweep,
     operator_norm,
-    psd_abs,
-    psd_power,
 )
 from zerobounds.companion import build_companion
 from zerobounds.linalg import _companion_peaks, _dense_peaks, as_matrix
@@ -57,41 +55,6 @@ def test_hermitian_eigs_reconstruction_and_invariants():
 def test_hermitian_eigs_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_abs_square_reproduces_gram_matrix():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 5, 8):
-        x = random_matrix(rng, n)
-        a = psd_abs(x)
-        gram = x.conj().T @ x
-        fro2 = np.linalg.norm(x) ** 2
-        assert np.linalg.norm(a @ a - gram) <= 1e-9 * (1.0 + fro2)
-        # |X| is Hermitian PSD
-        assert np.linalg.norm(a - a.conj().T) <= 1e-12 * (1.0 + fro2)
-        assert hermitian_eigs(a).values[0] >= -1e-9 * (1.0 + fro2)
-
-
-def test_psd_abs_unitary_is_identity():
-    theta = 0.7
-    u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    assert np.allclose(psd_abs(u), np.eye(2), atol=1e-12)
-
-
-def test_psd_abs_scales_homogeneously():
-    rng = np.random.default_rng(3)
-    x = random_matrix(rng, 4)
-    assert np.allclose(psd_abs(2.5 * x), 2.5 * psd_abs(x), atol=1e-10)
-
-
-def test_psd_power_agrees_with_plain_powers():
-    rng = np.random.default_rng(5)
-    x = random_matrix(rng, 4)
-    h = psd_abs(x)  # PSD test matrix
-    assert np.allclose(psd_power(h, 2.0), h @ h, atol=1e-9)
-    root = psd_power(h, 0.5)
-    assert np.allclose(root @ root, h, atol=1e-9)
-    assert np.allclose(psd_power(h, 1.0), h, atol=1e-12)
 
 
 def test_operator_norm_matches_largest_singular_value():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_abs
 from zerobounds import (
     Polynomial,
     block_cartesian_radius,
@@ -19,7 +20,6 @@ from zerobounds import (
     make_monic,
     operator_norm,
     parse_polynomial,
-    psd_abs,
 )
 from zerobounds.cartesian import cartesian_disk_parts
 from zerobounds.report import CompareOptions, run_compare
@@ -34,14 +34,15 @@ def _parts(a):
 
 def _dense_disk_parts(bc):
     """cartesian_disk_parts as first written: w_k from the squared blocks,
-    N from psd_abs of the global off-diagonal blocks."""
+    N from the moduli of the global off-diagonal blocks of P and Q."""
     def coupling(a):
         p, q = _parts(a)
         return np.linalg.eigvalsh(p @ p + q @ q)[-1]
 
-    n = (operator_norm(psd_abs(bc.p12) + psd_abs(bc.q12))
-         + operator_norm(psd_abs(bc.p21) + psd_abs(bc.q21)))
-    return coupling(bc.a11), coupling(bc.a22), n
+    n, (p, q) = bc.n, _parts(bc.companion)
+    coupling_n = (operator_norm(dense_abs(p[:n, n:]) + dense_abs(q[:n, n:]))
+                  + operator_norm(dense_abs(p[n:, :n]) + dense_abs(q[n:, :n])))
+    return coupling(bc.a11), coupling(bc.a22), coupling_n
 
 
 def _dense_block_radius(bc, s):
