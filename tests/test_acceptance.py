@@ -6,7 +6,7 @@ passes while the erratum still holds and fails when it changes:
 
 * criterion 4: the published max root modulus for the h2 polynomial
   (0.6408240287, kept in the fixture table as ``reference-divergent``) is
-  wrong. The root oracle (Durand-Kerner with an Aberth restart) gives
+  wrong. The root oracle (Durand-Kerner simultaneous iteration) gives
   0.6319764145, and the test checks that value, the oracle's agreement with
   the companion-matrix eigenvalues it computes itself, and that the fixture
   still carries the published value. The h2 MW verdict is the same either

@@ -1,5 +1,8 @@
 """Root oracle: simultaneous iteration, ordering, verdicts."""
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,33 @@ from zerobounds import (
     validate_bound,
     validate_rectangle,
 )
+from zerobounds.cli import main
 from zerobounds.polynomial import horner
+
+
+@pytest.fixture
+def horner_calls(monkeypatch):
+    """Count the oracle's Horner evaluations."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(zerobounds.roots, "horner", counted)
+    return calls
+
+
+def _exact_polynomial(factors):
+    """Product of exact degree-descending factors, parsed from its fraction text."""
+    return parse_polynomial(", ".join(map(str, functools.reduce(np.polymul, factors))))
+
+
+def _fivefold_cluster():
+    # (z - 1)^5 - (1e-8)^5: five roots at distance 1e-8 from 1
+    fivefold = functools.reduce(np.polymul, [[Fraction(1), Fraction(-1)]] * 5)
+    fivefold[-1] -= Fraction(1, 10**40)
+    return [fivefold, [Fraction(1), Fraction(-3, 10)], [Fraction(1), Fraction(1, 2)]]
 
 
 def test_quadratic_with_known_roots():
@@ -76,7 +105,7 @@ def test_residuals_are_small_and_reported():
 
 def test_no_convergence_error_carries_best_effort_roots():
     p = random_polynomial(np.random.default_rng(1), 8)
-    with pytest.raises(NoConvergenceError) as err:
+    with pytest.raises(NoConvergenceError, match=r"did not converge in 1 iterations \(max") as err:
         find_roots(p, max_iterations=1)
     assert len(err.value.best_roots) == 8
     assert len(err.value.residuals) == 8
@@ -87,17 +116,34 @@ def test_no_convergence_error_carries_best_effort_roots():
     [1, 1e200, 1],
     list(np.poly(np.arange(1, 21))),  # Wilkinson-20: its starting circle overflows Horner
 ], ids=["1e200", "wilkinson20"])
-def test_overflow_to_nan_fails_fast(monkeypatch, coefficients):
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
-
-    monkeypatch.setattr(zerobounds.roots, "horner", counted)
-    with pytest.raises(NoConvergenceError, match=r"max residual nan, guard nan"):
+def test_overflow_to_nan_fails_fast(horner_calls, coefficients):
+    with pytest.raises(NoConvergenceError, match=r"overflowed at iteration 1 \(max residual nan"):
         find_roots(make_monic(coefficients))
-    assert len(calls) < 10
+    assert len(horner_calls) < 10
+
+
+@pytest.mark.parametrize("factors", [
+    [[Fraction(1), Fraction(-1)]] * 4,
+    [[Fraction(1), Fraction(1, 2)]] * 3 + [[Fraction(1), Fraction(-2)]] * 3,
+    _fivefold_cluster(),
+], ids=["repeated4", "repeated3_3", "cluster"])
+def test_multiple_roots_stall_at_the_rounding_level_fast(horner_calls, factors):
+    with pytest.raises(NoConvergenceError,
+                       match=r"stalled at the rounding level after \d+ iterations \(max residual"):
+        find_roots(_exact_polynomial(factors))
+    assert len(horner_calls) < 150
+
+
+def test_the_stall_check_costs_early_convergence_nothing(horner_calls):
+    rs = find_roots(random_polynomial(np.random.default_rng(16), 16))
+    assert rs.iterations < 32  # converged before the first check at 2n
+    assert len(horner_calls) == rs.iterations
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_roots_names_the_stall(capsys):
+    assert main(["roots", "--poly", "1, -4, 6, -4, 1"]) == 4
+    assert "stalled at the rounding level" in capsys.readouterr().err
 
 
 def test_degree_one_is_solved_directly():
