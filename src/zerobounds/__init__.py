@@ -7,7 +7,6 @@ and a CLI that reproduces the bundled comparison fixtures.
 """
 
 from .cartesian import (
-    MwApplicability,
     Rectangle,
     block_cartesian_radius,
     cartesian_disk,
@@ -89,7 +88,7 @@ __all__ = [
     "BoundResult", "cauchy", "carmichael_mason", "montel", "fujii_kubo",
     "abdurakhmanov", "linden", "kittaneh_disk", "abu_omar_kittaneh", "al_dolat",
     # cartesian bounds
-    "Rectangle", "MwApplicability", "radius_from_norm_coupling", "radius_from_pm_coupling",
+    "Rectangle", "radius_from_norm_coupling", "radius_from_pm_coupling",
     "block_cartesian_radius", "cartesian_disk", "diagonal_block_radius",
     "kittaneh_rectangle", "partition_rectangle", "partition_disk", "unit_tail_disk",
     "mw_bound", "hermitian_rectangle",

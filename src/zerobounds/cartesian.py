@@ -48,7 +48,6 @@ from .polynomial import Polynomial
 
 __all__ = [
     "Rectangle",
-    "MwApplicability",
     "radius_from_norm_coupling",
     "radius_from_pm_coupling",
     "block_cartesian_radius",
@@ -95,14 +94,6 @@ class Rectangle:
 
 # mw_bound's guard status -> the applicability of its result, one to one
 MW_APPLICABILITY = {"guaranteed": "valid", "heuristic": "conditional", "refused": "refused"}
-
-
-@dataclass(frozen=True)
-class MwApplicability:
-    """Guard outcome for mw_bound: guaranteed, heuristic, or refused."""
-
-    status: str
-    reasons: tuple[str, ...] = ()
 
 
 def _require_nonneg(**named: float) -> None:
@@ -322,13 +313,13 @@ def partition_disk(q: Polynomial) -> BoundResult:
     )
 
 
-def unit_tail_disk(q: Polynomial, sign: int = 1) -> BoundResult:
-    """partition_disk specialized to a_1 = sign (+1 or -1) and a_k = 0 for
-    k = 2..n, where (D1 + D2)^2 collapses to 1 exactly."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def unit_tail_disk(q: Polynomial) -> BoundResult:
+    """partition_disk specialized to a_1 = sign and a_k = 0 for k = 2..n, where
+    (D1 + D2)^2 collapses to 1 exactly. The sign is read from a_1: -1 when
+    a_1 == -1, else +1, so any other a_1 is refused as not equal to +1."""
     n = _even_half(q)
     a = q.coefficient
+    sign = -1 if a(1) == -1 else 1
     if a(1) != sign:
         raise HypothesisViolatedError(f"constant coefficient must equal {sign:+d} exactly")
     bad = [k for k in range(2, n + 1) if a(k) != 0]
@@ -338,7 +329,7 @@ def unit_tail_disk(q: Polynomial, sign: int = 1) -> BoundResult:
     return BoundResult("unit_tail_disk", value, notes=(f"L={big_l:.10g}", f"sign={sign:+d}"))
 
 
-def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplicability]:
+def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
     """MW closed form (sqrt(S) + sqrt(S + (|c_1| + 1)^2))/2 with
     S = sum_{k=2}^{n} |c_k|^2 over the coefficients c_k of g, plus the guard
     that decides whether the bound is guaranteed:
@@ -346,7 +337,9 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
     guaranteed when (i) some |c_k| >= 1 with k >= 2, or (ii) all c_k real with
     strictly increasing moduli below 1 and sum_{k=2}^{n} |c_k| >= 2/3;
     otherwise heuristic (strict=True turns heuristic into refused). The value
-    is computed regardless of status.
+    is computed regardless of status; the applicability maps the status
+    through MW_APPLICABILITY, and the notes are the guard's reasons followed
+    by guard=<status>.
     """
     n = g.degree
     if n < 2:
@@ -385,9 +378,8 @@ def mw_bound(g: Polynomial, strict: bool = False) -> tuple[BoundResult, MwApplic
         status = "refused"
         reasons.append("strict mode refuses heuristic use")
 
-    result = BoundResult("mw", value, applicability=MW_APPLICABILITY[status],
-                         notes=(f"guard={status}",))
-    return result, MwApplicability(status, tuple(reasons))
+    return BoundResult("mw", value, applicability=MW_APPLICABILITY[status],
+                       notes=(*reasons, f"guard={status}"))
 
 
 def hermitian_rectangle(p: Polynomial) -> Rectangle:

@@ -4,9 +4,10 @@
     zerobounds fixture all
     zerobounds roots --poly "1, 0, -1"
 
-Exit codes: 0 ok; 1 fixture assertion failure; 2 unparseable input (polynomial,
-method list, config, fixture name); 3 MW bound refused under --strict-mw;
-4 root-oracle failure (bounds are still printed, without verdicts).
+Exit codes: 0 ok; 1 fixture assertion failure; 2 unparseable or out-of-range
+input (polynomial, method list, --alpha, --tolerance, config, fixture name);
+3 MW bound refused under --strict-mw; 4 root-oracle failure (bounds are still
+printed, without verdicts).
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     tolerance = _setting(args.tolerance, config, "tolerance", 1e-7, float)
+    if not 0.0 <= tolerance < float("inf"):
+        raise CliInputError(f"--tolerance must be finite and >= 0, got {tolerance}")
     out_format = _setting(args.format, config, "format", "text")
     if out_format not in ("text", "json"):
         raise CliInputError(f"fixture format must be text or json, got {out_format!r}")

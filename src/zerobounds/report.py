@@ -103,11 +103,6 @@ def _block_cartesian(p: Polynomial, opt: CompareOptions) -> BoundResult:
     return BoundResult("block_cartesian", value, notes=(f"s={opt.alpha:.10g}",))
 
 
-def _mw(p: Polynomial, opt: CompareOptions) -> BoundResult:
-    result, applic = mw_bound(p, strict=opt.strict_mw)
-    return replace(result, notes=applic.reasons + result.notes)
-
-
 def _radius_sweep(p: Polynomial, opt: CompareOptions) -> BoundResult:
     lower, upper = numerical_radius_sweep(build_companion(p))
     return BoundResult("radius_sweep", upper, notes=(f"lower={lower:.10g}",))
@@ -129,10 +124,8 @@ METHODS: dict[str, Method] = {
         "disk", 4, lambda p, opt: cartesian_disk(build_block_companion(p)), even=True),
     "block_cartesian": Method("disk", 4, _block_cartesian, even=True),
     "partition_disk": Method("disk", 4, lambda p, opt: partition_disk(p), even=True),
-    "unit_tail_disk": Method(
-        "disk", 4, lambda p, opt: unit_tail_disk(p, -1 if p.coefficient(1) == -1 else 1),
-        even=True),
-    "mw": Method("disk", 2, _mw),
+    "unit_tail_disk": Method("disk", 4, lambda p, opt: unit_tail_disk(p), even=True),
+    "mw": Method("disk", 2, lambda p, opt: mw_bound(p, strict=opt.strict_mw)),
     "radius_sweep": Method("disk", 2, _radius_sweep),
     "kittaneh_rectangle": Method("rectangle", 3, lambda p, opt: kittaneh_rectangle(p)),
     "partition_rectangle": Method(
@@ -204,13 +197,13 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
 
     if isinstance(outcome, Rectangle):
         rectangle, variant, value, applicability = outcome, None, None, "valid"
-        verdict = validate_rectangle(p, outcome, oracle) if oracle is not None else None
+        verdict = validate_rectangle(outcome, oracle) if oracle is not None else None
     else:
         rectangle, variant, value = None, outcome.variant, outcome.value
         applicability, notes = outcome.applicability, notes + outcome.notes
         if value == math.inf:
             notes += ("overflow: true value exceeds the float range",)
-        verdict = validate_bound(p, value, oracle) if oracle is not None else None
+        verdict = validate_bound(value, oracle) if oracle is not None else None
     return ReportRow(
         name, variant, value, applicability, rectangle=rectangle,
         verdict=None if verdict is None else verdict.verdict,
@@ -324,7 +317,7 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
                 passed = row.verdict == "holds"
                 detail = "divergent reference; computed rectangle checked for root containment"
             else:
-                passed = row.verdict == "holds" and validate_bound(p, exp.value, oracle).holds
+                passed = row.verdict == "holds" and validate_bound(exp.value, oracle).holds
                 detail = "divergent reference; both values checked against the oracle"
         checks.append(FixtureCheck(exp.method, exp.variant, exp.component, exp.status,
                                    exp.value, computed, passed, detail))
@@ -423,12 +416,12 @@ def format_compare_csv(report: CompareReport) -> str:
     for row in report.rows:
         writer.writerow([
             row.method,
-            row.variant or "",
-            "" if row.value is None else format(row.value, ".12g"),
+            row.variant,
+            _f12(row.value),
             row.applicability,
-            "" if maxmod is None else format(maxmod, ".12g"),
-            row.verdict or "",
-            "" if row.margin is None else format(row.margin, ".12g"),
+            _f12(maxmod),
+            row.verdict,
+            _f12(row.margin),
         ])
     return out.getvalue()
 

@@ -18,6 +18,7 @@ from .polynomial import Polynomial, horner
 __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_rectangle"]
 
 _VALIDATION_SLACK = 1e-9
+_MAX_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Verdict:
         return self.verdict == "holds"
 
 
-def _durand_kerner_pass(descending, z, tol, max_iterations):
+def _durand_kerner_pass(descending, z, tol):
     """Weierstrass updates until the max step is <= tol.
 
     Returns (z, iterations, failure); failure is None on convergence, else
@@ -61,7 +62,7 @@ def _durand_kerner_pass(descending, z, tol, max_iterations):
     n = len(z)
     magnitudes = np.abs(descending)
     rounding = 4 * n * np.finfo(float).eps
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         p_values = horner(descending, z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -75,10 +76,10 @@ def _durand_kerner_pass(descending, z, tol, max_iterations):
                 and np.all(np.abs(p_values) <= rounding * horner(magnitudes, np.abs(z)).real)):
             return z, iteration, f"stalled at the rounding level after {iteration} iterations"
         z = z - step
-    return z, max_iterations, f"did not converge in {max_iterations} iterations"
+    return z, _MAX_ITERATIONS, f"did not converge in {_MAX_ITERATIONS} iterations"
 
 
-def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
+def find_roots(p: Polynomial) -> RootSet:
     """All roots of p by Durand-Kerner simultaneous iteration.
 
     Initial guesses sit on a circle of radius (1 + max|a_k|) * 0.9 (inside
@@ -86,7 +87,7 @@ def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
     Convergence when the max step is <= 1e-13 * (1 + max|a_k|), with no
     restart. NoConvergenceError names the cause when the iteration
     overflows, stalls at the rounding level (checked at iterations
-    2^j >= 2*degree) or reaches max_iterations, or when a converged residual
+    2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
     exceeds 1e-8 * prod(1 + |z_i|). Deterministic for fixed input.
     """
     n = p.degree
@@ -103,7 +104,7 @@ def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
     z = 0.9 * scale * np.exp(1j * angles)
 
     with np.errstate(over="ignore", invalid="ignore"):  # the pass reports an overflow
-        z, iterations, failure = _durand_kerner_pass(descending, z, tol, max_iterations)
+        z, iterations, failure = _durand_kerner_pass(descending, z, tol)
 
     order = sorted(range(n), key=lambda i: (-abs(z[i]), np.angle(z[i])))
     roots = tuple(complex(z[i]) for i in order)
@@ -122,22 +123,20 @@ def find_roots(p: Polynomial, max_iterations: int = 2000) -> RootSet:
     return RootSet(roots, residuals, max(abs(r) for r in roots), iterations)
 
 
-def validate_bound(p: Polynomial, value: float, roots: RootSet | None = None) -> Verdict:
-    """Check max root modulus <= value (+1e-9 slack)."""
-    rootset = roots if roots is not None else find_roots(p)
-    if rootset.max_modulus <= value + _VALIDATION_SLACK:
-        return Verdict("holds", value - rootset.max_modulus)
-    return Verdict("violated", rootset.max_modulus - value)
+def validate_bound(value: float, roots: RootSet) -> Verdict:
+    """Check roots.max_modulus <= value (+1e-9 slack)."""
+    if roots.max_modulus <= value + _VALIDATION_SLACK:
+        return Verdict("holds", value - roots.max_modulus)
+    return Verdict("violated", roots.max_modulus - value)
 
 
-def validate_rectangle(p: Polynomial, rect, roots: RootSet | None = None) -> Verdict:
-    """Check every root lies in rect (each edge expanded by 1e-9).
+def validate_rectangle(rect, roots: RootSet) -> Verdict:
+    """Check every root in roots lies in rect (each edge expanded by 1e-9).
 
     rect needs re_lo/re_hi/im_lo/im_hi attributes.
     """
-    rootset = roots if roots is not None else find_roots(p)
     worst = float("inf")
-    for root in rootset.roots:
+    for root in roots.roots:
         slack = min(
             root.real - rect.re_lo,
             rect.re_hi - root.real,

@@ -122,7 +122,7 @@ def test_criterion_3_mw_small_coefficient_tables():
         ("table5", 0.7647166222, 0.7419983061),
     ]:
         p = get_fixture(name).polynomial()
-        result, _ = mw_bound(p)
+        result = mw_bound(p)
         assert _rel(result.value, mw_ref) <= 1e-7, (name, result.value, mw_ref)
         assert _rel(find_roots(p).max_modulus, maxmod_ref) <= 1e-6, name
 
@@ -147,7 +147,7 @@ def test_criterion_4_mw_counterexample_suite():
     for name, mw_ref, maxmod_ref, verdict_ref in cases:
         fixture = get_fixture(name)
         p = fixture.polynomial()
-        result, applic = mw_bound(p)
+        result = mw_bound(p)
         roots = find_roots(p)
         if _rel(result.value, mw_ref) > 1e-7:
             problems.append(f"{name}: MW {result.value!r} != reference {mw_ref}")
@@ -161,10 +161,10 @@ def test_criterion_4_mw_counterexample_suite():
                 f"{name}: Durand-Kerner max modulus {roots.max_modulus!r} and "
                 f"companion eigenvalues {eig_max!r} disagree"
             )
-        verdict = validate_bound(p, result.value, roots)
+        verdict = validate_bound(result.value, roots)
         if verdict.verdict != verdict_ref:
             problems.append(f"{name}: verdict {verdict.verdict} != {verdict_ref}")
-        if name == "h1" and applic.status == "guaranteed":
+        if name == "h1" and result.applicability == "valid":
             problems.append("h1: guard must not report guaranteed")
         if name == "h2":
             published = next(e for e in fixture.expected if e.method == "max_modulus")
@@ -229,8 +229,8 @@ def test_criterion_6_validity_property_suite():
                 printed_undershoots.append(
                     (trial, degree, printed, plus_one, roots.max_modulus)
                 )
-        mw_result, applic = mw_bound(p)
-        if applic.status == "guaranteed":  # heuristic cases are exempt
+        mw_result = mw_bound(p)
+        if mw_result.applicability == "valid":  # heuristic cases are exempt
             checks.append(("mw[guaranteed]", mw_result.value))
         for name, value in checks:
             if value < slack:
@@ -262,7 +262,7 @@ def test_criterion_6_validity_property_suite():
             ("partition_rectangle", partition_rectangle(p)),
         ]
         for name, rect in rects:
-            if not validate_rectangle(p, rect, roots).holds:
+            if not validate_rectangle(rect, roots).holds:
                 violations.append(
                     f"even trial {trial} deg {p.degree}: {name} misses a root"
                 )

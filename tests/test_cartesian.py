@@ -239,7 +239,7 @@ def test_cartesian_disk_values_are_stable(name):
     r = cartesian_disk(bc)
     assert abs(r.value - _CART_DISK_PINS[name]) <= 1e-9 * _CART_DISK_PINS[name]
     # it is an actual zero bound
-    assert validate_bound(get_fixture(name).polynomial(), r.value).holds
+    assert validate_bound(r.value, find_roots(get_fixture(name).polynomial())).holds
 
 
 def test_cartesian_disk_parts_for_the_showcase_polynomial():
@@ -316,7 +316,7 @@ def test_kittaneh_rectangle_contains_all_roots():
     rng = np.random.default_rng(131)
     for _ in range(50):
         p = random_polynomial(rng, 6)
-        assert validate_rectangle(p, kittaneh_rectangle(p)).holds
+        assert validate_rectangle(kittaneh_rectangle(p), find_roots(p)).holds
 
 
 def test_partition_rectangle_showcase_pins():
@@ -337,7 +337,7 @@ def test_partition_rectangle_contains_all_roots():
     rng = np.random.default_rng(137)
     for _ in range(25):
         p = random_polynomial(rng, 2 * int(rng.integers(2, 6)))
-        assert validate_rectangle(p, partition_rectangle(p)).holds
+        assert validate_rectangle(partition_rectangle(p), find_roots(p)).holds
 
 
 def test_partition_rectangle_degree_preconditions():
@@ -371,7 +371,7 @@ def test_partition_disk_showcase_parts():
 def test_partition_disk_values_are_stable(name, pinned):
     p = get_fixture(name).polynomial()
     assert abs(partition_disk(p).value - pinned) <= 1e-9 * pinned
-    assert validate_bound(p, partition_disk(p).value).holds
+    assert validate_bound(partition_disk(p).value, find_roots(p)).holds
 
 
 def test_partition_disk_is_tight_for_unit_quartic():
@@ -383,7 +383,7 @@ def test_partition_disk_dominates_roots_on_random_even_polynomials():
     rng = np.random.default_rng(139)
     for _ in range(25):
         p = random_polynomial(rng, 2 * int(rng.integers(2, 6)))
-        assert validate_bound(p, partition_disk(p).value).holds
+        assert validate_bound(partition_disk(p).value, find_roots(p)).holds
 
 
 # ------------------------------------------------------------ unit tail disk
@@ -397,8 +397,9 @@ def test_unit_tail_matches_partition_disk_on_its_premise():
         ("1, 0, 0, 0, -1", -1),
     ]:
         q = parse_polynomial(text)
-        u = unit_tail_disk(q, sign=sign)
+        u = unit_tail_disk(q)
         assert abs(u.value - partition_disk(q).value) <= 1e-14
+        assert f"sign={sign:+d}" in u.notes
 
 
 def test_unit_tail_pins():
@@ -413,10 +414,6 @@ def test_unit_tail_rejects_premise_violations():
         unit_tail_disk(parse_polynomial("1, 0, 0, 0, 2"))  # constant is not +-1
     with pytest.raises(HypothesisViolatedError):
         unit_tail_disk(parse_polynomial("1, 0, 0, 1, 1"))  # a_2 nonzero
-    with pytest.raises(HypothesisViolatedError):
-        unit_tail_disk(parse_polynomial("1, 0, 0, 0, -1"))  # sign defaults to +1
-    with pytest.raises(ValueError):
-        unit_tail_disk(parse_polynomial("1, 0, 0, 0, 1"), sign=2)
     with pytest.raises(OddDegreeError):
         unit_tail_disk(parse_polynomial("1, 0, 0, 0, 0, 1"))
 
@@ -439,38 +436,35 @@ _MW_PINS = {
 @pytest.mark.parametrize("name", sorted(_MW_PINS))
 def test_mw_values_and_guard_reasons(name):
     pinned, reasons = _MW_PINS[name]
-    result, applic = mw_bound(get_fixture(name).polynomial())
+    result = mw_bound(get_fixture(name).polynomial())
     assert abs(result.value - pinned) <= 1e-9 * pinned
-    assert applic.status == "heuristic"
     assert result.applicability == "conditional"
-    assert list(applic.reasons) == reasons
-    assert "guard=heuristic" in result.notes
+    assert list(result.notes) == reasons + ["guard=heuristic"]
 
 
 def test_mw_guard_grants_guarantee_for_large_coefficients():
-    result, applic = mw_bound(Polynomial((0.5, 1.5)))
-    assert applic.status == "guaranteed"
-    assert applic.reasons == ("|c_2| >= 1",)
+    result = mw_bound(Polynomial((0.5, 1.5)))
+    assert result.notes == ("|c_2| >= 1", "guard=guaranteed")
     assert result.applicability == "valid"
-    assert validate_bound(Polynomial((0.5, 1.5)), result.value).holds
+    assert validate_bound(result.value, find_roots(Polynomial((0.5, 1.5)))).holds
 
 
 def test_mw_guard_grants_guarantee_for_increasing_real_moduli():
     p = Polynomial((0.1, 0.2, 0.3, 0.4))
-    result, applic = mw_bound(p)
-    assert applic.status == "guaranteed"
-    assert applic.reasons == ("real, strictly increasing moduli below 1, tail sum 0.9 >= 2/3",)
-    assert validate_bound(p, result.value).holds
+    result = mw_bound(p)
+    assert result.applicability == "valid"
+    assert result.notes == ("real, strictly increasing moduli below 1, tail sum 0.9 >= 2/3",
+                            "guard=guaranteed")
+    assert validate_bound(result.value, find_roots(p)).holds
 
 
 def test_mw_strict_mode_refuses_heuristic_cases_only():
-    heuristic, applic = mw_bound(get_fixture("h1").polynomial(), strict=True)
-    assert applic.status == "refused"
-    assert applic.reasons[-1] == "strict mode refuses heuristic use"
+    heuristic = mw_bound(get_fixture("h1").polynomial(), strict=True)
+    assert heuristic.notes[-2:] == ("strict mode refuses heuristic use", "guard=refused")
     assert heuristic.applicability == "refused"
     assert heuristic.value > 0  # value still computed for context
-    _, still_ok = mw_bound(Polynomial((0.5, 1.5)), strict=True)
-    assert still_ok.status == "guaranteed"
+    still_ok = mw_bound(Polynomial((0.5, 1.5)), strict=True)
+    assert still_ok.applicability == "valid"
 
 
 def test_mw_needs_degree_two():
@@ -482,9 +476,9 @@ def test_mw_heuristic_value_can_undershoot_the_roots():
     # the h1 polynomial's largest root modulus exceeds the heuristic value:
     # exactly why the guard refuses to call it guaranteed
     p = get_fixture("h1").polynomial()
-    result, applic = mw_bound(p)
-    assert applic.status == "heuristic"
-    verdict = validate_bound(p, result.value)
+    result = mw_bound(p)
+    assert result.applicability == "conditional"
+    verdict = validate_bound(result.value, find_roots(p))
     assert verdict.verdict == "violated"
     assert verdict.margin > 0.04
 
@@ -526,4 +520,4 @@ def test_hermitian_rectangle_contains_all_roots():
     rng = np.random.default_rng(151)
     for _ in range(25):
         p = random_polynomial(rng, int(rng.integers(2, 9)))
-        assert validate_rectangle(p, hermitian_rectangle(p)).holds
+        assert validate_rectangle(hermitian_rectangle(p), find_roots(p)).holds

@@ -78,7 +78,7 @@ def _reference(a):
             lambda: al_dolat(p).value,
             (m[-1] + 2 * cos_n + mpmath.sqrt(m[-1] ** 2 + (mpmath.sqrt(head) + 1) ** 2)) / 2)
         tail = _sq(m[1:])
-        out["mw"] = (lambda: mw_bound(p)[0].value,
+        out["mw"] = (lambda: mw_bound(p).value,
                      (mpmath.sqrt(tail) + mpmath.sqrt(tail + (m[0] + 1) ** 2)) / 2)
     if n >= 3:
         tail = _sq(m[:n - 2])

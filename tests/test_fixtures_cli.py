@@ -159,8 +159,7 @@ def test_fixture_mw_guard_is_read_from_the_row_applicability(monkeypatch):
     fixture = Fixture("guard", get_fixture("table4").coefficients, (), mw_guard="heuristic")
     for force, status in ((False, "heuristic"), (True, "refused")):
         def without_notes(p, strict=False, force=force):
-            result, applic = mw_bound(p, strict=force)
-            return dataclasses.replace(result, notes=()), applic
+            return dataclasses.replace(mw_bound(p, strict=force), notes=())
 
         monkeypatch.setattr(zerobounds.report, "mw_bound", without_notes)
         check = run_fixture(fixture).checks[0]
@@ -362,7 +361,7 @@ def test_cli_strict_mw_refusal_exits_three(capsys):
 
 
 def test_cli_oracle_failure_exits_four_but_prints_bounds(monkeypatch, capsys):
-    def explode(p, max_iterations=2000):
+    def explode(p):
         raise NoConvergenceError("synthetic stall", best_roots=(), residuals=())
 
     monkeypatch.setattr(zerobounds.report, "find_roots", explode)
@@ -374,7 +373,7 @@ def test_cli_oracle_failure_exits_four_but_prints_bounds(monkeypatch, capsys):
 
 
 def test_cli_oracle_failure_wins_over_strict_mw(monkeypatch, capsys):
-    def explode(p, max_iterations=2000):
+    def explode(p):
         raise NoConvergenceError("synthetic stall", best_roots=(), residuals=())
 
     monkeypatch.setattr(zerobounds.report, "find_roots", explode)
@@ -428,6 +427,24 @@ def test_cli_bad_config_exits_two(tmp_path, capsys, content):
     cfg.write_text(content, encoding="utf-8")
     assert main(["compare", "--poly", "1, 2, 3", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_fixture_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, value):
+    assert main(["fixture", "table1", "--tolerance", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tolerance must be finite and >= 0")
+    cfg = tmp_path / "tolerance.cfg"
+    cfg.write_text(f"tolerance = {value}\n", encoding="utf-8")
+    assert main(["fixture", "table1", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tolerance must be finite and >= 0")
+
+
+def test_cli_fixture_accepts_a_zero_tolerance(capsys):
+    assert main(["fixture", "table1", "--tolerance", "0"]) == 1  # rounded references fail
+    assert "[FAIL] cauchy" not in capsys.readouterr().out  # 5 is exact
 
 
 def test_cli_missing_config_file_exits_two(tmp_path, capsys):

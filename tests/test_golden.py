@@ -5,10 +5,12 @@ The files under tests/golden/ hold the output of
     zerobounds compare --poly <fixture coefficients> --format json --methods all
 
 for each of the eight fixtures, and of ``zerobounds fixture all --format json``.
-Three more files cover the paths the defaults do not reach: the non-default
-``linden`` / ``kittaneh`` variants (CSV and text, on table1) and an
+Five more files cover the paths the defaults do not reach: the non-default
+``linden`` / ``kittaneh`` variants (CSV and text, on table1), an
 odd-degree input with a zero constant term, whose partition methods run on
-the even quotient (text).
+the even quotient (text), h1 under ``--strict-mw``, whose mw row is refused
+with the guard's reasons (JSON), and a quartic whose ``unit_tail_disk`` row
+is valid with sign -1 (text).
 A change that is meant to keep behaviour (a refactor or a faster route to the
 same numbers) must leave them untouched; a change that moves a printed value
 has to regenerate them and say why.
@@ -51,7 +53,12 @@ _TABLE1_VARIANTS = ["compare", "--poly", FIXTURES["table1"].coefficients, "--met
     (_TABLE1_VARIANTS + ["--format", "text"], "compare_table1_variants.txt"),
     (["compare", "--poly", "2, 1/3, 0, 1/4, 1/5, 0", "--methods", "all", "--format", "text"],
      "compare_odd_reduced.txt"),
-], ids=["table1-variants-csv", "table1-variants-text", "odd-reduced-text"])
+    (["compare", "--poly", FIXTURES["h1"].coefficients, "--methods", "all", "--strict-mw",
+      "--format", "json"], "compare_h1_strict_mw.json"),
+    (["compare", "--poly", "1, 1/2, 1/3, 0, -1", "--methods", "all", "--format", "text"],
+     "compare_unit_tail.txt"),
+], ids=["table1-variants-csv", "table1-variants-text", "odd-reduced-text", "h1-strict-mw-json",
+        "unit-tail-text"])
 def test_non_default_paths_match_golden(capsys, argv, golden):
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert _cli_output(capsys, argv) == expected

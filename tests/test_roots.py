@@ -103,10 +103,11 @@ def test_residuals_are_small_and_reported():
         assert abs(p.evaluate(r)) == res
 
 
-def test_no_convergence_error_carries_best_effort_roots():
+def test_no_convergence_error_carries_best_effort_roots(monkeypatch):
     p = random_polynomial(np.random.default_rng(1), 8)
+    monkeypatch.setattr(zerobounds.roots, "_MAX_ITERATIONS", 1)
     with pytest.raises(NoConvergenceError, match=r"did not converge in 1 iterations \(max") as err:
-        find_roots(p, max_iterations=1)
+        find_roots(p)
     assert len(err.value.best_roots) == 8
     assert len(err.value.residuals) == 8
 
@@ -176,29 +177,28 @@ def test_fixture_max_moduli_are_stable(name):
 
 
 def test_validate_bound_verdicts_and_margins():
-    p = parse_polynomial("1, 0, -4")  # roots ±2
-    holds = validate_bound(p, 2.5)
+    rs = find_roots(parse_polynomial("1, 0, -4"))  # roots ±2
+    holds = validate_bound(2.5, rs)
     assert holds.holds and holds.verdict == "holds"
     assert abs(holds.margin - 0.5) < 1e-9
-    violated = validate_bound(p, 1.5)
+    violated = validate_bound(1.5, rs)
     assert not violated.holds and violated.verdict == "violated"
     assert abs(violated.margin - 0.5) < 1e-9
     # margin is never negative
-    assert validate_bound(p, 2.0).margin >= 0.0
+    assert validate_bound(2.0, rs).margin >= 0.0
 
 
 def test_validate_rectangle_verdicts():
-    p = parse_polynomial("1, 0, -4")
-    inside = validate_rectangle(p, Rectangle(-2.5, 2.5, -1.0, 1.0))
+    rs = find_roots(parse_polynomial("1, 0, -4"))
+    inside = validate_rectangle(Rectangle(-2.5, 2.5, -1.0, 1.0), rs)
     assert inside.holds
     assert abs(inside.margin - 0.5) < 1e-9
-    outside = validate_rectangle(p, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    outside = validate_rectangle(Rectangle(-1.0, 1.0, -1.0, 1.0), rs)
     assert not outside.holds
     assert abs(outside.margin - 1.0) < 1e-9
 
 
 def test_validate_accepts_precomputed_roots():
-    p = parse_polynomial("1, 0, -4")
-    rs = find_roots(p)
-    assert validate_bound(p, 3.0, roots=rs).holds
-    assert validate_rectangle(p, Rectangle(-3, 3, -3, 3), roots=rs).holds
+    rs = find_roots(parse_polynomial("1, 0, -4"))
+    assert validate_bound(3.0, rs).holds
+    assert validate_rectangle(Rectangle(-3, 3, -3, 3), rs).holds
