@@ -36,7 +36,6 @@ from .companion import BlockCompanion, build_block_companion, build_companion
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
-    ExponentOutOfRangeError,
     HypothesisViolatedError,
     InternalConsistencyError,
     NegativeEntryError,
@@ -104,6 +103,6 @@ __all__ = [
     "ZeroBoundsError", "NonSquareError", "NotHermitianError", "NegativeEntryError",
     "NegativeInputError", "InternalConsistencyError", "ZeroLeadingCoefficientError",
     "DegreeTooSmallError", "OddDegreeError", "NonFiniteMatrixError",
-    "BlockShapeMismatchError", "ExponentOutOfRangeError", "HypothesisViolatedError",
+    "BlockShapeMismatchError", "HypothesisViolatedError",
     "NoConvergenceError", "PolynomialParseError", "UnknownFixtureError",
 ]

@@ -31,7 +31,6 @@ from .companion import (
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
-    ExponentOutOfRangeError,
     HypothesisViolatedError,
     NegativeInputError,
     OddDegreeError,
@@ -125,12 +124,12 @@ def _diag_coupling(block: np.ndarray) -> float:
     return _lam_max(p @ p + q @ q)
 
 
-def _abs_power_sum(h: np.ndarray, s: float) -> np.ndarray:
-    """|H|^{2s} + |H|^{2(1-s)} for Hermitian H: |H| has H's eigenvectors and
-    the moduli of its eigenvalues, so one eigendecomposition gives both powers."""
+def _twice_abs(h: np.ndarray) -> np.ndarray:
+    """2|H| for Hermitian H: |H| has H's eigenvectors and the moduli of its
+    eigenvalues."""
     eig = hermitian_eigs(h)
     mods = np.abs(eig.values)
-    return (eig.vectors * (mods ** (2 * s) + mods ** (2 * (1 - s)))) @ eig.vectors.conj().T
+    return (eig.vectors * (mods + mods)) @ eig.vectors.conj().T
 
 
 def _companion_diagonal_couplings(r: np.ndarray) -> tuple[float, float]:
@@ -144,38 +143,37 @@ def _companion_diagonal_couplings(r: np.ndarray) -> tuple[float, float]:
     return 1.0 + _lam_max(_leading_block_gram(r)), 1.0 if r.size > 2 else 0.5
 
 
-def _companion_block_weights(row: np.ndarray, n: int, s_exponent: float) -> np.ndarray:
+def _companion_block_weights(row: np.ndarray, n: int) -> np.ndarray:
     """block_cartesian_radius's 2 x 2 weights for a companion matrix with first
     row (r, s) in n x n blocks, n >= 2, without an n x n eigensolve.
 
     A12 = e_1 s^T maps span{e_1, u}, u = (0, conj(s_2), ..., conj(s_n)) / t
     with t = |(s_2, ..., s_n)|, into itself as [[s_1, t], [0, 0]], and both A12
-    and A12* vanish on the rest of C^n, so the powers of |P12| and |Q12| are
-    those of that 2 x 2 block (0^{2s} = 0). A21 = e_1 e_n^T has Cartesian parts
-    of modulus I/2 on span{e_1, e_n} and 0 off it, so its norm is
-    2 (2^{-2s} + 2^{-2(1-s)}).
+    and A12* vanish on the rest of C^n, so |P12| and |Q12| are those of that
+    2 x 2 block. A21 = e_1 e_n^T has Cartesian parts of modulus I/2 on
+    span{e_1, e_n} and 0 off it, so its norm is 2 and its weight 2^2 / 2 = 2.
     """
     w1, w2 = _companion_diagonal_couplings(row[:n])
     s = row[n:]
     p12, q12 = cartesian_parts(np.array([[s[0], math.hypot(*np.abs(s[1:]))], [0.0, 0.0]]))
-    norm12 = operator_norm(_abs_power_sum(p12, s_exponent) + _abs_power_sum(q12, s_exponent))
-    norm21 = 2 * (2 ** (-2 * s_exponent) + 2 ** (-2 * (1 - s_exponent)))
-    return np.array([[2 * w1, norm12 * norm12 / 2], [norm21 * norm21 / 2, 2 * w2]])
+    norm12 = operator_norm(_twice_abs(p12) + _twice_abs(q12))
+    return np.array([[2 * w1, norm12 * norm12 / 2], [2.0, 2 * w2]])
 
 
-def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
+def block_cartesian_radius(blocks) -> float:
     """Numerical-radius bound for an m x m block matrix via per-block Cartesian
-    decomposition.
+    decomposition, at s = 1/2.
 
     Diagonal weight: c_kk = m * w(P_kk^2 + Q_kk^2). Off-diagonal weight:
-    c_kj = (m/4) * || |P_kj|^{2s} + |P_kj|^{2(1-s)} + |Q_kj|^{2s} + |Q_kj|^{2(1-s)} ||^2.
-    Returns sqrt(w([c_kj])) with w of the nonnegative matrix. A 2 x 2 grid of
-    blocks of size >= 2 that assembles to a companion matrix gets its weights
-    from the first row (_companion_block_weights); any other grid from dense
-    eigensolves of its blocks.
+    c_kj = (m/4) * || 2|P_kj| + 2|Q_kj| ||^2. Returns sqrt(w([c_kj])) with w
+    of the nonnegative matrix. The paper's family has |X|^{2s} + |X|^{2(1-s)}
+    in place of 2|X|, which it dominates in the PSD order (x^{2s} + x^{2(1-s)}
+    >= 2x by AM-GM); the diagonal weights do not depend on s, and w of a
+    nonnegative matrix grows with its entries, so s = 1/2 is the least bound.
+    A 2 x 2 grid of blocks of size >= 2 that assembles to a companion matrix
+    gets its weights from the first row (_companion_block_weights); any other
+    grid from dense eigensolves of its blocks.
     """
-    if not 0.0 < s_exponent < 1.0:
-        raise ExponentOutOfRangeError(f"s_exponent must lie in (0, 1), got {s_exponent}")
     grid = [[as_matrix(b) for b in row] for row in blocks]
     m = len(grid)
     if m == 0 or any(len(row) != m for row in grid):
@@ -185,7 +183,7 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
         raise BlockShapeMismatchError("all blocks must be square and of equal size")
 
     if m == 2 and size >= 2 and _is_companion(whole := np.block(grid)):
-        return math.sqrt(nonneg_numrad(_companion_block_weights(whole[0], size, s_exponent)))
+        return math.sqrt(nonneg_numrad(_companion_block_weights(whole[0], size)))
     weights = np.zeros((m, m))
     for k in range(m):
         weights[k, k] = m * _diag_coupling(grid[k][k])
@@ -194,7 +192,7 @@ def block_cartesian_radius(blocks, s_exponent: float = 0.5) -> float:
             if k == j:
                 continue
             p, q = cartesian_parts(grid[k][j])
-            norm = operator_norm(_abs_power_sum(p, s_exponent) + _abs_power_sum(q, s_exponent))
+            norm = operator_norm(_twice_abs(p) + _twice_abs(q))
             weights[k, j] = (m / 4) * norm * norm
     return math.sqrt(nonneg_numrad(weights))
 

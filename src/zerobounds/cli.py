@@ -5,9 +5,9 @@
     zerobounds roots --poly "1, 0, -1"
 
 Exit codes: 0 ok; 1 fixture assertion failure; 2 unparseable or out-of-range
-input (polynomial, method list, --alpha, --tolerance, config, fixture name);
-3 MW bound refused under --strict-mw; 4 root-oracle failure (bounds are still
-printed, without verdicts).
+input (polynomial, method list, variant, config, fixture name); 3 MW bound
+refused under --strict-mw; 4 root-oracle failure (bounds are still printed,
+without verdicts).
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ _VARIANT_FAMILIES = {
     m.option.removesuffix("_variant"): (m.option, m.variants)
     for m in METHODS.values() if m.option is not None
 }
-_CONFIG_KEYS = (
-    "methods", *_VARIANT_FAMILIES, "alpha", "strict-mw", "oracle", "format", "tolerance",
-)
+_CONFIG_KEYS = ("methods", *_VARIANT_FAMILIES, "strict-mw", "oracle", "format")
 
 
 class CliInputError(Exception):
@@ -67,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="formula variant, repeatable: " + ", ".join(
                              f"{family}={'|'.join(allowed)}"
                              for family, (_, allowed) in _VARIANT_FAMILIES.items()))
-    compare.add_argument("--alpha", type=float, default=None,
-                         help="block_cartesian interpolation exponent in (0,1), default 0.5")
     compare.add_argument("--strict-mw", action="store_true", default=None,
                          help="refuse the MW bound when its guard is not guaranteed")
     compare.add_argument("--format", choices=("text", "csv", "json"), default=None)
@@ -79,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     fixture = sub.add_parser("fixture", help="check bundled reference fixtures")
     fixture.add_argument("name", help="table1..table5, h1, h2, h3, or 'all'")
     fixture.add_argument("--format", choices=("text", "json"), default=None)
-    fixture.add_argument("--tolerance", type=float, default=None,
-                         help="relative tolerance for asserted rows, default 1e-7")
     fixture.add_argument("--config", default=None, help="key=value preset file")
 
     roots = sub.add_parser("roots", help="compute all roots of one polynomial")
@@ -137,23 +131,19 @@ _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
     ("0", "false", "no", "off"), False)
 
 
-def _setting(flag, config: dict[str, str], key: str, default, cast=None):
-    """The flag if given, else the config value passed through cast, else the default.
-
-    cast=bool reads 1/true/yes/on and 0/false/no/off, in any case."""
+def _setting(flag, config: dict[str, str], key: str, default):
+    """The flag if given, else the config value, else the default. A key whose
+    default is a bool reads 1/true/yes/on and 0/false/no/off, in any case."""
     if flag is not None:
         return flag
     if key not in config:
         return default
     text = config[key]
-    if cast is bool:
-        if text.lower() not in _BOOLEANS:
-            raise CliInputError(f"config key {key} wants a boolean, got {text!r}")
-        return _BOOLEANS[text.lower()]
-    try:
-        return text if cast is None else cast(text)
-    except ValueError as exc:
-        raise CliInputError(f"config key {key}: {exc}") from exc
+    if not isinstance(default, bool):
+        return text
+    if text.lower() not in _BOOLEANS:
+        raise CliInputError(f"config key {key} wants a boolean, got {text!r}")
+    return _BOOLEANS[text.lower()]
 
 
 def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
@@ -166,10 +156,6 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
             raise CliInputError(f"config: {family} must be one of {', '.join(allowed)}")
         variants[field] = value
 
-    alpha = _setting(args.alpha, config, "alpha", 0.5, float)
-    if not 0.0 < alpha < 1.0:
-        raise CliInputError(f"--alpha must lie in (0, 1), got {alpha}")
-
     methods_text = _setting(args.methods, config, "methods", None)
     try:
         methods = resolve_methods(methods_text)
@@ -178,9 +164,8 @@ def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
 
     options = CompareOptions(
         methods=methods,
-        alpha=alpha,
-        strict_mw=_setting(args.strict_mw, config, "strict-mw", False, bool),
-        oracle=_setting(args.oracle, config, "oracle", True, bool),
+        strict_mw=_setting(args.strict_mw, config, "strict-mw", False),
+        oracle=_setting(args.oracle, config, "oracle", True),
         **variants,
     )
     out_format = _setting(args.format, config, "format", "text")
@@ -209,16 +194,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    tolerance = _setting(args.tolerance, config, "tolerance", 1e-7, float)
-    if not 0.0 <= tolerance < float("inf"):
-        raise CliInputError(f"--tolerance must be finite and >= 0, got {tolerance}")
     out_format = _setting(args.format, config, "format", "text")
     if out_format not in ("text", "json"):
         raise CliInputError(f"fixture format must be text or json, got {out_format!r}")
     if args.name == "all":
-        reports = run_all_fixtures(tolerance=tolerance)
+        reports = run_all_fixtures()
     else:
-        reports = [run_fixture(args.name, tolerance=tolerance)]
+        reports = [run_fixture(args.name)]
     if out_format == "json":
         sys.stdout.write(format_fixture_json(reports))
     else:

@@ -47,10 +47,6 @@ class BlockShapeMismatchError(ZeroBoundsError):
     """The block grid is not m-by-m with square same-size blocks."""
 
 
-class ExponentOutOfRangeError(ZeroBoundsError):
-    """The interpolation exponent must lie strictly between 0 and 1."""
-
-
 class HypothesisViolatedError(ZeroBoundsError):
     """The input does not satisfy the hypothesis this formula requires."""
 

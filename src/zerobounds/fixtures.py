@@ -4,8 +4,9 @@ comparison values for each bound.
 Every expectation row carries a status:
 
 - ``exact``: the reference value matches direct evaluation of the default
-  formula; asserted at 1e-7 relative.
-- ``variant-matched``: matches the named variant of the formula; asserted.
+  formula; asserted at ``report.FIXTURE_TOLERANCE`` (1e-7) relative.
+- ``variant-matched``: matches the named variant of the formula; asserted
+  the same way.
 - ``reference-divergent``: the published value does not match direct
   evaluation of any implemented variant. Reported side by side and checked
   only for validity (disk values must still dominate the root oracle,

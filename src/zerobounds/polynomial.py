@@ -148,7 +148,8 @@ def parse_complex(token: str) -> complex:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse a comma-separated degree-descending coefficient list."""
+    """Parse a comma-separated degree-descending coefficient list. A zero
+    leading coefficient, or a quotient by it beyond float range, is an error."""
     tokens = [piece.strip() for piece in text.split(",")]
     if any(t == "" for t in tokens):
         # an empty slot is almost certainly a typo; dropping it would
@@ -158,4 +159,11 @@ def parse_polynomial(text: str) -> Polynomial:
         raise PolynomialParseError(
             "need at least two comma-separated coefficients (degree >= 1)"
         )
-    return make_monic([parse_complex(t) for t in tokens])
+    coeffs = [parse_complex(t) for t in tokens]
+    try:
+        return make_monic(coeffs)
+    except ZeroLeadingCoefficientError as exc:
+        raise PolynomialParseError(str(exc)) from None
+    except ValueError:  # Polynomial refuses a quotient that left the float range
+        raise PolynomialParseError(
+            f"dividing by the leading coefficient {tokens[0]!r} overflows a float") from None

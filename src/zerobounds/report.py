@@ -66,7 +66,6 @@ class CompareOptions:
     methods: tuple[str, ...] | None = None  # None means every method in METHODS
     linden_variant: str = "printed"
     kittaneh_variant: str = "printed"
-    alpha: float = 0.5  # block_cartesian interpolation exponent
     strict_mw: bool = False
     oracle: bool = True
 
@@ -99,8 +98,8 @@ def _classical(name: str, option: str | None = None) -> Callable:
 
 def _block_cartesian(p: Polynomial, opt: CompareOptions) -> BoundResult:
     bc = build_block_companion(p)
-    value = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]], s_exponent=opt.alpha)
-    return BoundResult("block_cartesian", value, notes=(f"s={opt.alpha:.10g}",))
+    value = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]])
+    return BoundResult("block_cartesian", value, notes=("s=0.5",))
 
 
 def _radius_sweep(p: Polynomial, opt: CompareOptions) -> BoundResult:
@@ -263,16 +262,20 @@ class FixtureReport:
     oracle_max_modulus: float
 
 
+# relative tolerance of the asserted fixture rows; the published references carry ~10 digits
+FIXTURE_TOLERANCE = 1e-7
+
+
 def _relative_error(computed: float, reference: float) -> float:
     scale = max(abs(reference), 1e-30)
     return abs(computed - reference) / scale
 
 
-def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
+def run_fixture(name: str | Fixture) -> FixtureReport:
     """Evaluate one bundled fixture; each method row is computed as compare computes it.
 
     exact / variant-matched rows are asserted against the reference value at
-    the given relative tolerance. reference-divergent rows can never be
+    relative tolerance FIXTURE_TOLERANCE. reference-divergent rows can never be
     asserted for equality; instead the reference and computed values are
     reported side by side and both are checked for validity against the
     oracle (disk values must dominate the max root modulus, rectangles must
@@ -290,7 +293,8 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
         method, computed, detail = METHODS.get(exp.method), math.nan, ""
         if exp.method == "max_modulus":
             computed = oracle.max_modulus
-            passed = exp.status == DIVERGENT or _relative_error(computed, exp.value) <= tolerance
+            passed = (exp.status == DIVERGENT
+                      or _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE)
             if exp.status == DIVERGENT:
                 detail = "reference max modulus does not match the root oracle"
         elif method is None:
@@ -312,7 +316,7 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
             if row.applicability == "refused":
                 passed, detail = False, "; ".join(row.notes)
             elif exp.status != DIVERGENT:
-                passed = _relative_error(computed, exp.value) <= tolerance
+                passed = _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE
             elif rect is not None:
                 passed = row.verdict == "holds"
                 detail = "divergent reference; computed rectangle checked for root containment"
@@ -347,8 +351,8 @@ def run_fixture(name: str | Fixture, tolerance: float = 1e-7) -> FixtureReport:
     )
 
 
-def run_all_fixtures(tolerance: float = 1e-7) -> list[FixtureReport]:
-    return [run_fixture(name, tolerance) for name in FIXTURES]
+def run_all_fixtures() -> list[FixtureReport]:
+    return [run_fixture(name) for name in FIXTURES]
 
 
 # ---------------------------------------------------------------------------

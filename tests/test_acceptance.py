@@ -55,7 +55,7 @@ from zerobounds import (
     validate_bound,
     validate_rectangle,
 )
-from zerobounds.cartesian import _abs_power_sum
+from zerobounds.cartesian import _twice_abs
 
 
 def _rel(computed, reference):
@@ -291,7 +291,7 @@ def test_criterion_7_linear_algebra_invariants():
         rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-10 * max(np.linalg.norm(h), 1.0)
 
-        a = _abs_power_sum(h, 0.5) / 2  # |H|, from the |.| block_cartesian_radius computes
+        a = _twice_abs(h) / 2  # |H|, from the |.| block_cartesian_radius computes
         fro2 = np.linalg.norm(x) ** 2
         assert np.linalg.norm(a @ a - h @ h) <= 1e-9 * (1 + fro2)
         assert np.linalg.norm(a - a.conj().T) <= 1e-12 * (1 + fro2)

@@ -11,7 +11,6 @@ from conftest import dense_abs, random_matrix, random_polynomial
 from zerobounds import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
-    ExponentOutOfRangeError,
     HypothesisViolatedError,
     NegativeInputError,
     OddDegreeError,
@@ -148,21 +147,21 @@ def test_block_radius_dominates_sweep_on_companion_partitions():
         assert value >= numerical_radius_sweep(bc.companion)[0] - 1e-6
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_block_radius_dominates_sweep_on_generic_grids(s):
+def test_block_radius_dominates_sweep_on_generic_grids():
     rng = np.random.default_rng(107)
     for _ in range(6):
         m = int(rng.integers(2, 4))
         k = int(rng.integers(1, 4))
         grid = [[random_matrix(rng, k) for _ in range(m)] for _ in range(m)]
         whole = np.block(grid)
-        value = block_cartesian_radius(grid, s_exponent=s)
+        value = block_cartesian_radius(grid)
         assert value >= numerical_radius_sweep(whole)[0] - 1e-6
 
 
 def _psd_composition_radius(grid, s):
-    """block_cartesian_radius as first written: each power of |P| and |Q|
-    from its own eigensolve of the Gram matrix (4 per off-diagonal block)."""
+    """The paper's per-block bound at exponent s, as block_cartesian_radius was
+    first written: each power of |P| and |Q| from its own eigensolve of the
+    Gram matrix (4 per off-diagonal block)."""
     m = len(grid)
     weights = np.zeros((m, m))
     for k in range(m):
@@ -188,14 +187,13 @@ def test_block_radius_equals_the_psd_composition_with_two_eigensolves_per_block(
     rng = np.random.default_rng(109 + m)
     for trial in range(8):
         k = int(rng.integers(1, 5))
-        s = float(rng.uniform(0.05, 0.95))
         grid = [[random_matrix(rng, k) for _ in range(m)] for _ in range(m)]
-        want = _psd_composition_radius(grid, s)
+        want = _psd_composition_radius(grid, 0.5)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(zerobounds.cartesian, "hermitian_eigs", spy)
             patch.setattr(zerobounds.linalg, "hermitian_eigs", spy)
-            got = block_cartesian_radius(grid, s_exponent=s)
+            got = block_cartesian_radius(grid)
         assert abs(got - want) <= 1e-12 * want, (trial, got, want)
         # one per diagonal block for w(P^2 + Q^2), then 2 per off-diagonal block
         assert len(calls) == m + 2 * m * (m - 1)
@@ -211,11 +209,24 @@ def test_block_radius_rejects_bad_grids():
         block_cartesian_radius([])
 
 
-def test_block_radius_rejects_exponent_outside_open_interval():
-    h = np.eye(2)
-    for s in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ExponentOutOfRangeError):
-            block_cartesian_radius([[h]], s_exponent=s)
+def _dominance_grids():
+    rng = np.random.default_rng(113)
+    for m in (1, 2, 3):
+        for _ in range(4):
+            k = int(rng.integers(1, 5))
+            yield [[random_matrix(rng, k) for _ in range(m)] for _ in range(m)]
+    for degree in (4, 8, 16, 32, 64):
+        bc = build_block_companion(random_polynomial(rng, degree))
+        yield [[bc.a11, bc.a12], [bc.a21, bc.a22]]
+
+
+def test_block_radius_is_the_least_of_the_s_family():
+    # x^{2s} + x^{2(1-s)} >= 2x (AM-GM), so no exponent s beats s = 1/2
+    for grid in _dominance_grids():
+        value = block_cartesian_radius(grid)
+        assert abs(_psd_composition_radius(grid, 0.5) - value) <= 1e-12 * value
+        for s in (0.05, 0.25, 0.45, 0.55, 0.75, 0.95):
+            assert _psd_composition_radius(grid, s) >= value * (1 - 1e-12), (s, value)
 
 
 # ------------------------------------------------------------ cartesian disk

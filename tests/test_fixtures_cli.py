@@ -87,9 +87,10 @@ def test_fixture_text_marks_divergent_rows():
     assert "FAIL" not in text
 
 
-def test_strict_tolerance_fails_the_rounded_references():
+def test_strict_tolerance_fails_the_rounded_references(monkeypatch):
     # published values carry ~10 digits; demanding 1e-12 must fail
-    assert not run_fixture("table1", tolerance=1e-12).passed
+    monkeypatch.setattr(zerobounds.report, "FIXTURE_TOLERANCE", 1e-12)
+    assert not run_fixture("table1").passed
 
 
 def test_fixture_rows_follow_compare_refusals_and_validity():
@@ -323,11 +324,22 @@ def test_cli_parse_error_names_the_token(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "roots"])
+@pytest.mark.parametrize("poly, cause", [
+    ("0, 1", "leading coefficient is zero"),
+    ("1e-200, 1e200", "overflows"),
+    ("1e-320, 1", "overflows"),
+], ids=["zero", "quotient-overflow", "subnormal-leading"])
+def test_cli_bad_leading_coefficient_exits_two(command, poly, cause, capsys):
+    assert main([command, "--poly", poly]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and cause in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["compare", "--poly", "1, 2, 3", "--methods", "nope"],
-        ["compare", "--poly", "1, 2, 3", "--alpha", "1.5"],
         ["compare", "--poly", "1, 2, 3", "--variant", "linden=bogus"],
         ["compare", "--poly", "1, 2, 3", "--variant", "alpha=0.3"],
         ["fixture", "nope"],
@@ -427,24 +439,6 @@ def test_cli_bad_config_exits_two(tmp_path, capsys, content):
     cfg.write_text(content, encoding="utf-8")
     assert main(["compare", "--poly", "1, 2, 3", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-def test_cli_fixture_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
-        tmp_path, capsys, value):
-    assert main(["fixture", "table1", "--tolerance", value]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: --tolerance must be finite and >= 0")
-    cfg = tmp_path / "tolerance.cfg"
-    cfg.write_text(f"tolerance = {value}\n", encoding="utf-8")
-    assert main(["fixture", "table1", "--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: --tolerance must be finite and >= 0")
-
-
-def test_cli_fixture_accepts_a_zero_tolerance(capsys):
-    assert main(["fixture", "table1", "--tolerance", "0"]) == 1  # rounded references fail
-    assert "[FAIL] cauchy" not in capsys.readouterr().out  # 5 is exact
 
 
 def test_cli_missing_config_file_exits_two(tmp_path, capsys):

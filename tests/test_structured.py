@@ -25,7 +25,6 @@ from zerobounds.cartesian import cartesian_disk_parts
 from zerobounds.report import CompareOptions, run_compare
 
 ROWS = ("hermitian_rectangle", "cartesian_disk", "block_cartesian")
-S_EXPONENTS = (0.3, 0.5, 0.8)
 
 
 def _parts(a):
@@ -45,7 +44,7 @@ def _dense_disk_parts(bc):
     return coupling(bc.a11), coupling(bc.a22), coupling_n
 
 
-def _dense_block_radius(bc, s):
+def _dense_block_radius(bc):
     """block_cartesian_radius's dense route on the companion's 2 x 2 grid."""
     grid = [[bc.a11, bc.a12], [bc.a21, bc.a22]]
     weights = np.zeros((2, 2))
@@ -59,7 +58,7 @@ def _dense_block_radius(bc, s):
             for h in (p, q):
                 values, vectors = np.linalg.eigh(h)
                 mods = np.abs(values)
-                mixed = mixed + (vectors * (mods ** (2 * s) + mods ** (2 * (1 - s)))) @ vectors.conj().T
+                mixed = mixed + (vectors * (2 * mods)) @ vectors.conj().T
             weights[k, j] = operator_norm(mixed) ** 2 / 2
     return math.sqrt(np.linalg.eigvalsh((weights + weights.T) / 2)[-1])
 
@@ -85,9 +84,8 @@ def _assert_equivalent(p):
     for got, want in zip(cartesian_disk_parts(bc), _dense_disk_parts(bc)):
         assert abs(got - want) <= 1e-12 * want, (got, want)
     grid = [[bc.a11, bc.a12], [bc.a21, bc.a22]]
-    for s in S_EXPONENTS:
-        got, want = block_cartesian_radius(grid, s_exponent=s), _dense_block_radius(bc, s)
-        assert abs(got - want) <= 1e-12 * want, (s, got, want)
+    got, want = block_cartesian_radius(grid), _dense_block_radius(bc)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
     _assert_rectangle_matches(p)
 
 
