@@ -147,15 +147,17 @@ def test_block_radius_dominates_sweep_on_companion_partitions():
         assert value >= numerical_radius_sweep(bc.companion)[0] - 1e-6
 
 
-def test_block_radius_dominates_sweep_on_generic_grids():
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_block_radius_dominates_sweep_on_generic_grids(s):
+    # the paper's bound holds at every s in (0, 1); the library computes s = 1/2
     rng = np.random.default_rng(107)
     for _ in range(6):
         m = int(rng.integers(2, 4))
         k = int(rng.integers(1, 4))
         grid = [[random_matrix(rng, k) for _ in range(m)] for _ in range(m)]
-        whole = np.block(grid)
-        value = block_cartesian_radius(grid)
-        assert value >= numerical_radius_sweep(whole)[0] - 1e-6
+        floor = numerical_radius_sweep(np.block(grid))[0] - 1e-6
+        assert _psd_composition_radius(grid, s) >= floor
+        assert block_cartesian_radius(grid) >= floor
 
 
 def _psd_composition_radius(grid, s):

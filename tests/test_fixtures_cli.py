@@ -343,6 +343,7 @@ def test_cli_bad_leading_coefficient_exits_two(command, poly, cause, capsys):
         ["compare", "--poly", "1, 2, 3", "--variant", "linden=bogus"],
         ["compare", "--poly", "1, 2, 3", "--variant", "alpha=0.3"],
         ["fixture", "nope"],
+        ["compare", "--poly", "1, 2, 3", "--variant", "linden"],
     ],
 )
 def test_cli_bad_input_exits_two(argv, capsys):
