@@ -26,6 +26,7 @@ from .report import (
     format_compare_text,
     format_fixture_json,
     format_fixture_text,
+    format_roots_json,
     resolve_methods,
     run_all_fixtures,
     run_compare,
@@ -213,23 +214,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     p = parse_polynomial(args.poly)
     rootset = find_roots(p)
     if args.format == "json":
-        import json
-
-        payload = {
-            "degree": p.degree,
-            "max_modulus": format(rootset.max_modulus, ".12g"),
-            "iterations": rootset.iterations,
-            "roots": [
-                {
-                    "re": format(z.real, ".12g"),
-                    "im": format(z.imag, ".12g"),
-                    "modulus": format(abs(z), ".12g"),
-                    "residual": format(r, ".12g"),
-                }
-                for z, r in zip(rootset.roots, rootset.residuals)
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(format_roots_json(rootset))
     else:
         sys.stdout.write(
             f"degree {p.degree}, max |z| = {rootset.max_modulus:.10g}, "

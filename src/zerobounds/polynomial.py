@@ -52,6 +52,7 @@ class Polynomial:
             if not (abs(c.real) < float("inf") and abs(c.imag) < float("inf")):
                 raise ValueError("coefficients must be finite")
         object.__setattr__(self, "lower", coeffs)
+        object.__setattr__(self, "_descending", (1.0 + 0j, *reversed(coeffs)))
 
     @property
     def degree(self) -> int:
@@ -64,8 +65,8 @@ class Polynomial:
         return self.lower[k - 1]
 
     def descending(self) -> tuple[complex, ...]:
-        """(1, a_n, ..., a_1): coefficients from z**n down to the constant."""
-        return (1.0 + 0j,) + tuple(reversed(self.lower))
+        """(1, a_n, ..., a_1): coefficients from z**n down to the constant, built once."""
+        return self._descending
 
     def evaluate(self, z: complex) -> complex:
         return horner(self.descending(), z)
@@ -74,11 +75,14 @@ class Polynomial:
 def horner(descending, z):
     """Evaluate the polynomial with degree-descending coefficients at z.
 
-    z may be a scalar or a NumPy array, which is evaluated elementwise.
+    z may be a scalar or a NumPy array, which is evaluated elementwise into
+    one new array, updated in place; each step rounds as value * z + c does.
     """
-    value = 0j
-    for c in descending:
-        value = value * z + c
+    head, *tail = descending
+    value = 0j * z + head
+    for c in tail:
+        value *= z
+        value += c
     return value
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -42,23 +42,11 @@ from .polynomial import Polynomial, odd_reduce, parse_polynomial
 from .roots import RootSet, find_roots, validate_bound, validate_rectangle
 
 __all__ = [
-    "CompareOptions",
-    "ReportRow",
-    "CompareReport",
-    "FixtureCheck",
-    "FixtureReport",
-    "Method",
-    "METHODS",
-    "ALL_METHODS",
-    "resolve_methods",
-    "run_compare",
-    "run_fixture",
-    "run_all_fixtures",
-    "format_compare_text",
-    "format_compare_csv",
-    "format_compare_json",
-    "format_fixture_text",
-    "format_fixture_json",
+    "CompareOptions", "ReportRow", "CompareReport", "FixtureCheck", "FixtureReport",
+    "Method", "METHODS", "ALL_METHODS", "resolve_methods",
+    "run_compare", "run_fixture", "run_all_fixtures",
+    "format_compare_text", "format_compare_csv", "format_compare_json",
+    "format_fixture_text", "format_fixture_json", "format_roots_json",
 ]
 
 @dataclass(frozen=True)
@@ -416,53 +404,72 @@ def format_compare_csv(report: CompareReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    maxmod = report.oracle.max_modulus if report.oracle is not None else None
-    for row in report.rows:
-        writer.writerow([
-            row.method,
-            row.variant,
-            _f12(row.value),
-            row.applicability,
-            _f12(maxmod),
-            row.verdict,
-            _f12(row.margin),
-        ])
+    maxmod = _f12(report.oracle.max_modulus if report.oracle is not None else None)
+    writer.writerows([row.method, row.variant, _f12(row.value), row.applicability, maxmod,
+                      row.verdict, _f12(row.margin)] for row in report.rows)
     return out.getvalue()
 
 
+def _json(value: str | int | bool | None) -> str:
+    """One JSON scalar as json.dumps writes it; a string is ASCII-escaped."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _quote(value) if isinstance(value, str) else str(value)
+
+
+def _json12(value: float | None) -> str:
+    return _json(_f12(value))
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """json.dumps(indent=2)'s layout of an array of rendered items, opened at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(f"{indent}  {item}" for item in items) + f"\n{indent}]"
+
+
+def _json_object(keys: str, indent: str) -> str:
+    """A str.format template: json.dumps(indent=2)'s layout of an object, opened at indent."""
+    return "{{\n" + ",\n".join(f'{indent}  "{k}": {{}}' for k in keys.split()) + f"\n{indent}}}}}"
+
+
+_COMPARE_JSON = _json_object("degree coefficients oracle oracle_error reduced rows", "") + "\n"
+_ORACLE_JSON = _json_object("max_modulus iterations", "  ")
+_ROW_JSON = _json_object("method variant value applicability oracle_max_modulus verdict "
+                         "margin rank rectangle notes", "    ")
+_RECTANGLE_JSON = _json_object("re_lo re_hi im_lo im_hi", "      ")
+_FIXTURE_JSON = _json_object("name passed oracle_max_modulus checks", "  ")
+_CHECK_JSON = _json_object("method variant component status reference computed passed detail",
+                           "      ")
+_ROOTS_JSON = _json_object("degree max_modulus iterations roots", "") + "\n"
+_ROOT_JSON = _json_object("re im modulus residual", "    ")
+
+
 def format_compare_json(report: CompareReport) -> str:
-    maxmod = report.oracle.max_modulus if report.oracle is not None else None
-    payload = {
-        "degree": report.degree,
-        "coefficients": [_coefficient_text(c) for c in report.coefficients],
-        "oracle": None if report.oracle is None else {
-            "max_modulus": _f12(report.oracle.max_modulus),
-            "iterations": report.oracle.iterations,
-        },
-        "oracle_error": report.oracle_error,
-        "reduced": report.reduced,
-        "rows": [
-            {
-                "method": row.method,
-                "variant": row.variant,
-                "value": _f12(row.value),
-                "applicability": row.applicability,
-                "oracle_max_modulus": _f12(maxmod),
-                "verdict": row.verdict,
-                "margin": _f12(row.margin),
-                "rank": row.rank,
-                "rectangle": None if row.rectangle is None else {
-                    "re_lo": _f12(row.rectangle.re_lo),
-                    "re_hi": _f12(row.rectangle.re_hi),
-                    "im_lo": _f12(row.rectangle.im_lo),
-                    "im_hi": _f12(row.rectangle.im_hi),
-                },
-                "notes": list(row.notes),
-            }
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The report as json.dumps(payload, indent=2) + "\\n" writes it, built from
+    fixed templates: numbers are 12-significant-digit strings, and an absent
+    oracle, variant, value, verdict, margin, rank or rectangle is null."""
+    maxmod = _json12(report.oracle.max_modulus if report.oracle is not None else None)
+    oracle = "null" if report.oracle is None else _ORACLE_JSON.format(
+        maxmod, _json(report.oracle.iterations))
+    rows = [
+        _ROW_JSON.format(
+            _json(row.method), _json(row.variant), _json12(row.value),
+            _json(row.applicability), maxmod, _json(row.verdict), _json12(row.margin),
+            _json(row.rank),
+            "null" if (rect := row.rectangle) is None else _RECTANGLE_JSON.format(
+                *map(_json12, (rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi))),
+            _json_list([_json(note) for note in row.notes], "      "),
+        )
+        for row in report.rows
+    ]
+    return _COMPARE_JSON.format(
+        _json(report.degree),
+        _json_list([_json(_coefficient_text(c)) for c in report.coefficients], "  "),
+        oracle, _json(report.oracle_error), _json(report.reduced), _json_list(rows, "  "),
+    )
 
 
 def format_fixture_text(report: FixtureReport) -> str:
@@ -489,26 +496,28 @@ def format_fixture_text(report: FixtureReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+
+
 def format_fixture_json(reports: list[FixtureReport]) -> str:
-    payload = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "oracle_max_modulus": _f12(r.oracle_max_modulus),
-            "checks": [
-                {
-                    "method": c.method,
-                    "variant": c.variant,
-                    "component": c.component,
-                    "status": c.status,
-                    "reference": None if math.isnan(c.reference) else _f12(c.reference),
-                    "computed": None if math.isnan(c.computed) else _f12(c.computed),
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
+    """The reports as json.dumps(payload, indent=2) + "\\n" writes them; a NaN
+    reference or computed value (a guard or verdict check) is null."""
+    return _json_list([
+        _FIXTURE_JSON.format(
+            _json(r.name), _json(r.passed), _json12(r.oracle_max_modulus),
+            _json_list([
+                _CHECK_JSON.format(
+                    _json(c.method), _json(c.variant), _json(c.component), _json(c.status),
+                    *("null" if math.isnan(x) else _json12(x) for x in (c.reference, c.computed)),
+                    _json(c.passed), _json(c.detail))
                 for c in r.checks
-            ],
-        }
+            ], "    "))
         for r in reports
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    ], "") + "\n"
+
+
+def format_roots_json(roots: RootSet) -> str:
+    """The roots with their moduli and residuals, in the layout of json.dumps(indent=2)."""
+    return _ROOTS_JSON.format(
+        len(roots.roots), _json12(roots.max_modulus), roots.iterations,
+        _json_list([_ROOT_JSON.format(*map(_json12, (z.real, z.imag, abs(z), r)))
+                    for z, r in zip(roots.roots, roots.residuals)], "  "))

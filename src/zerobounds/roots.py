@@ -51,21 +51,23 @@ class Verdict:
 def _durand_kerner_pass(descending, z, tol):
     """Weierstrass updates until the max step is <= tol.
 
-    Returns (z, iterations, failure); failure is None on convergence, else
-    the cause. A non-finite step ends the pass at once (NaN and inf iterates
-    never recover), and so does a stall: every |p(z_i)| within the rounding
-    level 4n*eps*sum|a_k||z_i|^k, past which no step can meet tol. The stall
-    is checked only at iterations 2^j >= 2n, after generic input has
-    converged (in about 1.2-1.5n), and so costs at most the iterations
-    already spent.
+    Returns (z, iterations, failure); failure is None on convergence, else the
+    cause. A non-finite step ends the pass at once (NaN and inf iterates never
+    recover), and so does a stall: every |p(z_i)| within the rounding level
+    4n*eps*sum|a_k||z_i|^k, past which no step can meet tol. The stall is
+    checked only at iterations 2^j >= 2n, after generic input has converged (in
+    about 1.2-1.5n), and so costs at most the iterations already spent. Each
+    iteration calls horner once and refills one n x n buffer of z_i - z_j.
     """
     n = len(z)
     magnitudes = np.abs(descending)
     rounding = 4 * n * np.finfo(float).eps
+    diff = np.empty((n, n), dtype=complex)
+    diagonal = diff.reshape(-1)[::n + 1]
     for iteration in range(1, _MAX_ITERATIONS + 1):
         p_values = horner(descending, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+        np.subtract.outer(z, z, out=diff)
+        diagonal[:] = 1.0
         step = p_values / diff.prod(axis=1)
         largest = float(np.max(np.abs(step)))
         if largest <= tol:
@@ -91,7 +93,7 @@ def find_roots(p: Polynomial) -> RootSet:
     exceeds 1e-8 * prod(1 + |z_i|). Deterministic for fixed input.
     """
     n = p.degree
-    descending = np.asarray(p.descending())
+    descending = p.descending()
     scale = 1.0 + max(abs(c) for c in p.lower)
     tol = 1e-13 * scale
 

@@ -5,12 +5,14 @@ The files under tests/golden/ hold the output of
     zerobounds compare --poly <fixture coefficients> --format json --methods all
 
 for each of the eight fixtures, and of ``zerobounds fixture all --format json``.
-Five more files cover the paths the defaults do not reach: the non-default
+Seven more files cover the paths the defaults do not reach: the non-default
 ``linden`` / ``kittaneh`` variants (CSV and text, on table1), an
 odd-degree input with a zero constant term, whose partition methods run on
 the even quotient (text), h1 under ``--strict-mw``, whose mw row is refused
-with the guard's reasons (JSON), and a quartic whose ``unit_tail_disk`` row
-is valid with sign -1 (text).
+with the guard's reasons (JSON), a quartic whose ``unit_tail_disk`` row
+is valid with sign -1 (text), and (z - 1)^4 in JSON twice: once with the
+oracle, whose stall leaves ``oracle`` null beside an ``oracle_error``
+string (exit 4), and once under ``--no-oracle``, where both are null.
 A change that is meant to keep behaviour (a refactor or a faster route to the
 same numbers) must leave them untouched; a change that moves a printed value
 has to regenerate them and say why.
@@ -26,8 +28,8 @@ from zerobounds.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _cli_output(capsys, argv):
-    main(argv)
+def _cli_output(capsys, argv, exit_code=0):
+    assert main(argv) == exit_code
     return capsys.readouterr().out
 
 
@@ -47,18 +49,22 @@ def test_fixture_all_json_matches_golden(capsys):
 _TABLE1_VARIANTS = ["compare", "--poly", FIXTURES["table1"].coefficients, "--methods", "all",
                     "--variant", "linden=table", "--variant", "kittaneh=plus_one"]
 
+_QUARTIC = ["compare", "--poly", "1, -4, 6, -4, 1", "--methods", "all"]  # (z - 1)^4
 
-@pytest.mark.parametrize("argv, golden", [
-    (_TABLE1_VARIANTS + ["--format", "csv"], "compare_table1_variants.csv"),
-    (_TABLE1_VARIANTS + ["--format", "text"], "compare_table1_variants.txt"),
+
+@pytest.mark.parametrize("argv, golden, exit_code", [
+    (_TABLE1_VARIANTS + ["--format", "csv"], "compare_table1_variants.csv", 0),
+    (_TABLE1_VARIANTS + ["--format", "text"], "compare_table1_variants.txt", 0),
     (["compare", "--poly", "2, 1/3, 0, 1/4, 1/5, 0", "--methods", "all", "--format", "text"],
-     "compare_odd_reduced.txt"),
+     "compare_odd_reduced.txt", 0),
     (["compare", "--poly", FIXTURES["h1"].coefficients, "--methods", "all", "--strict-mw",
-      "--format", "json"], "compare_h1_strict_mw.json"),
+      "--format", "json"], "compare_h1_strict_mw.json", 3),
     (["compare", "--poly", "1, 1/2, 1/3, 0, -1", "--methods", "all", "--format", "text"],
-     "compare_unit_tail.txt"),
+     "compare_unit_tail.txt", 0),
+    (_QUARTIC + ["--format", "json"], "compare_quartic_oracle_error.json", 4),
+    (_QUARTIC + ["--format", "json", "--no-oracle"], "compare_quartic_no_oracle.json", 0),
 ], ids=["table1-variants-csv", "table1-variants-text", "odd-reduced-text", "h1-strict-mw-json",
-        "unit-tail-text"])
-def test_non_default_paths_match_golden(capsys, argv, golden):
+        "unit-tail-text", "oracle-error-json", "no-oracle-json"])
+def test_non_default_paths_match_golden(capsys, argv, golden, exit_code):
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
-    assert _cli_output(capsys, argv) == expected
+    assert _cli_output(capsys, argv, exit_code) == expected

@@ -185,3 +185,48 @@ def test_descending_returns_monic_leading_one():
     desc = p.descending()
     assert desc[0] == 1
     assert len(desc) == p.degree + 1
+
+
+def _horner_one_step_at_a_time(descending, z):
+    """Horner as value = value * z + c from value = 0j: the rounding horner keeps."""
+    value = 0j
+    for c in descending:
+        value = value * z + c
+    return value
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e200, float("inf"), float("nan")]
+_COMPLEX_Z = np.array([complex(a, b) for a in _SPECIAL for b in _SPECIAL]
+                      + list(np.random.default_rng(8).normal(size=40) * (1 + 1j)))
+_COMPLEX_COEFFS = [1 + 0j, -0.0 - 2j, 3.5 + 0.25j, 0j, -1e150 + 1j]
+
+
+@pytest.mark.parametrize("descending, z", [
+    (_COMPLEX_COEFFS, _COMPLEX_Z),
+    (np.array(_COMPLEX_COEFFS), _COMPLEX_Z),
+    (tuple(_COMPLEX_COEFFS), _COMPLEX_Z[::-3]),
+    (np.abs(_COMPLEX_COEFFS), np.abs(_COMPLEX_Z)),  # the oracle's rounding-level bound
+    ([1.0, -0.0, 2.0], np.array(_SPECIAL)),
+    (_COMPLEX_COEFFS, np.array(0.5 - 1.5j)),
+    (_COMPLEX_COEFFS, np.array(-0.0)),
+    (_COMPLEX_COEFFS, np.complex128(0.3 - 1j)),
+    (_COMPLEX_COEFFS, np.float64(-2.5)),
+    (_COMPLEX_COEFFS, 0.3 - 1j),
+    (_COMPLEX_COEFFS, -0.0),
+    (_COMPLEX_COEFFS, complex("inf-1j")),
+    ([2 - 1j], _COMPLEX_Z),
+    ([2 - 1j], 0.5 + 0.5j),
+    ([-0.0], np.array(-0.0 - 0.0j)),
+], ids=["list-array", "ndarray-array", "tuple-strided", "float-float", "float-specials",
+        "0d-complex", "0d-float", "np-complex", "np-float", "py-complex", "py-negative-zero",
+        "py-inf", "one-coefficient-array", "one-coefficient-scalar", "one-coefficient-0d"])
+def test_horner_is_bitwise_the_one_step_loop_and_leaves_z_alone(descending, z):
+    before = np.array(z, copy=True)
+    with np.errstate(all="ignore"):
+        got = zerobounds.polynomial.horner(descending, z)
+        want = _horner_one_step_at_a_time(descending, z)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
+    assert np.asarray(z).tobytes() == before.tobytes()
+    assert not np.shares_memory(got, z)
