@@ -9,8 +9,8 @@ parts of the full matrix (or of an individual block where stated).
 
 The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
 A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
-compare's rows work from the first row, with no n x n eigensolve; the dense
-eigensolves remain for general blocks.
+compare's Cartesian disk rows are closed forms of the first row whose one
+eigensolve (for w1) has size <= 4; the dense eigensolves serve general blocks.
 """
 
 from __future__ import annotations
@@ -114,14 +114,10 @@ def radius_from_pm_coupling(w_a: float, w_d: float, w_plus: float, w_minus: floa
     return coupled(w_a, w_d, w_plus + w_minus)
 
 
-def _lam_max(h: np.ndarray) -> float:
-    return float(hermitian_eigs(h).values[-1])
-
-
 def _diag_coupling(block: np.ndarray) -> float:
     """w(P^2 + Q^2) for the Cartesian parts of one square block."""
     p, q = cartesian_parts(block)
-    return _lam_max(p @ p + q @ q)
+    return float(hermitian_eigs(p @ p + q @ q).values[-1])
 
 
 def _twice_abs(h: np.ndarray) -> np.ndarray:
@@ -132,32 +128,34 @@ def _twice_abs(h: np.ndarray) -> np.ndarray:
     return (eig.vectors * (mods + mods)) @ eig.vectors.conj().T
 
 
-def _companion_diagonal_couplings(r: np.ndarray) -> tuple[float, float]:
-    """(w(P11^2 + Q11^2), w(P22^2 + Q22^2)) for the n x n blocks of a companion
-    matrix whose first row begins with r, n = r.size >= 2.
-
-    P_kk^2 + Q_kk^2 = (A_kk* A_kk + A_kk A_kk*)/2 is PSD, so w is its lambda_max.
-    For A22 = Z it is diag(1/2, 1, ..., 1, 1/2); for A11 = Z + e_1 r^T it is I
-    plus the difference that _leading_block_gram compresses.
+def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex, float]:
+    """(w1, w2, s_1, t = |(s_2, ..., s_n)|) of a companion matrix with first
+    row (r, s) in n x n blocks, n >= 2. w_k = w(P_kk^2 + Q_kk^2) is lambda_max
+    of the PSD (A_kk* A_kk + A_kk A_kk*)/2: diag(1/2, 1, ..., 1, 1/2) for
+    A22 = Z, and I plus the difference _leading_block_gram compresses for A11.
     """
-    return 1.0 + _lam_max(_leading_block_gram(r)), 1.0 if r.size > 2 else 0.5
+    w1 = 1.0 + float(hermitian_eigs(_leading_block_gram(row[:n])).values[-1])
+    return w1, 1.0 if n > 2 else 0.5, complex(row[n]), math.hypot(*np.abs(row[n + 1:]))
 
 
-def _companion_block_weights(row: np.ndarray, n: int) -> np.ndarray:
-    """block_cartesian_radius's 2 x 2 weights for a companion matrix with first
-    row (r, s) in n x n blocks, n >= 2, without an n x n eigensolve.
-
-    A12 = e_1 s^T maps span{e_1, u}, u = (0, conj(s_2), ..., conj(s_n)) / t
-    with t = |(s_2, ..., s_n)|, into itself as [[s_1, t], [0, 0]], and both A12
-    and A12* vanish on the rest of C^n, so |P12| and |Q12| are those of that
-    2 x 2 block. A21 = e_1 e_n^T has Cartesian parts of modulus I/2 on
-    span{e_1, e_n} and 0 off it, so its norm is 2 and its weight 2^2 / 2 = 2.
-    """
-    w1, w2 = _companion_diagonal_couplings(row[:n])
-    s = row[n:]
-    p12, q12 = cartesian_parts(np.array([[s[0], math.hypot(*np.abs(s[1:]))], [0.0, 0.0]]))
-    norm12 = operator_norm(_twice_abs(p12) + _twice_abs(q12))
-    return np.array([[2 * w1, norm12 * norm12 / 2], [2.0, 2 * w2]])
+def _companion_block_cartesian(row: np.ndarray, n: int) -> float:
+    """block_cartesian_radius on a companion matrix with first row (r, s) in
+    n x n blocks, n >= 2. A12 = e_1 s^T acts as [[s_1, t], [0, 0]] on
+    span{e_1, (0, conj(s_2), ..., conj(s_n)) / t} and, with A12*, as 0 off it.
+    There a Cartesian part H with trace x (Re s_1 or Im s_1) has determinant
+    -t^2/4 and eigenvalue gap g = hypot(x, t), so |H| = (H^2 + (t^2/4) I) / g =
+    (x/g) H + (t^2/2g) I (0 when g = 0, where x = t = 0). M = 2|P12| + 2|Q12|
+    is thus (t^2/g_P + t^2/g_Q) I + 2 (x_P/g_P) P12 + 2 (x_Q/g_Q) Q12. A21 =
+    e_1 e_n^T weighs 2^2 / 2 = 2; w of [[2 w1, ||M||^2 / 2], [2, 2 w2]] is the
+    lambda_max of its symmetric part."""
+    w1, w2, s1, t = _companion_row_parts(row, n)
+    x, y = s1.real, s1.imag
+    p, q = math.atan2(t, x), math.atan2(t, y)  # x/g = cos, t/g = sin without forming g
+    norm12 = t * (math.sin(p) + math.sin(q)) + coupled(
+        2 * (x * math.cos(p) + y * math.cos(q)), 0.0, 2 * t * math.hypot(math.cos(p), math.cos(q)))
+    weight12 = norm12 * norm12 / 2
+    as_matrix([[2 * w1, weight12]], square=False)  # refuses an overflowed weight
+    return math.sqrt(coupled(2 * w1, 2 * w2, weight12 + 2))
 
 
 def block_cartesian_radius(blocks) -> float:
@@ -171,8 +169,8 @@ def block_cartesian_radius(blocks) -> float:
     >= 2x by AM-GM); the diagonal weights do not depend on s, and w of a
     nonnegative matrix grows with its entries, so s = 1/2 is the least bound.
     A 2 x 2 grid of blocks of size >= 2 that assembles to a companion matrix
-    gets its weights from the first row (_companion_block_weights); any other
-    grid from dense eigensolves of its blocks.
+    takes the closed form of _companion_block_cartesian; any other grid takes
+    dense eigensolves of its blocks.
     """
     grid = [[as_matrix(b) for b in row] for row in blocks]
     m = len(grid)
@@ -183,7 +181,7 @@ def block_cartesian_radius(blocks) -> float:
         raise BlockShapeMismatchError("all blocks must be square and of equal size")
 
     if m == 2 and size >= 2 and _is_companion(whole := np.block(grid)):
-        return math.sqrt(nonneg_numrad(_companion_block_weights(whole[0], size)))
+        return _companion_block_cartesian(whole[0], size)
     weights = np.zeros((m, m))
     for k in range(m):
         weights[k, k] = m * _diag_coupling(grid[k][k])
@@ -210,13 +208,12 @@ def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
     (Y + det(Y)^{1/2} I) / (tr Y + 2 det(Y)^{1/2})^{1/2} for a 2 x 2 PSD Y,
     |P21| + |Q21| = diag(|s|^2 + t, 1 + t) / (|s|^2 + 1 + 2t)^{1/2} there.
     """
-    n = bc.n
     row = bc.companion[0]
-    w1, w2 = _companion_diagonal_couplings(row[:n])
-    s = row[n:]
-    x = as_matrix([[np.vdot(s, s).real, s[0]], [np.conj(s[0]), 1.0]])  # refuses an overflowed |s|^2
-    squared, t = float(x[0, 0].real), math.hypot(*np.abs(s[1:]))
-    coupling = math.sqrt(coupled(squared, 1.0, 2 * abs(s[0]))) + (
+    w1, w2, s1, t = _companion_row_parts(row, bc.n)
+    s = row[bc.n:]
+    squared = float(np.vdot(s, s).real)
+    as_matrix([[squared]])  # refuses an overflowed |s|^2
+    coupling = math.sqrt(coupled(squared, 1.0, 2 * abs(s1))) + (
         (max(squared, 1.0) + t) / math.sqrt(squared + 1.0 + 2 * t))
     return w1, w2, coupling
 

@@ -73,12 +73,12 @@ class HermitianEigen(NamedTuple):
 def hermitian_eigs(a) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Hermiticity is checked up to 1e-12 relative to the largest entry;
-    anything worse raises NotHermitianError rather than silently
+    Hermiticity is checked up to 1e-12 relative to the largest entry, at
+    any scale; anything worse raises NotHermitianError rather than silently
     symmetrizing garbage.
     """
     m = as_matrix(a)
-    scale = 1.0 + float(np.max(np.abs(m)))
+    scale = float(np.max(np.abs(m)))
     if float(np.max(np.abs(m - m.conj().T))) > _HERMITIAN_RTOL * scale:
         raise NotHermitianError("matrix is not Hermitian to working precision")
     values, vectors = np.linalg.eigh(m)

@@ -267,8 +267,8 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
     asserted for equality; instead the reference and computed values are
     reported side by side and both are checked for validity against the
     oracle (disk values must dominate the max root modulus, rectangles must
-    contain every root). A refused row, an unknown method and a variant the
-    method does not have each fail their check.
+    contain every root). A refused row, an unknown method, and a variant or
+    component (rectangles take re_half or im_half) the method lacks each fail.
     """
     fixture = get_fixture(name) if isinstance(name, str) else name
     p = fixture.polynomial()
@@ -291,6 +291,8 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
             passed = False
             detail = (f"method {exp.method!r} has no variant {exp.variant!r}" if method.variants
                       else f"method {exp.method!r} has no variants")
+        elif exp.component not in ((None,) if method.kind == "disk" else ("re_half", "im_half")):
+            passed, detail = False, f"method {exp.method!r} has no component {exp.component!r}"
         else:
             opt = CompareOptions(**({} if exp.variant is None else {method.option: exp.variant}))
             row = _row(exp.method, p, quotient, reduced, opt, oracle)

@@ -78,5 +78,5 @@ def toeplitz_spectral_radius(t: TriToeplitz) -> float:
 
 
 def is_normal(t: TriToeplitz) -> bool:
-    """Normality test: |b| = |c| within 1e-12."""
-    return abs(abs(t.b) - abs(t.c)) <= 1e-12
+    """Normality test: |b| = |c| within 1e-12 relative to the larger."""
+    return abs(abs(t.b) - abs(t.c)) <= 1e-12 * max(abs(t.b), abs(t.c))

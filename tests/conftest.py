@@ -18,9 +18,10 @@ def random_matrix(rng, n, complex_entries=True):
 
 
 def dense_abs(x, power=1.0):
-    """|X|^power = (X* X)^(power/2), from one dense eigendecomposition of the
-    Gram matrix, its roundoff-negative eigenvalues clamped to zero: the
-    reference the structured kernels are checked against."""
-    gram = x.conj().T @ x
-    values, vectors = np.linalg.eigh((gram + gram.conj().T) / 2)
-    return (vectors * np.clip(values, 0.0, None) ** (power / 2)) @ vectors.conj().T
+    """|X|^power = (X* X)^(power/2) = V S^power V* from one dense SVD
+    X = U S V*: the reference the structured kernels are checked against.
+    The singular values keep an absolute error of eps ||X||, where the square
+    roots of the Gram matrix's eigenvalues would have sqrt(eps) ||X|| at a
+    singular X."""
+    _, values, vh = np.linalg.svd(x)
+    return (vh.conj().T * values ** power) @ vh

@@ -121,14 +121,21 @@ def test_fixture_rows_name_unknown_methods_and_variants():
         Expectation("cauchy", 1.0, "exact", variant="table"),
         Expectation("linden", 1.0, "exact", variant="bogus"),
         Expectation("cauchy", 5.0, "exact"),
+        Expectation("cauchy", 5.0, "exact", component="re_half"),
+        Expectation("kittaneh_rectangle", 1.0, "exact", component="re_hlaf"),
+        Expectation("kittaneh_rectangle", 1.0, "exact"),
     )))
     assert [(c.method, c.passed, c.detail) for c in report.checks] == [
         ("nope", False, "unknown method 'nope'"),
         ("cauchy", False, "method 'cauchy' has no variants"),
         ("linden", False, "method 'linden' has no variant 'bogus'"),
         ("cauchy", True, ""),
+        ("cauchy", False, "method 'cauchy' has no component 're_half'"),
+        ("kittaneh_rectangle", False, "method 'kittaneh_rectangle' has no component 're_hlaf'"),
+        ("kittaneh_rectangle", False, "method 'kittaneh_rectangle' has no component None"),
     ]
-    assert json.loads(format_fixture_json([report]))[0]["checks"][0]["computed"] is None
+    checks = json.loads(format_fixture_json([report]))[0]["checks"]
+    assert [check["computed"] for check in checks] == [None, None, None, "5", None, None, None]
 
 
 def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):

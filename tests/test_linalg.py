@@ -55,6 +55,11 @@ def test_hermitian_eigs_reconstruction_and_invariants():
 def test_hermitian_eigs_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitianError):  # the tolerance is relative at every scale
+        hermitian_eigs(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+    tiny = 1e-300 * np.array([[2.0, 1 - 1j], [1 + 1j, -1.0]])
+    assert np.allclose(hermitian_eigs(tiny).values / 1e-300, [-1.5615528128, 2.5615528128])
+    assert list(hermitian_eigs(np.zeros((2, 2))).values) == [0.0, 0.0]
 
 
 def test_operator_norm_matches_largest_singular_value():

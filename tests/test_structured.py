@@ -125,6 +125,9 @@ def test_structured_rows_match_the_dense_compositions(n, seed, complex_coeffs, z
     "1, 0, 0, 0, 0",  # z^4, the shift: r = s = 0
     "1, 2, 0, 0, 0, 0, 0, 0, 3",  # r and s with one entry each
     "1, 1/2i, -3, 0, 1, 0, 2i, 0, 0, 1, 1, 0, -1",
+    "1, 0, 0, 3, 0",  # t = 0 and s_1 real
+    "1, 0, 0, 2i, 0",  # t = 0 and s_1 imaginary
+    "1, 1, 1, 0, 5",  # s_1 = 0
 ])
 def test_structured_rows_match_on_sparse_rows(poly):
     _assert_equivalent(parse_polynomial(poly))
@@ -138,16 +141,33 @@ def test_each_rectangle_part_is_scaled_by_its_own_largest_entry():
     assert (r.im_lo, r.im_hi) == (-1.0, 1.0)
 
 
-def test_compare_rows_solve_nothing_larger_than_4x4(monkeypatch):
-    shapes = []
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(name, shape) of every eigh, eigvalsh and norm call: the LAPACK kernels
+    the benchmark tracer counts."""
+    calls = []
     for name in ("eigh", "eigvalsh", "norm"):
-        def spy(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def _degree_128():
     rng = np.random.default_rng(10)
-    p = Polynomial(tuple(rng.normal(size=128) + 1j * rng.normal(size=128)))
-    report = run_compare(p, CompareOptions(methods=ROWS, oracle=False))
+    return Polynomial(tuple(rng.normal(size=128) + 1j * rng.normal(size=128)))
+
+
+def test_compare_rows_solve_nothing_larger_than_4x4(kernel_calls):
+    report = run_compare(_degree_128(), CompareOptions(methods=ROWS, oracle=False))
     assert [row.applicability for row in report.rows] == ["valid"] * 3
-    assert shapes and max(max(shape) for shape in shapes) <= 4
+    assert kernel_calls and max(max(shape) for _, shape in kernel_calls) <= 4
+
+
+def test_block_cartesian_on_a_companion_makes_one_eigensolve(kernel_calls):
+    # w1's compressed 4 x 4 eigh; the A12 weight and the 2 x 2 coupling are closed forms
+    report = run_compare(_degree_128(), CompareOptions(methods=("block_cartesian",), oracle=False))
+    assert report.rows[0].applicability == "valid"
+    assert kernel_calls == [("eigh", (4, 4))]

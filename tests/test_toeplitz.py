@@ -65,6 +65,7 @@ def test_normality_detection():
     assert is_normal(TriToeplitz(4, 2j, 1, -2))  # |b| = |c| = 2
     assert is_normal(TriToeplitz(4, 0, 1, 0))
     assert not is_normal(TriToeplitz(4, 1, 0, 2))
+    assert not is_normal(TriToeplitz(4, 1e-13, 0, 0))  # nonzero and nilpotent
 
 
 def test_normal_case_numerical_radius_equals_spectral_radius():
