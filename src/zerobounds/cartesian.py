@@ -10,7 +10,9 @@ parts of the full matrix (or of an individual block where stated).
 The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
 A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
 compare's Cartesian disk rows are closed forms of the first row whose one
-eigensolve (for w1) has size <= 4; the dense eigensolves serve general blocks.
+eigensolve (for w1) has size <= 4. block_cartesian_radius takes that closed
+form when it is handed a BlockCompanion; the dense eigensolves serve general
+grids of blocks.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import BoundResult, coupled
-from .companion import (
-    BlockCompanion,
-    _bordered_hermitian_part,
-    _leading_block_gram,
-    build_companion,
-    cartesian_parts,
-)
+from .companion import BlockCompanion, build_companion, cartesian_parts
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -35,14 +31,7 @@ from .errors import (
     NegativeInputError,
     OddDegreeError,
 )
-from .linalg import (
-    _is_companion,
-    _largest_secular_root,
-    as_matrix,
-    hermitian_eigs,
-    nonneg_numrad,
-    operator_norm,
-)
+from .linalg import _companion_peaks, as_matrix, hermitian_eigs, nonneg_numrad, operator_norm
 from .polynomial import Polynomial
 
 __all__ = [
@@ -132,9 +121,27 @@ def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex
     """(w1, w2, s_1, t = |(s_2, ..., s_n)|) of a companion matrix with first
     row (r, s) in n x n blocks, n >= 2. w_k = w(P_kk^2 + Q_kk^2) is lambda_max
     of the PSD (A_kk* A_kk + A_kk A_kk*)/2: diag(1/2, 1, ..., 1, 1/2) for
-    A22 = Z, and I plus the difference _leading_block_gram compresses for A11.
+    A22 = Z, and I plus a difference compressed to at most 4 x 4 for
+    A11 = Z + e_1 r^T, with Z the down-shift.
+
+    As Z^T e_1 = 0, A11* A11 = I - e_n e_n^T + conj(r) r^T and
+    A11 A11* = I - e_1 e_1^T + |r|^2 e_1 e_1^T + Z conj(r) e_1^T + e_1 (Z conj(r))*,
+    so the difference is V B V* with V = [e_1, e_n, conj(r), Z conj(r)] and the
+    4 x 4 B below. With V = Q R, Q's columns orthonormal, it is Q (R B R*) Q*,
+    so R B R* has the difference's eigenvalues on range(Q), all of C^n when
+    n <= 4. When n > 4 the difference also has the eigenvalue 0, which never
+    exceeds R B R*'s largest: R B R* is singular, or congruent to B, which has
+    two positive eigenvalues. Only |r|^2 is squared, so only it can overflow.
     """
-    w1 = 1.0 + float(hermitian_eigs(_leading_block_gram(row[:n])).values[-1])
+    r = row[:n]
+    basis = np.zeros((n, 4), dtype=complex)
+    basis[0, 0] = basis[-1, 1] = 1.0
+    basis[:, 2] = np.conj(r)
+    basis[1:, 3] = np.conj(r[:-1])
+    tri = np.linalg.qr(basis, mode="r")
+    squared = float(np.vdot(r, r).real)
+    b = np.array([[squared - 1, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]) / 2
+    w1 = 1.0 + float(hermitian_eigs(tri @ b @ tri.conj().T).values[-1])
     return w1, 1.0 if n > 2 else 0.5, complex(row[n]), math.hypot(*np.abs(row[n + 1:]))
 
 
@@ -153,7 +160,7 @@ def _companion_block_cartesian(row: np.ndarray, n: int) -> float:
     p, q = math.atan2(t, x), math.atan2(t, y)  # x/g = cos, t/g = sin without forming g
     norm12 = t * (math.sin(p) + math.sin(q)) + coupled(
         2 * (x * math.cos(p) + y * math.cos(q)), 0.0, 2 * t * math.hypot(math.cos(p), math.cos(q)))
-    weight12 = norm12 * norm12 / 2
+    weight12 = norm12 * (norm12 / 2)  # halved first: the square may overflow, the weight not
     as_matrix([[2 * w1, weight12]], square=False)  # refuses an overflowed weight
     return math.sqrt(coupled(2 * w1, 2 * w2, weight12 + 2))
 
@@ -168,10 +175,13 @@ def block_cartesian_radius(blocks) -> float:
     in place of 2|X|, which it dominates in the PSD order (x^{2s} + x^{2(1-s)}
     >= 2x by AM-GM); the diagonal weights do not depend on s, and w of a
     nonnegative matrix grows with its entries, so s = 1/2 is the least bound.
-    A 2 x 2 grid of blocks of size >= 2 that assembles to a companion matrix
-    takes the closed form of _companion_block_cartesian; any other grid takes
-    dense eigensolves of its blocks.
+    blocks is a BlockCompanion, which takes the closed form of
+    _companion_block_cartesian from its first row, or any square grid of
+    equal square blocks, which takes dense eigensolves of its blocks (also
+    when it happens to assemble to a companion matrix).
     """
+    if isinstance(blocks, BlockCompanion):
+        return _companion_block_cartesian(blocks.companion[0], blocks.n)
     grid = [[as_matrix(b) for b in row] for row in blocks]
     m = len(grid)
     if m == 0 or any(len(row) != m for row in grid):
@@ -180,8 +190,6 @@ def block_cartesian_radius(blocks) -> float:
     if any(b.shape != (size, size) for row in grid for b in row):
         raise BlockShapeMismatchError("all blocks must be square and of equal size")
 
-    if m == 2 and size >= 2 and _is_companion(whole := np.block(grid)):
-        return _companion_block_cartesian(whole[0], size)
     weights = np.zeros((m, m))
     for k in range(m):
         weights[k, k] = m * _diag_coupling(grid[k][k])
@@ -384,16 +392,16 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0),
     Im C = H(-pi/2) and lam_min(H(theta)) = -lam_max(H(theta + pi)), so the
     four extents are lambda_max at four angles, from one batched secular
-    equation (numerical_radius_sweep's companion route). Each part is scaled
-    by its own largest entry, so a huge Re C cannot wash out Im C.
+    equation (linalg._companion_peaks, the sweep's companion route). Each
+    part is scaled by its own largest entry, so a huge Re C cannot wash out
+    Im C.
     """
     row = build_companion(p)[0]
     # the rest of the first row, halved, and the subdiagonal's 1/2 (degree >= 3)
     rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
     scales = np.repeat([max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0,
                         max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0], 2)
-    mu, at = _bordered_hermitian_part(row, scales)
     # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2: the powers of i, exactly
     turns = np.array([1, -1j, -1, 1j])[np.outer([0, 2, 1, 3], np.arange(1, row.size + 1)) % 4]
-    re_hi, re_neg, im_hi, im_neg = map(float, scales * _largest_secular_root(*at(turns), mu))
+    re_hi, re_neg, im_hi, im_neg = map(float, scales * _companion_peaks(row, scales)(turns))
     return Rectangle(0.0 - re_neg, re_hi, 0.0 - im_neg, im_hi)  # 0.0 - 0.0 is +0.0

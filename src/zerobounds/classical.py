@@ -61,8 +61,9 @@ def _moduli(p: Polynomial) -> list[float]:
 
 def coupled(x: float, y: float, *off: float) -> float:
     """(x + y + sqrt((x - y)^2 + sum off^2)) / 2, the coupling root that ends every
-    partitioned bound; hypot scales the squares, so it is finite when representable."""
-    return (x + y + math.hypot(x - y, *off)) / 2
+    partitioned bound; hypot scales the squares, and each term is halved before
+    the sum (exactly, for normal floats), so it is finite when representable."""
+    return x / 2 + y / 2 + math.hypot(x - y, *off) / 2
 
 
 def cauchy(p: Polynomial) -> BoundResult:

@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fixture = sub.add_parser("fixture", help="check bundled reference fixtures")
     fixture.add_argument("name", help="table1..table5, h1, h2, h3, or 'all'")
-    fixture.add_argument("--format", choices=("text", "json"), default=None)
-    fixture.add_argument("--config", default=None, help="key=value preset file")
+    fixture.add_argument("--format", choices=("text", "json"), default="text")
 
     roots = sub.add_parser("roots", help="compute all roots of one polynomial")
     roots.add_argument("--poly", required=True)
@@ -194,15 +193,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    out_format = _setting(args.format, config, "format", "text")
-    if out_format not in ("text", "json"):
-        raise CliInputError(f"fixture format must be text or json, got {out_format!r}")
-    if args.name == "all":
-        reports = run_all_fixtures()
-    else:
-        reports = [run_fixture(args.name)]
-    if out_format == "json":
+    reports = run_all_fixtures() if args.name == "all" else [run_fixture(args.name)]
+    if args.format == "json":
         sys.stdout.write(format_fixture_json(reports))
     else:
         for report in reports:

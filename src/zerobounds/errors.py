@@ -6,7 +6,7 @@ class ZeroBoundsError(Exception):
 
 
 class NonSquareError(ZeroBoundsError):
-    """A square matrix was required."""
+    """A nonempty (and, where required, square) matrix was required."""
 
 
 class NotHermitianError(ZeroBoundsError):

@@ -9,7 +9,10 @@ The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
 support lines cut out; it takes lambda_max from a dense eigensolve for a
-general matrix and from an O(n) secular equation for a companion matrix.
+general matrix and from a secular equation for a companion matrix.
+``_companion_peaks`` is the one place where a companion matrix's first row
+becomes that secular equation; the sweep and ``cartesian.hermitian_rectangle``
+both reach it there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .companion import _bordered_hermitian_part
 from .errors import (
     InternalConsistencyError,
     NegativeEntryError,
@@ -49,10 +51,12 @@ _SWEEP_BUDGET = 4096  # most angles one sweep evaluates
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
-    """Coerce to a finite complex 2-D array; optionally require squareness."""
+    """Coerce to a finite, nonempty complex 2-D array; optionally require squareness."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise NonSquareError(f"expected a matrix, got array of rank {m.ndim}")
+    if m.size == 0:
+        raise NonSquareError(f"expected a nonempty matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -158,13 +162,47 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     return peaks
 
 
-def _companion_peaks(first_row: np.ndarray, scale: float):
-    """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, C a
-    companion matrix; scale >= max |C_ij| keeps the secular weights finite."""
-    mu, bordered = _bordered_hermitian_part(first_row, scale)
-    powers = np.arange(1, first_row.size + 1)
-    return lambda thetas: _largest_secular_root(
-        *bordered(np.exp(1j * thetas[:, None] * powers)), mu)
+def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray):
+    """turns -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
+    per angle, for C the companion matrix with the given first row c: the one
+    route from a companion matrix to its secular equation.
+
+    With D = diag(e^{i (k-1) theta}), D* e^{i theta} C D is the companion matrix
+    of first row e^{i theta (j+1)} c_j, and its Hermitian part H(theta) is
+    [[h, g*], [g, T]] where T is the (n-1) x (n-1) tridiagonal matrix with zero
+    diagonal and 1/2 off-diagonals. T has eigenvalues mu_j = cos(j pi/n),
+    j = 1..n-1, and orthonormal eigenvectors sqrt(2/n) sin(i j pi/n), so in
+    that basis H(theta) is diag(mu) bordered by v = S^T g, and det(z - H) is
+    the secular product
+
+        (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k),
+
+    whose largest root _largest_secular_root finds. turns[:, j] =
+    e^{i theta (j+1)}, j = 0..n-1, one row per angle; a caller with theta a
+    multiple of pi/2 passes exact powers of i. Dividing by scale before
+    squaring keeps |v|^2 finite for huge coefficients, and scale >= max |C_ij|
+    meets _largest_secular_root's contract. scale is one number for every
+    angle, or one per angle.
+    """
+    n = first_row.size
+    k = np.arange(1, n)
+    scale = np.asarray(scale, dtype=float)[..., None]
+    # cos(j pi/n) as a sine, so that cos(pi/2) is exactly 0 and mu exactly odd
+    mu = np.sin((n - 2 * k) * (np.pi / (2 * n))) / scale
+    # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi); the 2n
+    # sines of those arguments are computed once and looked up
+    sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
+    corner = first_row[0] / scale[..., 0]
+    border = np.conj(first_row[1:]) / (2 * scale)  # g at theta = 0, less the subdiagonal's 1/2
+
+    def bordered(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = (turns[:, 0] * corner).real
+        g = np.conj(turns[:, 1:]) * border
+        g[:, 0] += 0.5 / scale[..., 0]
+        return h, (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
+
+    # g is freed with bordered's frame, before the Newton steps allocate theirs
+    return lambda turns: _largest_secular_root(*bordered(turns), mu)
 
 
 def numerical_radius_sweep(x) -> tuple[float, float]:
@@ -195,8 +233,11 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     """
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
-    peaks = (_companion_peaks(m[0], scale) if _is_companion(m)
-             else lambda thetas: _dense_peaks(m / scale, thetas))
+    if _is_companion(m):
+        companion, powers = _companion_peaks(m[0], scale), np.arange(1, m.shape[0] + 1)
+        peaks = lambda thetas: companion(np.exp(1j * thetas[:, None] * powers))
+    else:
+        peaks = lambda thetas: _dense_peaks(m / scale, thetas)
     steps = np.arange(1, _SWEEP_SPLIT) / _SWEEP_SPLIT
     thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
     values = peaks(thetas)

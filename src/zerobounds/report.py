@@ -86,7 +86,7 @@ def _classical(name: str, option: str | None = None) -> Callable:
 
 def _block_cartesian(p: Polynomial, opt: CompareOptions) -> BoundResult:
     bc = build_block_companion(p)
-    value = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]])
+    value = block_cartesian_radius(bc)
     return BoundResult("block_cartesian", value, notes=("s=0.5",))
 
 

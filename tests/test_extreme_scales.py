@@ -19,6 +19,7 @@ from zerobounds import (
     abdurakhmanov,
     abu_omar_kittaneh,
     al_dolat,
+    build_companion,
     carmichael_mason,
     cauchy,
     fujii_kubo,
@@ -27,13 +28,14 @@ from zerobounds import (
     linden,
     montel,
     mw_bound,
+    parse_polynomial,
     partition_disk,
     partition_rectangle,
     radius_from_norm_coupling,
     radius_from_pm_coupling,
 )
 from zerobounds.cli import main
-from zerobounds.report import ALL_METHODS
+from zerobounds.report import ALL_METHODS, CompareOptions, run_compare
 
 FLOAT_MAX = mpmath.mpf(sys.float_info.max)
 
@@ -205,6 +207,7 @@ def test_an_infinite_value_on_finite_input_carries_a_note(poly, method, capsys):
     ("1, 1, 1, 1e200, 1", True),  # |s|^2 overflows
     ("1, 1e160, 1, 1, 1", True),  # |r|^2 overflows
     ("1, 1, 1, 1e150, 1", False),  # |s|^2 = 1e300 is finite
+    ("1, 0, 0, 0, 9e153", False),  # the A12 weight 2 t^2 = 1.62e308 is finite, twice it not
 ])
 def test_the_cartesian_rows_refuse_exactly_when_a_squared_half_row_overflows(poly, refused, capsys):
     assert main(["compare", "--poly", poly, "--no-oracle", "--format", "json",
@@ -214,3 +217,51 @@ def test_the_cartesian_rows_refuse_exactly_when_a_squared_half_row_overflows(pol
         assert (row["notes"] == ["overflow: matrix entries must be finite"]) == refused, row
     extents = [float(v) for v in rows[2]["rectangle"].values()]
     assert all(math.isfinite(v) for v in extents)
+
+
+def _mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpc(complex(x).real, complex(x).imag) for x in row] for row in a])
+
+
+def _mp_parts(x):
+    return (x + x.H) / 2, (x - x.H) / 2j
+
+
+def _mp_top(h):
+    return max(mpmath.eigh(h, eigvals_only=True))
+
+
+def _mp_abs(x):
+    """(X* X)^{1/2} from an eigendecomposition."""
+    values, vectors = mpmath.eigh(x.H * x)
+    return vectors * mpmath.diag([mpmath.sqrt(max(v, 0)) for v in values]) * vectors.H
+
+
+def _mp_cartesian_rows(c):
+    """(cartesian_disk, block_cartesian) of the companion matrix c from dense
+    mpmath matrices, as their docstrings define them."""
+    n = c.rows // 2
+    block = {(k, j): c[k * n:(k + 1) * n, j * n:(j + 1) * n] for k in (0, 1) for j in (0, 1)}
+    w = [_mp_top(p * p + q * q) for p, q in (_mp_parts(block[k, k]) for k in (0, 1))]
+    p, q = _mp_parts(c)
+    coupling = (_mp_top(_mp_abs(p[:n, n:]) + _mp_abs(q[:n, n:]))
+                + _mp_top(_mp_abs(p[n:, :n]) + _mp_abs(q[n:, :n])))
+    disk = mpmath.sqrt(2 * _coupled(w[0], w[1], coupling ** 2))
+    off = [_mp_top(2 * _mp_abs(p) + 2 * _mp_abs(q)) ** 2 / 2
+           for p, q in (_mp_parts(block[0, 1]), _mp_parts(block[1, 0]))]
+    weights = mpmath.matrix([[2 * w[0], (off[0] + off[1]) / 2], [(off[0] + off[1]) / 2, 2 * w[1]]])
+    return disk, mpmath.sqrt(_mp_top(weights))
+
+
+@pytest.mark.parametrize("poly, method", [
+    ("1, 0, 0, 0, 1.3e154", "cartesian_disk"),  # |s|^2 = 1.69e308 is finite, 2 |s|^2 not
+    ("1, 0, 0, 0, 9e153", "block_cartesian"),  # ||M||^2 / 2 = 1.62e308 is finite, ||M||^2 not
+])
+def test_the_cartesian_rows_halve_before_they_sum(poly, method):
+    p = parse_polynomial(poly)
+    (row,) = run_compare(p, CompareOptions(methods=(method,), oracle=False)).rows
+    assert not any(note.startswith("overflow") for note in row.notes), row
+    with mpmath.workdps(50):
+        disk, block = _mp_cartesian_rows(_mp_matrix(build_companion(p)))
+        want = disk if method == "cartesian_disk" else block
+        assert abs(row.value - want) <= 1e-12 * want, (row.value, want)

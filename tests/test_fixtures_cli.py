@@ -455,6 +455,16 @@ def test_cli_missing_config_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_fixture_takes_no_config(tmp_path, capsys):
+    # fixture's only setting is its format, so it has no preset file to read
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("format = json\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "table1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_cli_roots_json(capsys):
     assert main(["roots", "--poly", "1, 0, -1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -15,6 +15,7 @@ from zerobounds import (
     NegativeEntryError,
     NonSquareError,
     NotHermitianError,
+    block_cartesian_radius,
     hermitian_eigs,
     nonneg_numrad,
     numerical_radius_sweep,
@@ -34,6 +35,14 @@ def test_as_matrix_rejects_non_square_and_non_finite():
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
     rect = as_matrix(np.zeros((2, 3)), square=False)
     assert rect.shape == (2, 3)
+    for empty, square in ((np.zeros((0, 0)), True), (np.zeros((0, 3)), False)):
+        with pytest.raises(NonSquareError, match="nonempty"):
+            as_matrix(empty, square=square)
+    empty = np.zeros((0, 0))
+    for kernel in (hermitian_eigs, numerical_radius_sweep, nonneg_numrad, operator_norm,
+                   lambda m: block_cartesian_radius([[m]])):
+        with pytest.raises(NonSquareError):
+            kernel(empty)
 
 
 def test_hermitian_eigs_reconstruction_and_invariants():
@@ -136,7 +145,8 @@ def _companion(lower):
 def _fast_peaks(c, thetas):
     """The companion route at the sweep's scale, max |C_ij|, scaled back."""
     scale = np.max(np.abs(c))
-    return scale * _companion_peaks(c[0], scale)(thetas)
+    turns = np.exp(1j * thetas[:, None] * np.arange(1, c.shape[0] + 1))
+    return scale * _companion_peaks(c[0], scale)(turns)
 
 
 def _assert_routes_agree(c):

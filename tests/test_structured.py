@@ -83,8 +83,7 @@ def _assert_equivalent(p):
     bc = build_block_companion(p)
     for got, want in zip(cartesian_disk_parts(bc), _dense_disk_parts(bc)):
         assert abs(got - want) <= 1e-12 * want, (got, want)
-    grid = [[bc.a11, bc.a12], [bc.a21, bc.a22]]
-    got, want = block_cartesian_radius(grid), _dense_block_radius(bc)
+    got, want = block_cartesian_radius(bc), _dense_block_radius(bc)
     assert abs(got - want) <= 1e-12 * want, (got, want)
     _assert_rectangle_matches(p)
 
@@ -171,3 +170,17 @@ def test_block_cartesian_on_a_companion_makes_one_eigensolve(kernel_calls):
     report = run_compare(_degree_128(), CompareOptions(methods=("block_cartesian",), oracle=False))
     assert report.rows[0].applicability == "valid"
     assert kernel_calls == [("eigh", (4, 4))]
+
+
+def test_a_block_companion_takes_the_closed_form(kernel_calls):
+    block_cartesian_radius(build_block_companion(_degree_128()))
+    assert kernel_calls == [("eigh", (4, 4))]
+
+
+def test_a_grid_of_companion_blocks_takes_the_dense_route(kernel_calls):
+    bc = build_block_companion(_degree_128())
+    closed = block_cartesian_radius(bc)
+    kernel_calls.clear()
+    dense = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]])
+    assert any(name == "eigh" and max(shape) > 4 for name, shape in kernel_calls), kernel_calls
+    assert abs(dense - closed) <= 1e-12 * closed, (dense, closed)
