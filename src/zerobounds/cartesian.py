@@ -401,7 +401,10 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
     scales = np.repeat([max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0,
                         max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0], 2)
-    # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2: the powers of i, exactly
-    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 2, 1, 3], np.arange(1, row.size + 1)) % 4]
-    re_hi, re_neg, im_hi, im_neg = map(float, scales * _companion_peaks(row, scales)(turns))
+    # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2, in quarter turns
+    # q = 0, 2, -1, 1: the powers of i, exactly
+    powers = np.arange(1, row.size + 1)
+    turns = lambda quarters: np.array([1, 1j, -1, -1j])[np.outer(quarters, powers) % 4]
+    peaks = _companion_peaks(row, scales, turns)(np.array([0, 2, -1, 1]))
+    re_hi, re_neg, im_hi, im_neg = map(float, scales * peaks)
     return Rectangle(0.0 - re_neg, re_hi, 0.0 - im_neg, im_hi)  # 0.0 - 0.0 is +0.0

@@ -162,8 +162,8 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     return peaks
 
 
-def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray):
-    """turns -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
+def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=None):
+    """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
     per angle, for C the companion matrix with the given first row c: the one
     route from a companion matrix to its secular equation.
 
@@ -177,9 +177,11 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray):
 
         (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k),
 
-    whose largest root _largest_secular_root finds. turns[:, j] =
-    e^{i theta (j+1)}, j = 0..n-1, one row per angle; a caller with theta a
-    multiple of pi/2 passes exact powers of i. Dividing by scale before
+    whose largest root _largest_secular_root finds. The returned function
+    takes a batch of angles and builds turns[:, j] = e^{i theta (j+1)},
+    j = 0..n-1, one row per angle, with np.exp; a caller whose angles are
+    multiples of pi/2 passes its own turns, a function of the batch giving
+    exact powers of i. Dividing by scale before
     squaring keeps |v|^2 finite for huge coefficients, and scale >= max |C_ij|
     meets _largest_secular_root's contract. scale is one number for every
     angle, or one per angle.
@@ -194,15 +196,19 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray):
     sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
     corner = first_row[0] / scale[..., 0]
     border = np.conj(first_row[1:]) / (2 * scale)  # g at theta = 0, less the subdiagonal's 1/2
+    if turns is None:
+        powers = np.arange(1, n + 1)
+        turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
 
-    def bordered(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = (turns[:, 0] * corner).real
-        g = np.conj(turns[:, 1:]) * border
+    def bordered(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        batch = turns(thetas)
+        h = (batch[:, 0] * corner).real
+        g = np.conj(batch[:, 1:]) * border
         g[:, 0] += 0.5 / scale[..., 0]
         return h, (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
 
-    # g is freed with bordered's frame, before the Newton steps allocate theirs
-    return lambda turns: _largest_secular_root(*bordered(turns), mu)
+    # the turns and g are freed with bordered's frame, before the Newton steps allocate theirs
+    return lambda thetas: _largest_secular_root(*bordered(thetas), mu)
 
 
 def numerical_radius_sweep(x) -> tuple[float, float]:
@@ -234,8 +240,7 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
     if _is_companion(m):
-        companion, powers = _companion_peaks(m[0], scale), np.arange(1, m.shape[0] + 1)
-        peaks = lambda thetas: companion(np.exp(1j * thetas[:, None] * powers))
+        peaks = _companion_peaks(m[0], scale)
     else:
         peaks = lambda thetas: _dense_peaks(m / scale, thetas)
     steps = np.arange(1, _SWEEP_SPLIT) / _SWEEP_SPLIT

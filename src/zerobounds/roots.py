@@ -8,6 +8,7 @@ stalls at the rounding level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,28 @@ class Verdict:
         return self.verdict == "holds"
 
 
+def _weierstrass_denominators(n):
+    """z -> prod_{j != i} (z_i - z_j) for i = 0..n-1, multiplied in index order
+    j = 0..n-1, into one array that every call refills.
+
+    Each call refills an n x n buffer transposed, diff[j, i] = z_i - z_j, with
+    ones on the diagonal, and reduces it over axis 0: that multiplies whole
+    rows elementwise, which costs less than a row-wise prod but may round
+    differently from the scalar complex multiply (NumPy's vector loop can use
+    fused multiply-add).
+    """
+    diff = np.empty((n, n), dtype=complex)
+    diagonal = diff.reshape(-1)[::n + 1]
+    out = np.empty(n, dtype=complex)
+
+    def denominators(z):
+        np.subtract(z, z[:, None], out=diff)
+        diagonal[:] = 1.0
+        return np.multiply.reduce(diff, axis=0, out=out)
+
+    return denominators
+
+
 def _durand_kerner_pass(descending, z, tol):
     """Weierstrass updates until the max step is <= tol.
 
@@ -56,23 +79,27 @@ def _durand_kerner_pass(descending, z, tol):
     recover), and so does a stall: every |p(z_i)| within the rounding level
     4n*eps*sum|a_k||z_i|^k, past which no step can meet tol. The stall is
     checked only at iterations 2^j >= 2n, after generic input has converged (in
-    about 1.2-1.5n), and so costs at most the iterations already spent. Each
-    iteration calls horner once and refills one n x n buffer of z_i - z_j.
+    about 1.2-1.5n), and so costs at most the iterations already spent.
+
+    Each iteration calls horner once, on the coefficients as 0-d arrays (the
+    same values as scalars, cheaper to dispatch), and takes the denominators
+    from _weierstrass_denominators. The denominators, the step and its moduli
+    live in buffers allocated once per pass.
     """
     n = len(z)
+    coefficients = [np.asarray(c) for c in descending]
     magnitudes = np.abs(descending)
     rounding = 4 * n * np.finfo(float).eps
-    diff = np.empty((n, n), dtype=complex)
-    diagonal = diff.reshape(-1)[::n + 1]
+    denominators = _weierstrass_denominators(n)
+    step = np.empty(n, dtype=complex)
+    moduli = np.empty(n)
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        p_values = horner(descending, z)
-        np.subtract.outer(z, z, out=diff)
-        diagonal[:] = 1.0
-        step = p_values / diff.prod(axis=1)
-        largest = float(np.max(np.abs(step)))
+        p_values = horner(coefficients, z)
+        np.divide(p_values, denominators(z), out=step)
+        largest = float(np.abs(step, out=moduli).max())
         if largest <= tol:
             return z - step, iteration, None
-        if not np.isfinite(largest):
+        if not math.isfinite(largest):
             return z - step, iteration, f"overflowed at iteration {iteration}"
         if (iteration >= 2 * n and iteration & (iteration - 1) == 0
                 and np.all(np.abs(p_values) <= rounding * horner(magnitudes, np.abs(z)).real)):

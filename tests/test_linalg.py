@@ -145,8 +145,7 @@ def _companion(lower):
 def _fast_peaks(c, thetas):
     """The companion route at the sweep's scale, max |C_ij|, scaled back."""
     scale = np.max(np.abs(c))
-    turns = np.exp(1j * thetas[:, None] * np.arange(1, c.shape[0] + 1))
-    return scale * _companion_peaks(c[0], scale)(turns)
+    return scale * _companion_peaks(c[0], scale)(thetas)
 
 
 def _assert_routes_agree(c):

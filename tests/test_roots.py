@@ -10,6 +10,7 @@ import zerobounds.roots
 from conftest import random_polynomial
 from zerobounds import (
     NoConvergenceError,
+    Polynomial,
     Rectangle,
     build_companion,
     find_roots,
@@ -147,11 +148,58 @@ def test_cli_roots_names_the_stall(capsys):
     assert "stalled at the rounding level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_weierstrass_denominators_multiply_in_index_order(n):
+    rng = np.random.default_rng(n)
+    denominators = zerobounds.roots._weierstrass_denominators(n)
+    for _ in range(2):  # the second call refills the buffers of the first
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # acc_i *= z_i - z_j for j = 0..n-1, every i at once: NumPy's
+        # elementwise multiply, which the column reduction runs (Python's
+        # scalar complex multiply rounds differently where NumPy fuses)
+        expected = np.ones(n, dtype=complex)
+        for j in range(n):
+            factor = z - z[j]
+            factor[j] = 1.0
+            expected *= factor
+        assert denominators(z).tobytes() == expected.tobytes()
+
+
 def test_degree_one_is_solved_directly():
     rs = find_roots(parse_polynomial("1, -3+4i"))
     assert rs.roots == (3 - 4j,)
     assert rs.iterations == 0
     assert abs(rs.max_modulus - 5.0) < 1e-15
+
+
+# Outcome of find_roots on monic polynomials with complex Gaussian lower
+# coefficients (seeded standard_normal, real parts then imaginary parts):
+# the iteration count, or the NoConvergenceError text of a guard false
+# alarm. A faster kernel for the iteration must leave every entry as it is.
+_GAUSSIAN_OUTCOMES = {
+    (16, 0): 25, (16, 1): 30, (16, 2): 26, (16, 3): 34, (16, 4): 23,
+    (64, 0): 83, (64, 1): 123, (64, 2): 99, (64, 3): 103, (64, 4): 94,
+    (128, 0): 191, (128, 1): 181, (128, 2): 183, (128, 3): 191, (128, 4): 183,
+    (64, 9): "converged in 93 iterations but a residual exceeds the guard "
+             "(max residual 5.585e+14, guard 2.116e+11)",
+    (64, 31): "converged in 82 iterations but a residual exceeds the guard "
+              "(max residual 3.348e+12, guard 1.979e+11)",
+    (128, 12): "converged in 182 iterations but a residual exceeds the guard "
+               "(max residual 1.897e+41, guard 3.459e+30)",
+    (128, 13): "converged in 192 iterations but a residual exceeds the guard "
+               "(max residual 1.450e+32, guard 5.510e+30)",
+}
+
+
+@pytest.mark.parametrize("degree, seed", sorted(_GAUSSIAN_OUTCOMES))
+def test_gaussian_iteration_counts_and_failures_are_pinned(degree, seed):
+    rng = np.random.default_rng(seed)
+    p = Polynomial(tuple(rng.standard_normal(degree) + 1j * rng.standard_normal(degree)))
+    try:
+        outcome = find_roots(p).iterations
+    except NoConvergenceError as err:
+        outcome = str(err).removeprefix("root iteration ")
+    assert outcome == _GAUSSIAN_OUTCOMES[degree, seed]
 
 
 # largest root modulus of each bundled fixture polynomial, pinned after
