@@ -8,15 +8,18 @@ matrix reach it only for matrices of size 4 or less (see ``cartesian``).
 The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
-support lines cut out; it takes lambda_max from a dense eigensolve for a
-general matrix and from a secular equation for a companion matrix.
-``_companion_peaks`` is the one place where a companion matrix's first row
-becomes that secular equation; the sweep and ``cartesian.hermitian_rectangle``
-both reach it there.
+support lines cut out; it takes lambda_max, and its slope from the top
+eigenvector, from a dense eigensolve for a general matrix and from a secular
+equation for a companion matrix, and places its angles on ladders graded by
+the curvature of lambda_max about each peak. ``_companion_peaks`` is the one
+place where a companion matrix's first row becomes that secular equation; the
+sweep and ``cartesian.hermitian_rectangle`` both reach it there, the
+rectangle without slopes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,12 +45,14 @@ _HERMITIAN_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
+_PEAKS_CHUNK = 8192  # most angles times matrix size in one secular solve
 _SWEEP_START = 32  # equally spaced angles of the first round
 _SWEEP_SPLIT = 16  # a wide interval is split into this many
 _SWEEP_RTOL = 1e-14  # an interval is closed once its vertex is this close to max f
 _SWEEP_NOISE = 16 * _EPS  # relative rounding error allowed in each f, for the closing test
 _SWEEP_MIN_GAP = 1e-10  # radians; closer angles give a vertex of rounding noise
 _SWEEP_BUDGET = 4096  # most angles one sweep evaluates
+_SWEEP_RUNGS = 32  # most ladder rungs on each side of a peak
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
@@ -95,13 +100,16 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _dense_peaks(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of the Hermitian part of e^{i theta} M, one eigvalsh per angle."""
-    mh = m.conj().T
-    return np.array([
-        np.linalg.eigvalsh((np.exp(1j * theta) * m + np.exp(-1j * theta) * mh) / 2)[-1]
-        for theta in thetas
-    ])
+def _dense_peaks(m: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_max of the Hermitian part of e^{i theta} M and the support point
+    e^{i theta} u*Mu of its top unit eigenvector u, one eigh per angle."""
+    values, points = [], []
+    for theta in thetas:
+        turned = np.exp(1j * theta) * m
+        vals, vecs = np.linalg.eigh((turned + turned.conj().T) / 2)
+        values.append(vals[-1])
+        points.append(vecs[:, -1].conj() @ turned @ vecs[:, -1])
+    return np.array(values), np.array(points)
 
 
 def _is_companion(m: np.ndarray) -> bool:
@@ -110,8 +118,9 @@ def _is_companion(m: np.ndarray) -> bool:
     return n >= 2 and np.array_equal(m[1:], np.eye(n - 1, n))
 
 
-def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """lambda_max of [[h, v*], [v, diag(mu)]] with |v|^2 = w, one row per angle.
+def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_max of [[h, v*], [v, diag(mu)]] with |v|^2 = w, one row per angle,
+    and the resolvent 1/(lambda_max - mu_j) at the last Newton step.
 
     mu is descending, one row for every angle or one row per angle, and the
     matrix is scaled to entries of modulus <= 1.
@@ -130,7 +139,8 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
 
     W = sum_j w_j, which has no pole on delta > 0 and is convex. Its root lies
     below the root of delta^2 + (base - h) delta - W (all poles moved to base),
-    so Newton from that bound decreases monotonically onto it. Dropped poles
+    and below start, a caller's bound where given, so Newton from the lower of
+    the two (where F confirms it) decreases monotonically onto it. Dropped poles
     are eigenvalues in their own right, hence the final max with mu_0.
     """
     mu = np.broadcast_to(mu, w.shape)
@@ -144,11 +154,15 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     total = w.sum(axis=1)
     root = np.sqrt(c * c + 4 * total)
     delta = np.where(c > 0, 2 * total / np.where(c > 0, c + root, 1.0), (root - c) / 2)
+    # F as delta times the secular function: the expanded form subtracts W
+    # and keeps an absolute error of eps W, too much when F is O(delta)
+    secular = lambda d, inv: d * (d + c - (w * inv).sum(axis=1))
+    if start is not None:
+        guess = np.where((start > base) & (start - base < delta), start - base, delta)
+        delta = np.where(secular(guess, 1.0 / (guess[:, None] + gaps)) >= 0, guess, delta)
     for _ in range(_SECULAR_MAX_STEPS):
         inv = 1.0 / (delta[:, None] + gaps)
-        # F as delta times the secular function: the expanded form subtracts W
-        # and keeps an absolute error of eps W, too much when F is O(delta)
-        f = delta * (delta + c - (w * inv).sum(axis=1))
+        f = secular(delta, inv)
         slope = 2 * delta + c - (wg * inv * inv).sum(axis=1)
         step = np.maximum(f, 0.0) / np.maximum(slope, _TINY)
         delta = delta - step
@@ -159,10 +173,11 @@ def _largest_secular_root(h: np.ndarray, w: np.ndarray, mu: np.ndarray) -> np.nd
     peaks = np.maximum(base + delta, mu[:, 0])
     if not np.isfinite(peaks).all():
         raise InternalConsistencyError("secular equation gave a non-finite lambda_max")
-    return peaks
+    return peaks, inv
 
 
-def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=None):
+def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=None,
+                     support: bool = False):
     """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
     per angle, for C the companion matrix with the given first row c: the one
     route from a companion matrix to its secular equation.
@@ -178,13 +193,17 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
         (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k),
 
     whose largest root _largest_secular_root finds. The returned function
-    takes a batch of angles and builds turns[:, j] = e^{i theta (j+1)},
-    j = 0..n-1, one row per angle, with np.exp; a caller whose angles are
-    multiples of pi/2 passes its own turns, a function of the batch giving
-    exact powers of i. Dividing by scale before
+    takes a batch of angles, and optionally bounds above lambda_max to start
+    Newton from, solves it in chunks of at most 8192 / n angles, and builds
+    turns[:, j] = e^{i theta (j+1)}, j = 0..n-1, one row per angle, with
+    np.exp; a caller whose angles are multiples of pi/2 passes its own turns,
+    a function of the batch giving exact powers of i. Dividing by scale before
     squaring keeps |v|^2 finite for huge coefficients, and scale >= max |C_ij|
     meets _largest_secular_root's contract. scale is one number for every
-    angle, or one per angle.
+    angle, or one per angle. With support=True it also returns e^{i theta} p,
+    p = u*Cu / (scale u*u) for the top eigenvector u = D (1, S y), y_j =
+    v_j / (lambda_max - mu_j): Re(e^{i theta} p) = lambda_max, and by
+    Hellmann-Feynman the slope of lambda_max in theta is -Im(e^{i theta} p).
     """
     n = first_row.size
     k = np.arange(1, n)
@@ -196,19 +215,82 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
     corner = first_row[0] / scale[..., 0]
     border = np.conj(first_row[1:]) / (2 * scale)  # g at theta = 0, less the subdiagonal's 1/2
+    chunk = max(1, _PEAKS_CHUNK // n)
     if turns is None:
-        powers = np.arange(1, n + 1)
-        turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
+        # e^{i theta (16 a + b)} = e^{i theta 16 a} e^{i theta b}, b = 1..16: two short
+        # tables of np.exp in place of n complex exponentials an angle, exact for n <= 16
+        low, high = np.arange(1, 17), 16 * np.arange(n // 16 + 1)[:, None]
+        turns = lambda thetas: (np.exp(1j * thetas[:, None, None] * high)
+                                * np.exp(1j * thetas[:, None, None] * low)
+                                ).reshape(len(thetas), -1)[:, :n]
 
-    def bordered(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(thetas: np.ndarray, start):
         batch = turns(thetas)
-        h = (batch[:, 0] * corner).real
-        g = np.conj(batch[:, 1:]) * border
+        top, g = batch[:, 0] * corner, np.conj(batch[:, 1:]) * border
         g[:, 0] += 0.5 / scale[..., 0]
-        return h, (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
+        v_re, v_im = g.real @ sines, g.imag @ sines
+        del batch, g  # freed before the Newton steps allocate theirs
+        w = v_re**2 + v_im**2
+        values, inv = _largest_secular_root(top.real, w, mu, start)
+        if not support:
+            return values
+        # u*Cu / scale = u* (D* e^{i theta} C D / scale) u with u = (1, x), x = S y:
+        # the first row past the corner is 2 conj(g) less the subdiagonal's 1/2,
+        # and sum_j conj(g_j) x_j = sum_j conj(v_j) y_j = sum_j w_j / (lambda - mu_j)
+        x = (v_re * inv) @ sines + 1j * ((v_im * inv) @ sines)
+        shifted = (np.conj(x[:, 1:]) * x[:, :-1]).sum(axis=1) - 2j * x[:, 0].imag
+        point = top + 2 * (w * inv).sum(axis=1) + shifted / scale[..., 0]
+        return values, point / (1 + (x.real**2 + x.imag**2).sum(axis=1))
 
-    # the turns and g are freed with bordered's frame, before the Newton steps allocate theirs
-    return lambda thetas: _largest_secular_root(*bordered(thetas), mu)
+    def peaks(thetas: np.ndarray, start=None):
+        if thetas.size <= chunk:
+            return solve(thetas, start)
+        # in chunks, which bound the Newton steps' arrays of angles x n
+        parts = [solve(thetas[k:k + chunk], None if start is None else start[k:k + chunk])
+                 for k in range(0, thetas.size, chunk)]
+        return tuple(map(np.concatenate, zip(*parts))) if support else np.concatenate(parts)
+
+    return peaks
+
+
+def _sweep_ladders(thetas, values, slopes, half, wide, lower):
+    """Rungs theta_hat -+ d_k about the peak of f in each wide interval where
+    f' turns from + to -, out through the run of wide intervals f descends
+    through from there and one rung past it, and the intervals of those runs;
+    no ladder where a 16-fold split does as well."""
+    count, rungs, spanned = thetas.size, [np.empty(0)], np.zeros_like(wide)
+    peaks = np.flatnonzero(wide & (slopes > 0) & (np.concatenate([slopes[1:], slopes[:1]]) <= 0))
+    thetas, values, slopes, half, wide = (a.tolist() for a in (thetas, values, slopes, half, wide))
+    for i in peaks.tolist():
+        span, sa, sb = 2 * half[i], slopes[i], slopes[(i + 1) % count]
+        mean = (values[(i + 1) % count] - values[i]) / span
+        # the cubic Hermite fit of (f, f') has f' = sa + b t + a t^2 on [0, 1];
+        # its root's distance e to the secant root of f' gauges the secant's
+        # error, and e^2 / span the fit's
+        a, b = 3 * (sa + sb) - 6 * mean, 6 * mean - 4 * sa - 2 * sb
+        t = 2 * sa / max(math.sqrt(max(b * b - 4 * a * sa, 0.0)) - b, 2 * sa)
+        # near the peak W(X) is a disk of radius f + f'': lines at theta_hat + d
+        # and + d r meet inside it while (r - 1) / (r + 1) < sqrt(-f''/f), and
+        # lines 1e-7 either side of the peak close the interval between them;
+        # the first rung is also far enough out for 32 to get past the interval
+        q = 0.8 * math.sqrt(min(max((sa - sb) / (span * lower), 0.0), 1.0))
+        ratio = (1 + q) / (1 - q)
+        first = max(4 * (t - sa / (sa - sb)) ** 2 * span, _SWEEP_RTOL**0.5,
+                    max(t, 1 - t) * span / ratio ** (_SWEEP_RUNGS - 1))
+        if 2 * _SWEEP_SPLIT * first > span:
+            continue
+        right, left = i + 1, i  # the run, as interval indices left..right-1
+        while right < i + count and wide[right % count] and slopes[right % count] <= 0:
+            right += 1
+        while left > right - count and wide[(left - 1) % count] and slopes[left % count] > 0:
+            left -= 1
+        spanned[np.arange(left, right) % count] = True
+        centre = thetas[i] + t * span
+        reach = [centre - thetas[left % count] - 2 * np.pi * (left // count),
+                 thetas[right % count] + 2 * np.pi * (right // count) - centre]
+        d = first * ratio ** np.arange(_SWEEP_RUNGS)
+        rungs += [centre + sign * d[d <= ratio * end] for sign, end in zip((-1, 1), reach)]
+    return np.concatenate(rungs), spanned
 
 
 def numerical_radius_sweep(x) -> tuple[float, float]:
@@ -223,34 +305,36 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     such a vertex, so lower = max f <= w(X) <= upper = max vertex.
 
     On X / max |X_ij|, from 32 equally spaced angles, each round evaluates
-    one batch: 16-fold splits of every interval whose vertex exceeds max f
-    by over 1e-14 relative plus 16 eps |im| / sin h, the rounding of f that
-    the vertex formula amplifies, and one angle aimed where the farthest
-    vertex points (at a corner of W(X), f there is w(X)). Without that
-    allowance a polygon W(X), as for a normal X, is refined on rounding noise
-    until the budget binds. Angles within 1e-10 of
-    one taken are dropped; their vertex would be rounding noise. The sweep
-    stops when no angle is left or before a batch would pass 4096 angles;
-    a flat f (W(X) a disk) leaves a bracket about 2e-5 wide.
+    one batch in the wide intervals, those whose vertex exceeds max f by over
+    1e-14 relative plus 16 eps |im| / sin h, the rounding of f that the vertex
+    formula amplifies. Each angle also gives the slope f', from its support
+    point: ladders graded by the curvature of f close in on the peaks
+    (_sweep_ladders), a wide interval no ladder reaches is split 16-fold, and
+    one angle is aimed where the farthest vertex points (at a corner of W(X),
+    f there is w(X)). Angles within 1e-10 of one taken are dropped; their
+    vertex would be rounding noise. Newton starts each angle from the bound
+    its interval's vertex puts on f. The sweep stops when no angle is left or
+    at 4096 angles, where a batch is thinned to fewer splits and then to the
+    angles nearest the farthest vertex; a flat f (W(X) a disk) ends there,
+    about 4e-7 wide.
 
     A companion matrix (any first row, ones on the subdiagonal, exact zeros
     elsewhere, n >= 2) gets f from a rank-one secular equation over the known
-    Toeplitz spectrum, O(n^2) per angle; any other X one ``eigvalsh`` per angle.
+    Toeplitz spectrum, O(n^2) per angle; any other X one ``eigh`` per angle.
     """
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
     if _is_companion(m):
-        peaks = _companion_peaks(m[0], scale)
+        peaks = _companion_peaks(m[0], scale, support=True)
     else:
-        peaks = lambda thetas: _dense_peaks(m / scale, thetas)
-    steps = np.arange(1, _SWEEP_SPLIT) / _SWEEP_SPLIT
+        peaks = lambda thetas, start: _dense_peaks(m / scale, thetas)
     thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
-    values = peaks(thetas)
+    values, points = peaks(thetas, None)
     while True:
         order = np.argsort(thetas)
-        thetas, values = thetas[order], values[order]
+        thetas, values, points = thetas[order], values[order], points[order]
         half = np.diff(thetas, append=2 * np.pi) / 2  # thetas[0] is 0
-        following = np.roll(values, -1)
+        following = np.concatenate([values[1:], values[:1]])
         re = (values + following) / (2 * np.cos(half))
         im = (values - following) / (2 * np.sin(half))
         vertex = np.hypot(re, im)
@@ -260,16 +344,33 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         wide = vertex > lower * (1 + _SWEEP_RTOL) + _SWEEP_NOISE * np.abs(im) / np.sin(half)
         if not wide.any():
             break
-        split = wide & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)  # keeps new angles apart
-        fresh = (thetas[split, None] + 2 * half[split, None] * steps).ravel()
+        rungs, reached = _sweep_ladders(thetas, values, -points.imag, half, wide, lower)
+        rungs = np.sort(np.mod(rungs, 2 * np.pi))
+        at = np.searchsorted(thetas, rungs, "right") - 1
+        gap = np.minimum(rungs - thetas[at], thetas[at] + 2 * half[at] - rungs)
+        rungs = rungs[(gap > _SWEEP_MIN_GAP) & (np.diff(rungs, prepend=-1.0) > _SWEEP_MIN_GAP)]
+        # the last condition keeps new angles apart; where the budget binds, fewer pieces
+        split = wide & ~reached & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)
+        room = _SWEEP_BUDGET - thetas.size - rungs.size - 1  # 1 for the aimed angle
+        pieces = min(_SWEEP_SPLIT, max(2, 1 + room // max(split.sum(), 1)))
+        cuts = (thetas[split, None] + 2 * half[split, None] * np.arange(1, pieces) / pieces).ravel()
+        fresh = np.concatenate([rungs, cuts])
         aim = np.mod(thetas[far] + half[far] - np.arctan2(im[far], re[far]), 2 * np.pi)
         gaps = np.mod(np.append(thetas, fresh) - aim + np.pi, 2 * np.pi) - np.pi
         if np.abs(gaps).min() > _SWEEP_MIN_GAP:
             fresh = np.append(fresh, aim)
-        if fresh.size == 0 or thetas.size + fresh.size > _SWEEP_BUDGET:
+        room = _SWEEP_BUDGET - thetas.size
+        if fresh.size > room:  # spend what is left, nearest the farthest vertex first
+            fresh = fresh[np.argsort(np.abs(np.mod(fresh - aim + np.pi, 2 * np.pi) - np.pi))[:room]]
+        if fresh.size == 0:
             break
+        at = np.searchsorted(thetas, fresh, "right") - 1
+        turn = fresh - thetas[at] - half[at]
+        bound = re[at] * np.cos(turn) - im[at] * np.sin(turn)  # the vertex's support value
+        new_values, new_points = peaks(fresh, bound + _SWEEP_NOISE * np.abs(bound))
         thetas = np.concatenate([thetas, fresh])
-        values = np.concatenate([values, peaks(fresh)])
+        values = np.concatenate([values, new_values])
+        points = np.concatenate([points, new_points])
     return scale * lower, scale * float(vertex[far])
 
 

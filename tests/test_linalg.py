@@ -150,7 +150,7 @@ def _fast_peaks(c, thetas):
 
 def _assert_routes_agree(c):
     fast = _fast_peaks(c, AGREEMENT_THETAS)
-    dense = _dense_peaks(c, AGREEMENT_THETAS)
+    dense, _ = _dense_peaks(c, AGREEMENT_THETAS)
     assert np.all(np.isfinite(fast))
     # relative to the largest peak, about w(C): both routes are accurate to
     # a few eps times the matrix scale, not to each small peak separately
@@ -213,7 +213,8 @@ def test_secular_root_next_to_a_nearly_decoupled_top_pole(top_weight, gap):
     arrow = np.diag(np.concatenate([h, mu]))
     arrow[0, 1:] = arrow[1:, 0] = np.sqrt(w[0])
     expected = np.linalg.eigvalsh(arrow)[-1]
-    assert abs(zerobounds.linalg._largest_secular_root(h, w, mu)[0] - expected) <= 1e-14
+    peaks, _ = zerobounds.linalg._largest_secular_root(h, w, mu)
+    assert abs(peaks[0] - expected) <= 1e-14
 
 
 def test_sweep_of_a_huge_coefficient_is_that_coefficient():
@@ -252,12 +253,12 @@ def _count_peak_calls(monkeypatch):
     calls = []
     companion_peaks, dense_peaks = _companion_peaks, _dense_peaks
 
-    def companion_spy(first_row, scale):
-        peaks = companion_peaks(first_row, scale)
+    def companion_spy(first_row, scale, **options):
+        peaks = companion_peaks(first_row, scale, **options)
 
-        def counted(thetas):
+        def counted(thetas, start=None):
             calls.append(len(thetas))
-            return peaks(thetas)
+            return peaks(thetas, start)
 
         return counted
 
@@ -276,8 +277,110 @@ def test_sweep_refines_in_a_few_batched_calls(monkeypatch, route):
     c = _companion([complex(k, 1) for k in range(1, 7)])
     lower, upper = numerical_radius_sweep(c if route == "companion" else c + 0.1 * np.eye(6))
     assert calls[0] == 32
-    assert 2 <= len(calls) <= 8
+    assert 2 <= len(calls) <= 4
     assert lower <= upper <= lower * (1 + 1e-14)
+
+
+def _record_angles(monkeypatch):
+    """Record every angle and lambda_max (of C / max |C_ij|) the companion route evaluates."""
+    thetas, values = [], []
+    companion_peaks = _companion_peaks
+
+    def companion_spy(first_row, scale, **options):
+        peaks = companion_peaks(first_row, scale, **options)
+
+        def recorded(batch, start=None):
+            out = peaks(batch, start)
+            thetas.append(batch)
+            values.append(out[0])
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
+    return thetas, values
+
+
+def _closed(thetas, values):
+    """The closing test on the outer polygon of the angles evaluated: no vertex
+    beyond max f by over 1e-14 relative plus 16 eps |im| / sin h."""
+    order = np.argsort(thetas)
+    thetas, values = thetas[order], values[order]
+    half = np.diff(thetas, append=2 * np.pi) / 2
+    following = np.roll(values, -1)
+    re = (values + following) / (2 * np.cos(half))
+    im = (values - following) / (2 * np.sin(half))
+    excess = np.hypot(re, im) - values.max() * (1 + 1e-14)
+    return bool((excess <= 16 * np.finfo(float).eps * np.abs(im) / np.sin(half)).all())
+
+
+# most angles a sweep may take on Gaussian companions, seeds 0-8: what a sweep
+# that splits every wide interval 16-fold takes
+SPLIT_SWEEP_ANGLES = {
+    6: (172, 187, 187, 217, 187, 172, 202, 187, 172),
+    16: (187, 187, 202, 247, 202, 172, 217, 232, 187),
+    32: (262, 187, 322, 397, 352, 292, 217, 232, 187),
+    64: (427, 277, 412, 292, 262, 412, 262, 262, 367),
+    128: (442, 292, 277, 802, 292, 412, 367, 322, 337),
+}
+
+
+def test_sweep_closes_the_ladder_in_three_rounds(monkeypatch):
+    rounds = []
+    for n, split_angles in SPLIT_SWEEP_ANGLES.items():
+        for seed, most in enumerate(split_angles):
+            rng = np.random.default_rng(seed)
+            c = _companion(rng.normal(size=n) + 1j * rng.normal(size=n))
+            thetas, values = _record_angles(monkeypatch)
+            lower, upper = numerical_radius_sweep(c)
+            rounds.append(len(thetas))
+            assert _closed(np.concatenate(thetas), np.concatenate(values)), (n, seed)
+            assert len(thetas) <= 4 and sum(map(len, thetas)) <= most, (n, seed)
+            assert lower <= upper <= lower * (1 + 1e-13)
+    assert np.median(rounds) <= 3
+
+
+def _eigvalsh_peak(m, theta):
+    """lambda_max of the Hermitian part of e^{i theta} M by eigvalsh."""
+    turned = np.exp(1j * theta) * m
+    return np.linalg.eigvalsh((turned + turned.conj().T) / 2)[-1]
+
+
+@pytest.mark.parametrize("route", ["companion", "dense"])
+def test_slopes_are_the_derivative_of_lambda_max(route):
+    # f'(theta) = -Im(e^{i theta} p) for the support point p, and Re(e^{i theta} p) = f
+    rng = np.random.default_rng(31)
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False) + 0.1
+    if route == "companion":
+        matrices = [_companion(rng.normal(size=n) + 1j * rng.normal(size=n))
+                    for n in (2, 3, 4, 6, 9, 16, 33, 64)]
+    else:
+        matrices = [random_matrix(rng, n) for n in range(2, 9)]
+    for m in matrices:
+        scale = np.max(np.abs(m))
+        if route == "companion":
+            values, points = _companion_peaks(m[0], scale, support=True)(thetas)
+        else:
+            values, points = _dense_peaks(m / scale, thetas)
+        ahead, behind = ([_eigvalsh_peak(m / scale, t + h) for t in thetas] for h in (1e-5, -1e-5))
+        difference = (np.array(ahead) - np.array(behind)) / 2e-5
+        assert np.max(np.abs(-points.imag - difference)) <= 1e-6 * np.max(values)
+        assert np.max(np.abs(points.real - values)) <= 1e-13 * np.max(values)
+
+
+@pytest.mark.parametrize("lower_coefficients, radius, budget_spent", [
+    ([0.0, 0.0, 0.0], math.cos(math.pi / 4), True),  # 1, 0, 0, 0: W(C) is a disk, f is flat
+    ([-np.exp(0.3j)] + [0.0] * 15, 1.0, False),  # z^16 - e^{0.3i}: unitary, 16 corners
+], ids=["shift-3", "unitary-16"])
+def test_sweep_spends_the_budget_on_flat_profiles(monkeypatch, lower_coefficients, radius,
+                                                  budget_spent):
+    calls = _count_peak_calls(monkeypatch)
+    lower, upper = numerical_radius_sweep(_companion(lower_coefficients))
+    # sampling narrows a disk's bracket only as the angles grow, so the budget
+    # is spent; the ladders find the unitary companion's 16 peaks and close it
+    assert (sum(calls) == 4096) == budget_spent and sum(calls) <= 4096
+    assert upper - lower <= (1e-6 if budget_spent else 1e-13) * lower
+    assert radius * (1 - 1e-12) <= upper and lower <= radius * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("matrix", [
