@@ -200,38 +200,34 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     a function of the batch giving exact powers of i. Dividing by scale before
     squaring keeps |v|^2 finite for huge coefficients, and scale >= max |C_ij|
     meets _largest_secular_root's contract. scale is one number for every
-    angle, or one per angle. With support=True it also returns e^{i theta} p,
-    p = u*Cu / (scale u*u) for the top eigenvector u = D (1, S y), y_j =
-    v_j / (lambda_max - mu_j): Re(e^{i theta} p) = lambda_max, and by
-    Hellmann-Feynman the slope of lambda_max in theta is -Im(e^{i theta} p).
+    angle, or one per angle, cut along with the angles into chunks. With
+    support=True it also returns e^{i theta} p, p = u*Cu / (scale u*u) for
+    the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
+    Re(e^{i theta} p) = lambda_max, and by Hellmann-Feynman the slope of
+    lambda_max in theta is -Im(e^{i theta} p).
     """
     n = first_row.size
     k = np.arange(1, n)
     scale = np.asarray(scale, dtype=float)[..., None]
     # cos(j pi/n) as a sine, so that cos(pi/2) is exactly 0 and mu exactly odd
-    mu = np.sin((n - 2 * k) * (np.pi / (2 * n))) / scale
+    cosines = np.sin((n - 2 * k) * (np.pi / (2 * n)))
     # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi); the 2n
     # sines of those arguments are computed once and looked up
     sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
-    corner = first_row[0] / scale[..., 0]
-    border = np.conj(first_row[1:]) / (2 * scale)  # g at theta = 0, less the subdiagonal's 1/2
-    chunk = max(1, _PEAKS_CHUNK // n)
     if turns is None:
-        # e^{i theta (16 a + b)} = e^{i theta 16 a} e^{i theta b}, b = 1..16: two short
-        # tables of np.exp in place of n complex exponentials an angle, exact for n <= 16
-        low, high = np.arange(1, 17), 16 * np.arange(n // 16 + 1)[:, None]
-        turns = lambda thetas: (np.exp(1j * thetas[:, None, None] * high)
-                                * np.exp(1j * thetas[:, None, None] * low)
-                                ).reshape(len(thetas), -1)[:, :n]
+        powers = np.arange(1, n + 1)
+        turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
 
-    def solve(thetas: np.ndarray, start):
+    def solve(thetas: np.ndarray, start, scale: np.ndarray):
         batch = turns(thetas)
-        top, g = batch[:, 0] * corner, np.conj(batch[:, 1:]) * border
+        top = batch[:, 0] * (first_row[0] / scale[..., 0])
+        # g at theta = 0 is the first row's conjugate halved, and the subdiagonal's 1/2
+        g = np.conj(batch[:, 1:]) * (np.conj(first_row[1:]) / (2 * scale))
         g[:, 0] += 0.5 / scale[..., 0]
         v_re, v_im = g.real @ sines, g.imag @ sines
         del batch, g  # freed before the Newton steps allocate theirs
         w = v_re**2 + v_im**2
-        values, inv = _largest_secular_root(top.real, w, mu, start)
+        values, inv = _largest_secular_root(top.real, w, cosines / scale, start)
         if not support:
             return values
         # u*Cu / scale = u* (D* e^{i theta} C D / scale) u with u = (1, x), x = S y:
@@ -243,11 +239,13 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
         return values, point / (1 + (x.real**2 + x.imag**2).sum(axis=1))
 
     def peaks(thetas: np.ndarray, start=None):
-        if thetas.size <= chunk:
-            return solve(thetas, start)
-        # in chunks, which bound the Newton steps' arrays of angles x n
-        parts = [solve(thetas[k:k + chunk], None if start is None else start[k:k + chunk])
-                 for k in range(0, thetas.size, chunk)]
+        # in chunks, which bound the Newton steps' arrays of angles x n; a
+        # scale per angle is cut along with its angles
+        chunk, parts = max(1, _PEAKS_CHUNK // n), []
+        for first in range(0, thetas.size, chunk):
+            rows = slice(first, first + chunk)
+            parts.append(solve(thetas[rows], None if start is None else start[rows],
+                               scale if scale.size == 1 else scale[rows]))
         return tuple(map(np.concatenate, zip(*parts))) if support else np.concatenate(parts)
 
     return peaks
@@ -259,7 +257,7 @@ def _sweep_ladders(thetas, values, slopes, half, wide, lower):
     through from there and one rung past it, and the intervals of those runs;
     no ladder where a 16-fold split does as well."""
     count, rungs, spanned = thetas.size, [np.empty(0)], np.zeros_like(wide)
-    peaks = np.flatnonzero(wide & (slopes > 0) & (np.concatenate([slopes[1:], slopes[:1]]) <= 0))
+    peaks = np.flatnonzero(wide & (slopes > 0) & (np.roll(slopes, -1) <= 0))
     thetas, values, slopes, half, wide = (a.tolist() for a in (thetas, values, slopes, half, wide))
     for i in peaks.tolist():
         span, sa, sb = 2 * half[i], slopes[i], slopes[(i + 1) % count]
@@ -334,7 +332,7 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         order = np.argsort(thetas)
         thetas, values, points = thetas[order], values[order], points[order]
         half = np.diff(thetas, append=2 * np.pi) / 2  # thetas[0] is 0
-        following = np.concatenate([values[1:], values[:1]])
+        following = np.roll(values, -1)
         re = (values + following) / (2 * np.cos(half))
         im = (values - following) / (2 * np.sin(half))
         vertex = np.hypot(re, im)

@@ -534,3 +534,18 @@ def test_hermitian_rectangle_contains_all_roots():
     for _ in range(25):
         p = random_polynomial(rng, int(rng.integers(2, 9)))
         assert validate_rectangle(hermitian_rectangle(p), find_roots(p)).holds
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_hermitian_rectangle_solved_in_chunks_matches_one_batch(monkeypatch, chunk):
+    # past degree 2048 the four angles are solved in chunks of 8192 // n < 4,
+    # each with its own angles' scales; a smaller chunk size shows it at low degree
+    rng = np.random.default_rng(157)
+    polys = [random_polynomial(rng, n) for n in (2, 3, 5, 8, 13)]
+    polys.append(Polynomial((1e6, 1e-3, 0.0, 2j)))  # Re C and Im C scaled far apart
+    extents = lambda r: [r.re_lo, r.re_hi, r.im_lo, r.im_hi]
+    whole = [extents(hermitian_rectangle(p)) for p in polys]
+    for p, expected in zip(polys, whole):
+        monkeypatch.setattr(zerobounds.linalg, "_PEAKS_CHUNK", chunk * p.degree)
+        # each chunk stops Newton on its own angles, so the last bit may differ
+        assert np.allclose(extents(hermitian_rectangle(p)), expected, rtol=1e-15, atol=0.0)

@@ -368,6 +368,15 @@ def test_slopes_are_the_derivative_of_lambda_max(route):
         assert np.max(np.abs(points.real - values)) <= 1e-13 * np.max(values)
 
 
+def test_sweep_solved_in_chunks_matches_one_batch(monkeypatch):
+    # each chunk takes its own angles' Newton starts; chunks of 3 angles show it at degree 16
+    rng = np.random.default_rng(37)
+    c = _companion(rng.normal(size=16) + 1j * rng.normal(size=16))
+    whole = numerical_radius_sweep(c)
+    monkeypatch.setattr(zerobounds.linalg, "_PEAKS_CHUNK", 3 * 16)
+    assert np.allclose(numerical_radius_sweep(c), whole, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("lower_coefficients, radius, budget_spent", [
     ([0.0, 0.0, 0.0], math.cos(math.pi / 4), True),  # 1, 0, 0, 0: W(C) is a disk, f is flat
     ([-np.exp(0.3j)] + [0.0] * 15, 1.0, False),  # z^16 - e^{0.3i}: unitary, 16 corners
