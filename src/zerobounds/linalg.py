@@ -257,7 +257,7 @@ def _sweep_ladders(thetas, values, slopes, half, wide, lower):
     through from there and one rung past it, and the intervals of those runs;
     no ladder where a 16-fold split does as well."""
     count, rungs, spanned = thetas.size, [np.empty(0)], np.zeros_like(wide)
-    peaks = np.flatnonzero(wide & (slopes > 0) & (np.roll(slopes, -1) <= 0))
+    peaks = np.flatnonzero(wide & (slopes > 0) & (np.concatenate((slopes[1:], slopes[:1])) <= 0))
     thetas, values, slopes, half, wide = (a.tolist() for a in (thetas, values, slopes, half, wide))
     for i in peaks.tolist():
         span, sa, sb = 2 * half[i], slopes[i], slopes[(i + 1) % count]
@@ -331,8 +331,8 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     while True:
         order = np.argsort(thetas)
         thetas, values, points = thetas[order], values[order], points[order]
-        half = np.diff(thetas, append=2 * np.pi) / 2  # thetas[0] is 0
-        following = np.roll(values, -1)
+        half = (np.concatenate((thetas[1:], [2 * np.pi])) - thetas) / 2  # thetas[0] is 0
+        following = np.concatenate((values[1:], values[:1]))
         re = (values + following) / (2 * np.cos(half))
         im = (values - following) / (2 * np.sin(half))
         vertex = np.hypot(re, im)
@@ -346,7 +346,7 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         rungs = np.sort(np.mod(rungs, 2 * np.pi))
         at = np.searchsorted(thetas, rungs, "right") - 1
         gap = np.minimum(rungs - thetas[at], thetas[at] + 2 * half[at] - rungs)
-        rungs = rungs[(gap > _SWEEP_MIN_GAP) & (np.diff(rungs, prepend=-1.0) > _SWEEP_MIN_GAP)]
+        rungs = rungs[(gap > _SWEEP_MIN_GAP) & (rungs - np.concatenate(([-1.0], rungs[:-1])) > _SWEEP_MIN_GAP)]
         # the last condition keeps new angles apart; where the budget binds, fewer pieces
         split = wide & ~reached & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)
         room = _SWEEP_BUDGET - thetas.size - rungs.size - 1  # 1 for the aimed angle
