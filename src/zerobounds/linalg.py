@@ -197,12 +197,13 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     Newton from, solves it in chunks of at most 8192 / n angles, and builds
     turns[:, j] = e^{i theta (j+1)}, j = 0..n-1, one row per angle, with
     np.exp; a caller whose angles are multiples of pi/2 passes its own turns,
-    a function of the batch giving exact powers of i. Dividing by scale before
-    squaring keeps |v|^2 finite for huge coefficients, and scale >= max |C_ij|
-    meets _largest_secular_root's contract. scale is one number for every
-    angle, or one per angle, cut along with the angles into chunks. With
-    support=True it also returns e^{i theta} p, p = u*Cu / (scale u*u) for
-    the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
+    a function of the batch giving exact powers of i. scale, one number or one
+    per angle (cut into chunks with the angles), is at least the largest
+    entry of H(theta), as max |C_ij| is. Entries are divided by it in real
+    arithmetic: NumPy's complex division multiplies by 1/scale, which is
+    inf for a subnormal scale and short of bits for a huge one. With
+    support=True it also returns e^{i theta} p, p = u*Cu / (scale u*u)
+    for the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
     Re(e^{i theta} p) = lambda_max, and by Hellmann-Feynman the slope of
     lambda_max in theta is -Im(e^{i theta} p).
     """
@@ -214,20 +215,21 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi); the 2n
     # sines of those arguments are computed once and looked up
     sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
+    row = np.concatenate((first_row[:1], first_row[1:] / 2))  # past the corner, halved
     if turns is None:
         powers = np.arange(1, n + 1)
         turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
 
     def solve(thetas: np.ndarray, start, scale: np.ndarray):
-        batch = turns(thetas)
-        top = batch[:, 0] * (first_row[0] / scale[..., 0])
-        # g at theta = 0 is the first row's conjugate halved, and the subdiagonal's 1/2
-        g = np.conj(batch[:, 1:]) * (np.conj(first_row[1:]) / (2 * scale))
-        g[:, 0] += 0.5 / scale[..., 0]
+        # each entry is formed before it is scaled: one part's scale need not hold the other
+        turned = turns(thetas) * row
+        top, g = turned[:, 0].copy(), np.conj(turned[:, 1:]) + (k == 1) / 2
+        g.view(float)[...] /= scale
         v_re, v_im = g.real @ sines, g.imag @ sines
-        del batch, g  # freed before the Newton steps allocate theirs
+        del turned, g  # freed before the Newton steps allocate theirs
         w = v_re**2 + v_im**2
-        values, inv = _largest_secular_root(top.real, w, cosines / scale, start)
+        h = top.real / scale[..., 0]  # the real part alone: the other may overflow
+        values, inv = _largest_secular_root(h, w, cosines / scale, start)
         if not support:
             return values
         # u*Cu / scale = u* (D* e^{i theta} C D / scale) u with u = (1, x), x = S y:
@@ -235,7 +237,7 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
         # and sum_j conj(g_j) x_j = sum_j conj(v_j) y_j = sum_j w_j / (lambda - mu_j)
         x = (v_re * inv) @ sines + 1j * ((v_im * inv) @ sines)
         shifted = (np.conj(x[:, 1:]) * x[:, :-1]).sum(axis=1) - 2j * x[:, 0].imag
-        point = top + 2 * (w * inv).sum(axis=1) + shifted / scale[..., 0]
+        point = (top + shifted) / scale[..., 0] + 2 * (w * inv).sum(axis=1)
         return values, point / (1 + (x.real**2 + x.imag**2).sum(axis=1))
 
     def peaks(thetas: np.ndarray, start=None):
@@ -302,19 +304,19 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     (2 cos h) and (f1 - f2) / (2 sin h). The farthest point of the polygon is
     such a vertex, so lower = max f <= w(X) <= upper = max vertex.
 
-    On X / max |X_ij|, from 32 equally spaced angles, each round evaluates
-    one batch in the wide intervals, those whose vertex exceeds max f by over
-    1e-14 relative plus 16 eps |im| / sin h, the rounding of f that the vertex
-    formula amplifies. Each angle also gives the slope f', from its support
-    point: ladders graded by the curvature of f close in on the peaks
-    (_sweep_ladders), a wide interval no ladder reaches is split 16-fold, and
-    one angle is aimed where the farthest vertex points (at a corner of W(X),
-    f there is w(X)). Angles within 1e-10 of one taken are dropped; their
-    vertex would be rounding noise. Newton starts each angle from the bound
-    its interval's vertex puts on f. The sweep stops when no angle is left or
-    at 4096 angles, where a batch is thinned to fewer splits and then to the
-    angles nearest the farthest vertex; a flat f (W(X) a disk) ends there,
-    about 4e-7 wide.
+    On X / max |X_ij|, from 32 equally spaced angles, each round evaluates one
+    batch in the wide intervals, those whose vertex exceeds max f by over 1e-14
+    relative plus 16 eps |im| / sin h, the rounding of f that the vertex formula
+    amplifies. Each angle also gives the slope f', from its support point:
+    ladders graded by the curvature of f close in on the peaks (_sweep_ladders),
+    a wide interval no ladder reaches is split 16-fold, and one angle is aimed
+    where the farthest vertex points (at a corner of W(X), f there is w(X)). One
+    sorted batch holds them all, and an angle within 1e-10 of one taken, or of
+    the one before it, is dropped: their vertex would be rounding noise. Newton
+    starts each angle from the bound its interval's vertex puts on f. The sweep
+    stops when no angle is left or at 4096 angles, where a batch is thinned to
+    fewer splits and then to the angles nearest the farthest vertex; a flat f
+    (W(X) a disk) ends there, about 4e-7 wide.
 
     A companion matrix (any first row, ones on the subdiagonal, exact zeros
     elsewhere, n >= 2) gets f from a rank-one secular equation over the known
@@ -343,27 +345,24 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         if not wide.any():
             break
         rungs, reached = _sweep_ladders(thetas, values, -points.imag, half, wide, lower)
-        rungs = np.sort(np.mod(rungs, 2 * np.pi))
-        at = np.searchsorted(thetas, rungs, "right") - 1
-        gap = np.minimum(rungs - thetas[at], thetas[at] + 2 * half[at] - rungs)
-        rungs = rungs[(gap > _SWEEP_MIN_GAP) & (rungs - np.concatenate(([-1.0], rungs[:-1])) > _SWEEP_MIN_GAP)]
-        # the last condition keeps new angles apart; where the budget binds, fewer pieces
-        split = wide & ~reached & (half > _SWEEP_SPLIT * _SWEEP_MIN_GAP / 2)
+        split = wide & ~reached  # where the budget binds, fewer pieces
         room = _SWEEP_BUDGET - thetas.size - rungs.size - 1  # 1 for the aimed angle
         pieces = min(_SWEEP_SPLIT, max(2, 1 + room // max(split.sum(), 1)))
         cuts = (thetas[split, None] + 2 * half[split, None] * np.arange(1, pieces) / pieces).ravel()
-        fresh = np.concatenate([rungs, cuts])
         aim = np.mod(thetas[far] + half[far] - np.arctan2(im[far], re[far]), 2 * np.pi)
-        gaps = np.mod(np.append(thetas, fresh) - aim + np.pi, 2 * np.pi) - np.pi
-        if np.abs(gaps).min() > _SWEEP_MIN_GAP:
-            fresh = np.append(fresh, aim)
-        room = _SWEEP_BUDGET - thetas.size
-        if fresh.size > room:  # spend what is left, nearest the farthest vertex first
-            fresh = fresh[np.argsort(np.abs(np.mod(fresh - aim + np.pi, 2 * np.pi) - np.pi))[:room]]
-        if fresh.size == 0:
-            break
+        fresh = np.sort(np.mod(np.concatenate([rungs, cuts, [aim]]), 2 * np.pi))
         at = np.searchsorted(thetas, fresh, "right") - 1
         turn = fresh - thetas[at] - half[at]
+        # one spacing rule: no angle within 1e-10 of one taken or of the one before it
+        keep = np.flatnonzero((half[at] - np.abs(turn) > _SWEEP_MIN_GAP)
+                              & (fresh - np.concatenate(([-1.0], fresh[:-1])) > _SWEEP_MIN_GAP))
+        room = _SWEEP_BUDGET - thetas.size
+        if keep.size > room:  # spend what is left, nearest the farthest vertex first
+            off = np.mod(fresh[keep] - aim + np.pi, 2 * np.pi) - np.pi
+            keep = keep[np.argsort(np.abs(off))[:room]]
+        if keep.size == 0:
+            break
+        fresh, at, turn = fresh[keep], at[keep], turn[keep]
         bound = re[at] * np.cos(turn) - im[at] * np.sin(turn)  # the vertex's support value
         new_values, new_points = peaks(fresh, bound + _SWEEP_NOISE * np.abs(bound))
         thetas = np.concatenate([thetas, fresh])

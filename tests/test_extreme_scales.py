@@ -23,6 +23,7 @@ from zerobounds import (
     carmichael_mason,
     cauchy,
     fujii_kubo,
+    hermitian_rectangle,
     kittaneh_disk,
     kittaneh_rectangle,
     linden,
@@ -265,3 +266,24 @@ def test_the_cartesian_rows_halve_before_they_sum(poly, method):
         disk, block = _mp_cartesian_rows(_mp_matrix(build_companion(p)))
         want = disk if method == "cartesian_disk" else block
         assert abs(row.value - want) <= 1e-12 * want, (row.value, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("poly", [
+    "1, 1e-310, 1",  # Re C's scale is subnormal
+    "1, 5e-324i, -1",  # Im C's scale is subnormal
+    "1, 1.7e308, 0, 0",  # Re c_0 overflows Im C's scale of 1/2
+    "1, 1.7e308i, 0, 1",  # Im c_0 overflows Re C's scale of 1/2
+    "1, 1e300+1e-310i, -1",  # both: Im C's scale is subnormal, and Re c_0 overflows it
+])
+def test_hermitian_rectangle_scales_each_part_after_its_turn(poly, capsys):
+    # each extent is lambda_max of one part, exact to a few eps of that part's largest entry
+    p = parse_polynomial(poly)
+    rect = hermitian_rectangle(p)
+    with mpmath.workdps(50):
+        parts = _mp_parts(_mp_matrix(build_companion(p)))
+        for part, lo, hi in zip(parts, (rect.re_lo, rect.im_lo), (rect.re_hi, rect.im_hi)):
+            values = mpmath.eigh(part, eigvals_only=True)
+            size = max(abs(x) for x in part)
+            assert abs(min(values) - lo) <= 1e-15 * size and abs(max(values) - hi) <= 1e-15 * size
+    assert main(["compare", "--poly", poly, "--no-oracle", "--methods", "hermitian_rectangle"]) == 0

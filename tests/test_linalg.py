@@ -248,57 +248,35 @@ def test_companion_route_raises_when_the_solve_fails(monkeypatch):
 
 # ------------------------------------------------- the sweep's bracket loop
 
-def _count_peak_calls(monkeypatch):
-    """Record the angle count of every lambda_max batch on either route."""
-    calls = []
+def _record_batches(monkeypatch):
+    """Record the angles and lambda_max (of X / max |X_ij|) of every batch on either route."""
+    thetas, values = [], []
     companion_peaks, dense_peaks = _companion_peaks, _dense_peaks
+
+    def recorded(batch, out):
+        thetas.append(batch)
+        values.append(out[0])
+        return out
 
     def companion_spy(first_row, scale, **options):
         peaks = companion_peaks(first_row, scale, **options)
-
-        def counted(thetas, start=None):
-            calls.append(len(thetas))
-            return peaks(thetas, start)
-
-        return counted
-
-    def dense_spy(m, thetas):
-        calls.append(len(thetas))
-        return dense_peaks(m, thetas)
+        return lambda batch, start=None: recorded(batch, peaks(batch, start))
 
     monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
-    monkeypatch.setattr(zerobounds.linalg, "_dense_peaks", dense_spy)
-    return calls
+    monkeypatch.setattr(zerobounds.linalg, "_dense_peaks",
+                        lambda m, batch: recorded(batch, dense_peaks(m, batch)))
+    return thetas, values
 
 
 @pytest.mark.parametrize("route", ["companion", "dense"])
 def test_sweep_refines_in_a_few_batched_calls(monkeypatch, route):
-    calls = _count_peak_calls(monkeypatch)
+    thetas, _ = _record_batches(monkeypatch)
     c = _companion([complex(k, 1) for k in range(1, 7)])
     lower, upper = numerical_radius_sweep(c if route == "companion" else c + 0.1 * np.eye(6))
+    calls = list(map(len, thetas))
     assert calls[0] == 32
     assert 2 <= len(calls) <= 4
     assert lower <= upper <= lower * (1 + 1e-14)
-
-
-def _record_angles(monkeypatch):
-    """Record every angle and lambda_max (of C / max |C_ij|) the companion route evaluates."""
-    thetas, values = [], []
-    companion_peaks = _companion_peaks
-
-    def companion_spy(first_row, scale, **options):
-        peaks = companion_peaks(first_row, scale, **options)
-
-        def recorded(batch, start=None):
-            out = peaks(batch, start)
-            thetas.append(batch)
-            values.append(out[0])
-            return out
-
-        return recorded
-
-    monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
-    return thetas, values
 
 
 def _closed(thetas, values):
@@ -331,7 +309,7 @@ def test_sweep_closes_the_ladder_in_three_rounds(monkeypatch):
         for seed, most in enumerate(split_angles):
             rng = np.random.default_rng(seed)
             c = _companion(rng.normal(size=n) + 1j * rng.normal(size=n))
-            thetas, values = _record_angles(monkeypatch)
+            thetas, values = _record_batches(monkeypatch)
             lower, upper = numerical_radius_sweep(c)
             rounds.append(len(thetas))
             assert _closed(np.concatenate(thetas), np.concatenate(values)), (n, seed)
@@ -383,8 +361,9 @@ def test_sweep_solved_in_chunks_matches_one_batch(monkeypatch):
 ], ids=["shift-3", "unitary-16"])
 def test_sweep_spends_the_budget_on_flat_profiles(monkeypatch, lower_coefficients, radius,
                                                   budget_spent):
-    calls = _count_peak_calls(monkeypatch)
+    thetas, _ = _record_batches(monkeypatch)
     lower, upper = numerical_radius_sweep(_companion(lower_coefficients))
+    calls = list(map(len, thetas))
     # sampling narrows a disk's bracket only as the angles grow, so the budget
     # is spent; the ladders find the unitary companion's 16 peaks and close it
     assert (sum(calls) == 4096) == budget_spent and sum(calls) <= 4096
@@ -398,10 +377,27 @@ def test_sweep_spends_the_budget_on_flat_profiles(monkeypatch, lower_coefficient
     _companion([-1.0] + [0.0] * 63),  # z^64 - 1, unitary with 64 corners
 ], ids=["jordan-dense", "shift-companion", "unitary-64"])
 def test_sweep_evaluates_at_most_the_angle_budget(monkeypatch, matrix):
-    calls = _count_peak_calls(monkeypatch)
+    thetas, _ = _record_batches(monkeypatch)
     lower, upper = numerical_radius_sweep(matrix)
+    calls = list(map(len, thetas))
     assert sum(calls) <= 4096
     assert lower <= upper <= operator_norm(matrix) * (1 + 1e-14)
+
+
+def test_sweep_evaluates_no_two_angles_within_the_gap(monkeypatch):
+    # two angles under 1e-10 apart give a vertex of rounding noise; on these
+    # companions the smallest gap is about 8.6e-9
+    lowers = {"shift-3": [0.0] * 3, "unitary-16": [-np.exp(0.3j)] + [0.0] * 15,
+              "unitary-64": [-1.0] + [0.0] * 63}
+    for n in SPLIT_SWEEP_ANGLES:
+        for seed in range(9):
+            rng = np.random.default_rng(seed)
+            lowers[n, seed] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for name, lower in lowers.items():
+        thetas, _ = _record_batches(monkeypatch)
+        numerical_radius_sweep(_companion(lower))
+        taken = np.sort(np.concatenate(thetas))
+        assert np.diff(np.append(taken, taken[0] + 2 * np.pi)).min() > 1e-10, name
 
 
 def _grid_peak(m, count=4096, chunk=256):
@@ -450,8 +446,9 @@ def test_sweep_closes_a_normal_matrix_without_refining_on_rounding_noise(monkeyp
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     lam = rng.normal(size=5) + 1j * rng.normal(size=5)
     rho = np.max(np.abs(lam))
-    calls = _count_peak_calls(monkeypatch)
+    thetas, _ = _record_batches(monkeypatch)
     lower, upper = numerical_radius_sweep(q @ np.diag(lam) @ q.conj().T)
+    calls = list(map(len, thetas))
     assert sum(calls) <= 400  # one eigvalsh per angle
     # U diag(lam) U* carries rounding of about eps rho, so w is rho only to that
     assert lower <= rho * (1 + 1e-14)
@@ -489,3 +486,13 @@ def test_sweep_of_a_huge_middle_coefficient_is_finite():
     lower, upper = numerical_radius_sweep(build_companion(make_monic([1, 1e200, 1])))
     assert math.isfinite(upper)
     assert 1e200 * (1 - 1e-12) <= lower <= upper <= 1e200 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("b", [1e308, 1.7e308])
+def test_sweep_of_a_coefficient_whose_double_overflows(b):
+    # z^2 + b: max |C_ij| = b, and twice b is past the float range.
+    # w([[0, -b], [1, 0]]) = (b + 1) / 2, and lower = max f carries f's
+    # rounding; W(C / b) is nearly a disk, so the sweep ends at the budget
+    lower, upper = numerical_radius_sweep(build_companion(make_monic([1, 0, b])))
+    w = (b + 1) / 2
+    assert lower <= w * (1 + 1e-14) and w <= upper <= lower * (1 + 1e-6)
