@@ -12,15 +12,15 @@ a single point, to the ascending a_k indexing every formula uses.
 Coefficient literals accept decimals and exact fractions: ``a``, ``bi``,
 ``a+bi``, ``a-bi`` where each part is a decimal number, optionally with an
 exponent (``1e-3``, ``-1.5E+2``), or a fraction ``p/q``.
-Fractions parse exactly (via fractions.Fraction), so tests like "a_1 is
-literally zero" in odd_reduce are algebraic, not numerical.
+Each part rounds once, from its exact value, to the nearest float, so tests
+like "a_1 is literally zero" in odd_reduce are algebraic, not numerical.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegreeTooSmallError,
@@ -115,15 +115,20 @@ def odd_reduce(p: Polynomial) -> tuple[Polynomial, bool]:
     return p, False
 
 
-# at most 4 exponent digits: Fraction builds 10**|exponent| exactly, and 10**4 is past float range
+# at most 4 exponent digits, as grammar: 10**4 is past float range, so a longer one "cannot parse"
 _NUMBER = r"(?:\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?0*\d{1,4})?)"
 # a, bi or a+bi in one match: patterns tried in turn backtrack through the digits of each miss
 _COEFFICIENT_RE = re.compile(rf"([+-]?)({_NUMBER})(?:([+-])({_NUMBER}))?(i?)")
 
 
 def _signed(sign: str, magnitude: str, token: str) -> float:
+    numerator, _, denominator = magnitude.partition("/")
     try:
-        value = float(Fraction(magnitude))
+        if len(magnitude) > sys.get_int_max_str_digits():  # float() has no digit limit: hold
+            list(map(int, re.findall(r"\d+", magnitude)))  # each digit run to int()'s
+        value = int(numerator) / int(denominator) if denominator else float(magnitude)
+        if value > sys.float_info.max:  # both round correctly, but float(str) overflows to inf
+            raise OverflowError
     except ZeroDivisionError:
         raise PolynomialParseError(f"zero denominator in {magnitude!r}") from None
     except OverflowError:

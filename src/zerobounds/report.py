@@ -184,13 +184,14 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
 
     if isinstance(outcome, Rectangle):
         rectangle, variant, value, applicability = outcome, None, None, "valid"
+        extents = (-outcome.re_lo, outcome.re_hi, -outcome.im_lo, outcome.im_hi)
         verdict = validate_rectangle(outcome, oracle) if oracle is not None else None
     else:
-        rectangle, variant, value = None, outcome.variant, outcome.value
+        rectangle, variant, value, extents = None, outcome.variant, outcome.value, (outcome.value,)
         applicability, notes = outcome.applicability, notes + outcome.notes
-        if value == math.inf:
-            notes += ("overflow: true value exceeds the float range",)
         verdict = validate_bound(value, oracle) if oracle is not None else None
+    if math.inf in extents:
+        notes += ("overflow: true value exceeds the float range",)
     return ReportRow(
         name, variant, value, applicability, rectangle=rectangle,
         verdict=None if verdict is None else verdict.verdict,

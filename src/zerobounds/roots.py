@@ -53,18 +53,19 @@ def _weierstrass_denominators(n):
     """z -> prod_{j != i} (z_i - z_j) for i = 0..n-1, multiplied in index order
     j = 0..n-1, into one array that every call refills.
 
-    Each call refills an n x n buffer transposed, diff[j, i] = z_i - z_j, with
-    ones on the diagonal, and reduces it over axis 0: that multiplies whole
-    rows elementwise, which costs less than a row-wise prod but may round
-    differently from the scalar complex multiply (NumPy's vector loop can use
-    fused multiply-add).
+    Each call fills an n x n buffer, diff[j, i] = z_i - z_j with ones on the
+    diagonal, by copying z into every row and subtracting z as a column in place
+    (half the cost of a broadcast outer difference). Reducing it over axis 0
+    multiplies whole rows elementwise, cheaper than a row-wise prod, but that may
+    round unlike the scalar complex multiply (NumPy can use fused multiply-add).
     """
     diff = np.empty((n, n), dtype=complex)
     diagonal = diff.reshape(-1)[::n + 1]
     out = np.empty(n, dtype=complex)
 
     def denominators(z):
-        np.subtract(z, z[:, None], out=diff)
+        diff[:] = z
+        np.subtract(diff, z[:, None], out=diff)
         diagonal[:] = 1.0
         return np.multiply.reduce(diff, axis=0, out=out)
 
@@ -108,6 +109,11 @@ def _durand_kerner_pass(descending, z, tol):
     return z, _MAX_ITERATIONS, f"did not converge in {_MAX_ITERATIONS} iterations"
 
 
+def _order_keys(z):
+    """(-abs(z_i), np.angle(z_i)) bit for bit; np.abs's vector loop can round an ulp away."""
+    return list(zip((-np.hypot(z.real, z.imag)).tolist(), np.arctan2(z.imag, z.real).tolist()))
+
+
 def find_roots(p: Polynomial) -> RootSet:
     """All roots of p by Durand-Kerner simultaneous iteration.
 
@@ -117,7 +123,8 @@ def find_roots(p: Polynomial) -> RootSet:
     restart. NoConvergenceError names the cause when the iteration
     overflows, stalls at the rounding level (checked at iterations
     2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
-    exceeds 1e-8 * prod(1 + |z_i|). Deterministic for fixed input.
+    exceeds 1e-8 * prod(1 + |z_i|). Deterministic for fixed input. Python's
+    sorted orders the roots on _order_keys, as NaN-bearing failures need.
     """
     n = p.degree
     descending = p.descending()
@@ -135,7 +142,7 @@ def find_roots(p: Polynomial) -> RootSet:
     with np.errstate(over="ignore", invalid="ignore"):  # the pass reports an overflow
         z, iterations, failure = _durand_kerner_pass(descending, z, tol)
 
-    order = sorted(range(n), key=lambda i: (-abs(z[i]), np.angle(z[i])))
+    order = sorted(range(n), key=_order_keys(z).__getitem__)
     roots = tuple(complex(z[i]) for i in order)
     residuals = tuple(abs(p.evaluate(r)) for r in roots)
 
@@ -144,11 +151,8 @@ def find_roots(p: Polynomial) -> RootSet:
         failure = f"converged in {iterations} iterations but a residual exceeds the guard"
     if failure is not None:
         raise NoConvergenceError(
-            f"root iteration {failure} (max residual {max(residuals):.3e}, "
-            f"guard {guard:.3e})",
-            best_roots=roots,
-            residuals=residuals,
-        )
+            f"root iteration {failure} (max residual {max(residuals):.3e}, guard {guard:.3e})",
+            best_roots=roots, residuals=residuals)
     return RootSet(roots, residuals, max(abs(r) for r in roots), iterations)
 
 

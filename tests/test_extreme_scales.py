@@ -204,6 +204,21 @@ def test_an_infinite_value_on_finite_input_carries_a_note(poly, method, capsys):
     assert finite and all("float range" not in note for row in finite for note in row["notes"])
 
 
+@pytest.mark.parametrize("poly, infinite", [
+    ("1, 1.7e308, 1.7e308", "re_lo"),  # Re C's smallest eigenvalue is about -2.05e308
+    ("1, 1.7e308i, 1.7e308i", "im_lo"),
+    ("1, 1.7e308, 0, 0", None),  # extents up to 1.7e308, all finite
+    ("1, 1e300, 1e300", None),
+])
+def test_an_infinite_rectangle_extent_carries_a_note(poly, infinite, capsys):
+    assert main(["compare", "--poly", poly, "--methods", "hermitian_rectangle",
+                 "--no-oracle", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert [k for k, v in row["rectangle"].items() if not math.isfinite(float(v))] == (
+        [infinite] if infinite else [])
+    assert row["notes"] == (["overflow: true value exceeds the float range"] if infinite else [])
+
+
 @pytest.mark.parametrize("poly, refused", [
     ("1, 1, 1, 1e200, 1", True),  # |s|^2 overflows
     ("1, 1e160, 1, 1, 1", True),  # |r|^2 overflows

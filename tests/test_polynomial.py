@@ -1,6 +1,9 @@
 """Parsing, normalization, and evaluation of monic polynomials."""
 
+import math
 import re
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -89,14 +92,88 @@ def test_parse_rejects_more_digits_than_python_converts():
 
 
 def test_parse_refuses_huge_exponents_before_exact_arithmetic(monkeypatch):
-    # Fraction would build 10**exponent exactly: a 1e+20-digit integer here
-    def refuse(text):
-        raise AssertionError(f"Fraction({text!r}) called")
+    # the grammar refuses these before any part is converted: exact arithmetic
+    # would build 10**exponent, a 1e+20-digit integer here
+    def refuse(sign, magnitude, token):
+        raise AssertionError(f"_signed({magnitude!r}) called")
 
-    monkeypatch.setattr(zerobounds.polynomial, "Fraction", refuse)
+    monkeypatch.setattr(zerobounds.polynomial, "_signed", refuse)
     for token in ("1e" + "9" * 20, "1e-" + "9" * 20, "-2.5E+" + "1" * 12 + "i"):
         with pytest.raises(PolynomialParseError, match="cannot parse"):
             parse_complex(token)
+
+
+_INT_DIGITS = sys.get_int_max_str_digits() or 4300
+
+
+def _fraction_reference(sign, part, token):
+    """One part as exact arithmetic rounds it (float(Fraction(part))), or the
+    message of the refusal that conversion maps to."""
+    try:
+        value = float(Fraction(part))
+    except ZeroDivisionError:
+        return f"zero denominator in {part!r}"
+    except OverflowError:
+        return f"coefficient {token!r} overflows a float"
+    except ValueError:  # a digit run past Python's limit on the digits of an int
+        return f"too many digits in {token!r}"
+    return -value if sign == "-" else value
+
+
+def _exact_texts(fr):
+    """A dyadic rational exactly, as a decimal with exponent and as p/q."""
+    k = fr.denominator.bit_length() - 1
+    return [f"{fr.numerator * 5**k}e-{k}", f"{fr.numerator}/{fr.denominator}"]
+
+
+@st.composite
+def _parts(draw):
+    """Grammar-valid parts: decimals, with exponents near the ends of the float
+    range among others; p/q; floats (subnormals, -0's magnitude and the largest
+    float included) and the exact midpoints to their upper neighbours, where
+    rounding ties, nudged either way; and digit runs of exactly Python's
+    int-digit limit and of one more, in every position."""
+    kind = draw(st.sampled_from(["decimal", "fraction", "float", "long"]))
+    digits = st.text("0123456789", min_size=1, max_size=20)
+    if kind == "decimal":
+        whole, frac = draw(digits), draw(digits)
+        body = draw(st.sampled_from([whole, f"{whole}.", f"{whole}.{frac}", f".{frac}"]))
+        if not draw(st.booleans()):
+            return body
+        power = draw(st.one_of(st.integers(0, 9999), st.integers(290, 340)))
+        zeros = "0" * draw(st.integers(0, 3))
+        return f"{body}{draw(st.sampled_from('eE'))}{draw(st.sampled_from(['', '+', '-']))}{zeros}{power}"
+    if kind == "fraction":
+        return f"{draw(digits)}/{draw(st.one_of(digits, st.sampled_from(['0', '000'])))}"
+    if kind == "float":
+        x = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                           st.floats(0.0, 2.2250738585072014e-308),
+                           st.floats(1e300, sys.float_info.max)))
+        upper = Fraction(2**1024) if x == sys.float_info.max else Fraction(math.nextafter(x, math.inf))
+        mid = (Fraction(x) + upper) / 2
+        nudge = Fraction(1, 2 ** (mid.denominator.bit_length() + 60))
+        near = draw(st.sampled_from([Fraction(x), mid, mid - nudge, mid + nudge]))
+        return draw(st.sampled_from([repr(x), *_exact_texts(near)]))
+    size = draw(st.sampled_from([_INT_DIGITS, _INT_DIGITS + 1]))
+    run = draw(st.sampled_from("0139")) * size
+    exponent = "0" * (size - 1) + draw(st.sampled_from("0139"))  # the grammar's leading zeros
+    return draw(st.sampled_from([
+        run, f"{run}.5", f"1.{run}", f"1e-{exponent}", f"{run}/7", f"7/{run}"]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_parts(), st.sampled_from(["", "+", "-"]), st.booleans())
+def test_parse_rounds_each_part_as_exact_arithmetic_does(part, sign, imaginary):
+    token = f"0{sign or '+'}{part}i" if imaginary else f"{sign}{part}"
+    want = _fraction_reference(sign, part, token)
+    if isinstance(want, str):
+        with pytest.raises(PolynomialParseError) as refusal:
+            parse_complex(token)
+        assert str(refusal.value) == want
+    else:
+        got = parse_complex(token)
+        pair = (0.0, want) if imaginary else (want, 0.0)
+        assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *pair)
 
 
 def test_make_monic_divides_through_by_leading_coefficient():

@@ -95,6 +95,23 @@ def test_sort_order_modulus_descending_then_argument():
     assert args == sorted(args)  # equal moduli, so argument ascending
 
 
+def _root_arrays():
+    rng = np.random.default_rng(23)
+    for n in (*range(1, 41), 48, 64, 128):
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield np.roots(rng.standard_normal(n + 1)).astype(complex)  # exact conjugate pairs
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -5e-324, 1e300]
+    yield np.array([complex(a, b) for a in special for b in special])
+
+
+def test_order_keys_are_the_scalar_modulus_and_argument_bit_for_bit():
+    # a key one ulp off can swap a conjugate pair, and so the printed roots
+    for z in _root_arrays():
+        want = [(-abs(z[i]), np.angle(z[i])) for i in range(len(z))]
+        got = zerobounds.roots._order_keys(z)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), z
+
+
 def test_residuals_are_small_and_reported():
     p = parse_polynomial("1, -1/2, 1/3, -1/4")
     rs = find_roots(p)
