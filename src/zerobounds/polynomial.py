@@ -124,8 +124,8 @@ _COEFFICIENT_RE = re.compile(rf"([+-]?)({_NUMBER})(?:([+-])({_NUMBER}))?(i?)")
 def _signed(sign: str, magnitude: str, token: str) -> float:
     numerator, _, denominator = magnitude.partition("/")
     try:
-        if len(magnitude) > sys.get_int_max_str_digits():  # float() has no digit limit: hold
-            list(map(int, re.findall(r"\d+", magnitude)))  # each digit run to int()'s
+        if 0 < sys.get_int_max_str_digits() < len(magnitude):  # float() has no digit limit:
+            list(map(int, re.findall(r"\d+", magnitude)))  # hold each digit run to int()'s
         value = int(numerator) / int(denominator) if denominator else float(magnitude)
         if value > sys.float_info.max:  # both round correctly, but float(str) overflows to inf
             raise OverflowError

@@ -141,15 +141,16 @@ def _parts(draw):
         if not draw(st.booleans()):
             return body
         power = draw(st.one_of(st.integers(0, 9999), st.integers(290, 340)))
-        zeros = "0" * draw(st.integers(0, 3))
-        return f"{body}{draw(st.sampled_from('eE'))}{draw(st.sampled_from(['', '+', '-']))}{zeros}{power}"
+        mark = draw(st.sampled_from(["e", "E", "e+", "E+", "e-", "E-"]))
+        return f"{body}{mark}{'0' * draw(st.integers(0, 3))}{power}"
     if kind == "fraction":
         return f"{draw(digits)}/{draw(st.one_of(digits, st.sampled_from(['0', '000'])))}"
     if kind == "float":
         x = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
                            st.floats(0.0, 2.2250738585072014e-308),
                            st.floats(1e300, sys.float_info.max)))
-        upper = Fraction(2**1024) if x == sys.float_info.max else Fraction(math.nextafter(x, math.inf))
+        # the largest float's upper neighbour is 2**1024, where the float range ends
+        upper = Fraction(2**1024 if x == sys.float_info.max else math.nextafter(x, math.inf))
         mid = (Fraction(x) + upper) / 2
         nudge = Fraction(1, 2 ** (mid.denominator.bit_length() + 60))
         near = draw(st.sampled_from([Fraction(x), mid, mid - nudge, mid + nudge]))
