@@ -1,11 +1,16 @@
 """Command-line front door.
 
     zerobounds compare --poly "1, 5/4, 4/3, 1, 2, 3, 4" --methods all
+    zerobounds compare @preset.args --poly "1, 0, -1"
     zerobounds fixture all
     zerobounds roots --poly "1, 0, -1"
 
+compare reads @FILE as flags, one argument per line (--format=json,
+--variant=kittaneh=plus_one); they meet the same checks as on the command
+line, and a later argument wins.
+
 Exit codes: 0 ok; 1 fixture assertion failure; 2 unparseable or out-of-range
-input (polynomial, method list, variant, config, fixture name); 3 MW bound
+input (polynomial, method list, variant, preset file, fixture name); 3 MW bound
 refused under --strict-mw; 4 root-oracle failure (bounds are still printed,
 without verdicts).
 """
@@ -36,12 +41,11 @@ from .roots import find_roots
 
 __all__ = ["main"]
 
-# --variant family (also a config key) -> (CompareOptions field, allowed values)
+# --variant family -> (CompareOptions field, allowed values)
 _VARIANT_FAMILIES = {
     m.option.removesuffix("_variant"): (m.option, m.variants)
     for m in METHODS.values() if m.option is not None
 }
-_CONFIG_KEYS = ("methods", *_VARIANT_FAMILIES, "strict-mw", "oracle", "format")
 
 
 class CliInputError(Exception):
@@ -55,23 +59,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compare = sub.add_parser("compare", help="evaluate bounds for one polynomial")
+    compare = sub.add_parser("compare", help="evaluate bounds for one polynomial",
+                             fromfile_prefix_chars="@")
     compare.add_argument("--poly", required=True,
                          help="degree-descending coefficients, comma separated; "
                               "entries like 2, -1/3, 2.5e-3, 1/4+1/4i")
-    compare.add_argument("--methods", default=None,
+    compare.add_argument("--methods", default="all",
                          help=f"comma-separated method ids or 'all' (default); "
                               f"known: {', '.join(ALL_METHODS)}")
-    compare.add_argument("--variant", action="append", default=None, metavar="NAME=VALUE",
+    compare.add_argument("--variant", action="append", default=[], metavar="NAME=VALUE",
                          help="formula variant, repeatable: " + ", ".join(
                              f"{family}={'|'.join(allowed)}"
                              for family, (_, allowed) in _VARIANT_FAMILIES.items()))
-    compare.add_argument("--strict-mw", action="store_true", default=None,
+    compare.add_argument("--strict-mw", action="store_true",
                          help="refuse the MW bound when its guard is not guaranteed")
-    compare.add_argument("--format", choices=("text", "csv", "json"), default=None)
-    compare.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=None,
+    compare.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    compare.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True,
                          help="validate bounds against computed roots (default on)")
-    compare.add_argument("--config", default=None, help="key=value preset file")
 
     fixture = sub.add_parser("fixture", help="check bundled reference fixtures")
     fixture.add_argument("name", help="table1..table5, h1, h2, h3, or 'all'")
@@ -79,39 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     roots = sub.add_parser("roots", help="compute all roots of one polynomial")
     roots.add_argument("--poly", required=True)
-    roots.add_argument("--format", choices=("text", "json"), default=None)
+    roots.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise CliInputError(f"cannot read config file: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliInputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("_", "-")
-        if key not in _CONFIG_KEYS:
-            raise CliInputError(
-                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})"
-            )
-        values[key] = value.strip()
-    return values
-
-
-def _parse_variants(pairs: list[str] | None) -> dict[str, str]:
-    chosen: dict[str, str] = {}
-    for pair in pairs or []:
+def _compare_options(args: argparse.Namespace) -> CompareOptions:
+    variants: dict[str, str] = {}
+    for pair in args.variant:
         name, sep, value = pair.partition("=")
         if not sep:
             raise CliInputError(f"--variant wants NAME=VALUE, got {pair!r}")
@@ -120,66 +99,24 @@ def _parse_variants(pairs: list[str] | None) -> dict[str, str]:
             raise CliInputError(
                 f"unknown variant family {name!r} ({', '.join(_VARIANT_FAMILIES)})"
             )
-        _, allowed = _VARIANT_FAMILIES[name]
+        field, allowed = _VARIANT_FAMILIES[name]
         if value not in allowed:
             raise CliInputError(f"variant {name} must be one of {', '.join(allowed)}")
-        chosen[name] = value
-    return chosen
-
-
-_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
-    ("0", "false", "no", "off"), False)
-
-
-def _setting(flag, config: dict[str, str], key: str, default):
-    """The flag if given, else the config value, else the default. A key whose
-    default is a bool reads 1/true/yes/on and 0/false/no/off, in any case."""
-    if flag is not None:
-        return flag
-    if key not in config:
-        return default
-    text = config[key]
-    if not isinstance(default, bool):
-        return text
-    if text.lower() not in _BOOLEANS:
-        raise CliInputError(f"config key {key} wants a boolean, got {text!r}")
-    return _BOOLEANS[text.lower()]
-
-
-def _compare_options(args: argparse.Namespace) -> tuple[CompareOptions, str]:
-    config = _load_config(args.config)
-    flags = _parse_variants(args.variant)
-    variants: dict[str, str] = {}
-    for family, (field, allowed) in _VARIANT_FAMILIES.items():
-        value = _setting(flags.get(family), config, family, allowed[0])
-        if value not in allowed:
-            raise CliInputError(f"config: {family} must be one of {', '.join(allowed)}")
         variants[field] = value
-
-    methods_text = _setting(args.methods, config, "methods", None)
     try:
-        methods = resolve_methods(methods_text)
+        methods = resolve_methods(args.methods)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-
-    options = CompareOptions(
-        methods=methods,
-        strict_mw=_setting(args.strict_mw, config, "strict-mw", False),
-        oracle=_setting(args.oracle, config, "oracle", True),
-        **variants,
-    )
-    out_format = _setting(args.format, config, "format", "text")
-    if out_format not in ("text", "csv", "json"):
-        raise CliInputError(f"config: format must be text, csv, or json, got {out_format!r}")
-    return options, out_format
+    return CompareOptions(methods=methods, strict_mw=args.strict_mw, oracle=args.oracle,
+                          **variants)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    options, out_format = _compare_options(args)
+    options = _compare_options(args)
     report = run_compare(args.poly, options)
-    if out_format == "csv":
+    if args.format == "csv":
         sys.stdout.write(format_compare_csv(report))
-    elif out_format == "json":
+    elif args.format == "json":
         sys.stdout.write(format_compare_json(report))
     else:
         sys.stdout.write(format_compare_text(report))

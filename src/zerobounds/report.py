@@ -156,6 +156,9 @@ def resolve_methods(spec: str | None) -> tuple[str, ...]:
         raise ValueError(f"unknown methods: {', '.join(unknown)} (known: {', '.join(ALL_METHODS)})")
     if not names:
         raise ValueError("empty method list")
+    duplicates = sorted({n for n in names if names.count(n) > 1}, key=names.index)
+    if duplicates:
+        raise ValueError(f"duplicate methods: {', '.join(duplicates)}")
     return names
 
 

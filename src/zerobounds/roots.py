@@ -132,7 +132,7 @@ def find_roots(p: Polynomial) -> RootSet:
     tol = 1e-13 * scale
 
     if n == 1:
-        root = -p.lower[0]
+        root = 0.0 - p.lower[0]  # not -x, which turns a zero part into -0
         residual = abs(p.evaluate(root))
         return RootSet((complex(root),), (residual,), abs(root), 0)
 

@@ -228,6 +228,8 @@ def test_compare_method_subset_and_unknown_method():
     assert [r.method for r in report.rows] == ["cauchy", "mw"]
     with pytest.raises(ValueError, match="unknown methods"):
         resolve_methods("cauchy, nope")
+    with pytest.raises(ValueError, match="^duplicate methods: cauchy$"):
+        resolve_methods("cauchy, mw, cauchy")
     assert resolve_methods(None) == ALL_METHODS
     assert resolve_methods("all") == ALL_METHODS
 
@@ -351,6 +353,7 @@ def test_cli_bad_leading_coefficient_exits_two(command, poly, cause, capsys):
         ["compare", "--poly", "1, 2, 3", "--variant", "alpha=0.3"],
         ["fixture", "nope"],
         ["compare", "--poly", "1, 2, 3", "--variant", "linden"],
+        ["compare", "--poly", "1, 2, 3", "--methods", "cauchy,cauchy"],
     ],
 )
 def test_cli_bad_input_exits_two(argv, capsys):
@@ -409,50 +412,61 @@ def test_cli_no_oracle_flag(capsys):
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "preset.cfg"
-    cfg.write_text(
-        "# preset\nformat = json\nkittaneh = plus_one\nstrict_mw = true\n",
-        encoding="utf-8",
-    )
-    # config sets json + plus_one; the command-line format wins, variant stays
-    code = main(["compare", "--poly", TABLE1, "--config", str(cfg),
+    preset = tmp_path / "preset.args"
+    preset.write_text("--format=json\n--variant=kittaneh=plus_one\n", encoding="utf-8")
+    # the preset sets json + plus_one; the later command-line format wins, variant stays
+    code = main(["compare", "--poly", TABLE1, f"@{preset}",
                  "--format", "csv", "--methods", "kittaneh_disk"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[1][0] == "kittaneh_disk"
     assert rows[1][1] == "plus_one"
     assert format(float(rows[1][2]), ".12g") == rows[1][2]
-    # without the override the config's json format is used
-    code = main(["compare", "--poly", TABLE1, "--config", str(cfg),
-                 "--methods", "kittaneh_disk"])
+    # without the override the preset's json format is used
+    code = main(["compare", "--poly", TABLE1, f"@{preset}", "--methods", "kittaneh_disk"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"][0]["variant"] == "plus_one"
 
 
 def test_cli_config_strict_mw_applies(tmp_path, capsys):
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("strict-mw = yes\n", encoding="utf-8")
+    preset = tmp_path / "strict.args"
+    preset.write_text("--strict-mw\n", encoding="utf-8")
     h1 = get_fixture("h1").coefficients
-    assert main(["compare", "--poly", h1, "--config", str(cfg), "--methods", "mw"]) == 3
+    assert main(["compare", "--poly", h1, f"@{preset}", "--methods", "mw"]) == 3
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "content",
-    ["bogus_key = 1\n", "strict-mw = maybe\n", "no equals sign\n", "alpha = wide\n"],
+    ["--bogus-key=1\n", "--format=yaml\n", "--oracle=maybe\n", "--strict-mw=maybe\n",
+     "json\n", "--alpha=wide\n"],
 )
 def test_cli_bad_config_exits_two(tmp_path, capsys, content):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(content, encoding="utf-8")
-    assert main(["compare", "--poly", "1, 2, 3", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # a preset line meets argparse's own checks, as the same text on the command line would
+    preset = tmp_path / "bad.args"
+    preset.write_text(content, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--poly", "1, 2, 3", f"@{preset}"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_preset_variant_error_matches_the_flag(tmp_path, capsys):
+    preset = tmp_path / "variant.args"
+    preset.write_text("--variant=linden=bogus\n", encoding="utf-8")
+    assert main(["compare", "--poly", "1, 2, 3", f"@{preset}"]) == 2
+    from_preset = capsys.readouterr()
+    assert main(["compare", "--poly", "1, 2, 3", "--variant", "linden=bogus"]) == 2
+    assert capsys.readouterr() == from_preset
+    assert from_preset.err.startswith("error:")
 
 
 def test_cli_missing_config_file_exits_two(tmp_path, capsys):
-    assert main(["compare", "--poly", "1, 2, 3",
-                 "--config", str(tmp_path / "absent.cfg")]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--poly", "1, 2, 3", f"@{tmp_path / 'absent.args'}"])
+    assert exc.value.code == 2
+    assert "absent.args" in capsys.readouterr().err
 
 
 def test_cli_fixture_takes_no_config(tmp_path, capsys):
@@ -463,6 +477,31 @@ def test_cli_fixture_takes_no_config(tmp_path, capsys):
         main(["fixture", "table1", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+def test_cli_fixture_reads_no_preset(tmp_path, capsys):
+    # only compare expands @FILE: fixture sees an extra argument, or a fixture name
+    preset = tmp_path / "preset.args"
+    preset.write_text("--format=json\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "table1", f"@{preset}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["fixture", f"@{preset}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown fixture '@{preset}'")
+
+
+@pytest.mark.parametrize("poly, text, re_im", [
+    ("1, 3", "  -3 +0i   |z| = 3   residual 0\n", ("-3", "0")),
+    ("1, -3i", "  +0 +3i   |z| = 3   residual 0\n", ("0", "3")),
+    ("1, 0", "  +0 +0i   |z| = 0   residual 0\n", ("0", "0")),
+], ids=["real", "imaginary", "zero"])
+def test_cli_degree_one_root_has_no_negative_zero(poly, text, re_im, capsys):
+    assert main(["roots", "--poly", poly]) == 0
+    assert capsys.readouterr().out.splitlines(keepends=True)[1] == text
+    assert main(["roots", "--poly", poly, "--format", "json"]) == 0
+    root = json.loads(capsys.readouterr().out)["roots"][0]
+    assert (root["re"], root["im"]) == re_im
 
 
 def test_cli_roots_json(capsys):
