@@ -1,9 +1,9 @@
 """Independent root oracle: simultaneous iteration, verdicts.
 
 This is the ground truth the matrix bounds are validated against, so it
-deliberately avoids any companion-matrix eigenvalue route: Durand-Kerner
-(Weierstrass) simultaneous iteration, given up as soon as it overflows or
-stalls at the rounding level.
+deliberately avoids any companion-matrix eigenvalue route: Ehrlich-Aberth
+simultaneous iteration, given up as soon as it overflows or stalls at the
+rounding level.
 """
 
 from __future__ import annotations
@@ -49,61 +49,63 @@ class Verdict:
         return self.verdict == "holds"
 
 
-def _weierstrass_denominators(n):
-    """z -> prod_{j != i} (z_i - z_j) for i = 0..n-1, multiplied in index order
-    j = 0..n-1, into one array that every call refills.
+def _rounding_level(descending, moduli):
+    """4n*eps*sum|a_k||z|^k at |z| = moduli: the |p(z)| that rounding alone can leave."""
+    n = len(descending) - 1
+    return 4 * n * np.finfo(float).eps * horner(np.abs(descending), moduli).real
 
-    Each call fills an n x n buffer, diff[j, i] = z_i - z_j with ones on the
-    diagonal, by copying z into every row and subtracting z as a column in place
-    (half the cost of a broadcast outer difference). Reducing it over axis 0
-    multiplies whole rows elementwise, cheaper than a row-wise prod, but that may
-    round unlike the scalar complex multiply (NumPy can use fused multiply-add).
+
+def _aberth_terms(descending):
+    """z -> (p(z_i), p'(z_i), sum_{j != i} 1/(z_i - z_j)) for i = 0..n-1.
+
+    p and p' are one matmul of their ascending coefficients with the powers z_i^k,
+    a multiply-accumulate down the rows of an (n+1) x n block. The sums reduce a
+    buffer diff[j, i] = z_i - z_j, filled by copying z into every row and
+    subtracting z as a column in place, with inf (reciprocal 0) on the diagonal.
     """
+    n = len(descending) - 1
+    coefficients = np.zeros((2, n + 1), dtype=complex)
+    coefficients[0] = descending[::-1]
+    coefficients[1, :n] = coefficients[0, 1:] * np.arange(1, n + 1)
+    powers = np.ones((n + 1, n), dtype=complex)
     diff = np.empty((n, n), dtype=complex)
     diagonal = diff.reshape(-1)[::n + 1]
-    out = np.empty(n, dtype=complex)
 
-    def denominators(z):
+    def terms(z):
+        powers[1:] = z
+        p_values, slopes = coefficients @ np.multiply.accumulate(powers, out=powers)
         diff[:] = z
         np.subtract(diff, z[:, None], out=diff)
-        diagonal[:] = 1.0
-        return np.multiply.reduce(diff, axis=0, out=out)
+        diagonal[:] = np.inf
+        return p_values, slopes, np.add.reduce(np.reciprocal(diff, out=diff))
 
-    return denominators
+    return terms
 
 
-def _durand_kerner_pass(descending, z, tol):
-    """Weierstrass updates until the max step is <= tol.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # reported as an overflow
+def _aberth_pass(descending, z, tol):
+    """Steps z_i -= N_i / (1 - N_i S_i), N = p/p' and S from _aberth_terms, until all <= tol.
 
-    Returns (z, iterations, failure); failure is None on convergence, else the
-    cause. A non-finite step ends the pass at once (NaN and inf iterates never
-    recover), and so does a stall: every |p(z_i)| within the rounding level
-    4n*eps*sum|a_k||z_i|^k, past which no step can meet tol. The stall is
-    checked only at iterations 2^j >= 2n, after generic input has converged (in
-    about 1.2-1.5n), and so costs at most the iterations already spent.
-
-    Each iteration calls horner once, on the coefficients as 0-d arrays (the
-    same values as scalars, cheaper to dispatch), and takes the denominators
-    from _weierstrass_denominators. The denominators, the step and its moduli
-    live in buffers allocated once per pass.
+    Returns (z, iterations, failure); failure is None on convergence, else the cause.
+    A non-finite step ends the pass at once (NaN and inf iterates never recover; a
+    zero p' or coincident iterates give one), and so does a stall: every |p(z_i)|
+    within _rounding_level, past which no step can meet tol. The stall is checked
+    at iterations 2^j >= 2n only, after generic input has converged (in about
+    0.75n), and so costs at most the iterations already spent.
     """
     n = len(z)
-    coefficients = [np.asarray(c) for c in descending]
-    magnitudes = np.abs(descending)
-    rounding = 4 * n * np.finfo(float).eps
-    denominators = _weierstrass_denominators(n)
-    step = np.empty(n, dtype=complex)
-    moduli = np.empty(n)
+    terms = _aberth_terms(descending)
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        p_values = horner(coefficients, z)
-        np.divide(p_values, denominators(z), out=step)
-        largest = float(np.abs(step, out=moduli).max())
+        p_values, slopes, sums = terms(z)
+        newton = p_values / slopes
+        step = newton / (1.0 - newton * sums)
+        largest = float(np.abs(step).max())
         if largest <= tol:
             return z - step, iteration, None
         if not math.isfinite(largest):
             return z - step, iteration, f"overflowed at iteration {iteration}"
         if (iteration >= 2 * n and iteration & (iteration - 1) == 0
-                and np.all(np.abs(p_values) <= rounding * horner(magnitudes, np.abs(z)).real)):
+                and np.all(np.abs(p_values) <= _rounding_level(descending, np.abs(z)))):
             return z, iteration, f"stalled at the rounding level after {iteration} iterations"
         z = z - step
     return z, _MAX_ITERATIONS, f"did not converge in {_MAX_ITERATIONS} iterations"
@@ -115,7 +117,7 @@ def _order_keys(z):
 
 
 def find_roots(p: Polynomial) -> RootSet:
-    """All roots of p by Durand-Kerner simultaneous iteration.
+    """All roots of p by Ehrlich-Aberth simultaneous iteration.
 
     Initial guesses sit on a circle of radius (1 + max|a_k|) * 0.9 (inside
     the Cauchy disk) at angles 2*pi*k/degree + 0.4 to break symmetry.
@@ -123,8 +125,9 @@ def find_roots(p: Polynomial) -> RootSet:
     restart. NoConvergenceError names the cause when the iteration
     overflows, stalls at the rounding level (checked at iterations
     2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
-    exceeds 1e-8 * prod(1 + |z_i|). Deterministic for fixed input. Python's
-    sorted orders the roots on _order_keys, as NaN-bearing failures need.
+    exceeds both 1e-8 * prod(1 + |z_i|) and its root's _rounding_level.
+    Deterministic for fixed input. Python's sorted orders the roots on
+    _order_keys, as NaN-bearing failures need.
     """
     n = p.degree
     descending = p.descending()
@@ -137,17 +140,14 @@ def find_roots(p: Polynomial) -> RootSet:
         return RootSet((complex(root),), (residual,), abs(root), 0)
 
     angles = 2 * np.pi * np.arange(n) / n + 0.4
-    z = 0.9 * scale * np.exp(1j * angles)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the pass reports an overflow
-        z, iterations, failure = _durand_kerner_pass(descending, z, tol)
-
+    z, iterations, failure = _aberth_pass(descending, 0.9 * scale * np.exp(1j * angles), tol)
     order = sorted(range(n), key=_order_keys(z).__getitem__)
     roots = tuple(complex(z[i]) for i in order)
     residuals = tuple(abs(p.evaluate(r)) for r in roots)
 
     guard = 1e-8 * float(np.prod([1.0 + abs(r) for r in roots]))
-    if failure is None and max(residuals) > guard:
+    if failure is None and any(res > guard and res > _rounding_level(descending, abs(r))
+                               for r, res in zip(roots, residuals)):
         failure = f"converged in {iterations} iterations but a residual exceeds the guard"
     if failure is not None:
         raise NoConvergenceError(
