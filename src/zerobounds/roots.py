@@ -91,7 +91,7 @@ def _aberth_pass(descending, z, tol):
     zero p' or coincident iterates give one), and so does a stall: every |p(z_i)|
     within _rounding_level, past which no step can meet tol. The stall is checked
     at iterations 2^j >= 2n only, after generic input has converged (in about
-    0.75n), and so costs at most the iterations already spent.
+    0.7-0.95n), and so costs at most the iterations already spent.
     """
     n = len(z)
     terms = _aberth_terms(descending)
