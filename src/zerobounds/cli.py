@@ -52,12 +52,23 @@ class CliInputError(Exception):
     """Bad user input other than the polynomial text (exit code 2)."""
 
 
+class _PresetParser(argparse.ArgumentParser):
+    """Reads compare's @FILE: a line that is not one argument exits 2 under compare's usage."""
+
+    def convert_arg_line_to_args(self, arg_line):
+        if (not arg_line.strip() or arg_line.lstrip().startswith("#")
+                or arg_line.startswith("-") and " " in arg_line.partition("=")[0]):
+            self.error(f"preset line {arg_line!r} is not one argument; "
+                       "write one --flag=value per line, with no comments or blank lines")
+        return [arg_line]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerobounds",
         description="Bound the zeros of a monic polynomial and compare the bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_PresetParser)
 
     compare = sub.add_parser("compare", help="evaluate bounds for one polynomial",
                              fromfile_prefix_chars="@")

@@ -30,7 +30,6 @@ from .errors import (
 
 __all__ = [
     "Polynomial",
-    "horner",
     "make_monic",
     "odd_reduce",
     "parse_complex",
@@ -67,23 +66,6 @@ class Polynomial:
     def descending(self) -> tuple[complex, ...]:
         """(1, a_n, ..., a_1): coefficients from z**n down to the constant, built once."""
         return self._descending
-
-    def evaluate(self, z: complex) -> complex:
-        return horner(self.descending(), z)
-
-
-def horner(descending, z):
-    """Evaluate the polynomial with degree-descending coefficients at z.
-
-    z may be a scalar or a NumPy array, which is evaluated elementwise into
-    one new array, updated in place; each step rounds as value * z + c does.
-    """
-    head, *tail = descending
-    value = 0j * z + head
-    for c in tail:
-        value *= z
-        value += c
-    return value
 
 
 def make_monic(coeffs_desc) -> Polynomial:

@@ -502,8 +502,6 @@ def format_fixture_text(report: FixtureReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-
-
 def format_fixture_json(reports: list[FixtureReport]) -> str:
     """The reports as json.dumps(payload, indent=2) + "\\n" writes them; a NaN
     reference or computed value (a guard or verdict check) is null."""

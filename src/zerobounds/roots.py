@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .polynomial import Polynomial, horner
+from .polynomial import Polynomial
 
 __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_rectangle"]
 
@@ -49,24 +49,20 @@ class Verdict:
         return self.verdict == "holds"
 
 
-def _rounding_level(descending, moduli):
-    """4n*eps*sum|a_k||z|^k at |z| = moduli: the |p(z)| that rounding alone can leave."""
-    n = len(descending) - 1
-    return 4 * n * np.finfo(float).eps * horner(np.abs(descending), moduli).real
-
-
 def _aberth_terms(descending):
-    """z -> (p(z_i), p'(z_i), sum_{j != i} 1/(z_i - z_j)) for i = 0..n-1.
+    """(terms, level) on one (n+1) x n block of powers z_i^k, which terms(z) refills.
 
-    p and p' are one matmul of their ascending coefficients with the powers z_i^k,
-    a multiply-accumulate down the rows of an (n+1) x n block. The sums reduce a
-    buffer diff[j, i] = z_i - z_j, filled by copying z into every row and
-    subtracting z as a column in place, with inf (reciprocal 0) on the diagonal.
+    terms(z) is (p(z_i), p'(z_i), sum_{j != i} 1/(z_i - z_j)) for i = 0..n-1: p and p' are
+    one matmul of their ascending coefficients with the block, a multiply-accumulate down
+    its rows; the sums reduce diff[j, i] = z_i - z_j (z copied into every row, z subtracted
+    as a column in place, inf on the diagonal). level() is 4n*eps*sum|a_k||z_i|^k at the
+    last z, from the same block: the |p(z_i)| that rounding alone can leave.
     """
     n = len(descending) - 1
     coefficients = np.zeros((2, n + 1), dtype=complex)
     coefficients[0] = descending[::-1]
     coefficients[1, :n] = coefficients[0, 1:] * np.arange(1, n + 1)
+    moduli = np.abs(coefficients[0])
     powers = np.ones((n + 1, n), dtype=complex)
     diff = np.empty((n, n), dtype=complex)
     diagonal = diff.reshape(-1)[::n + 1]
@@ -79,22 +75,24 @@ def _aberth_terms(descending):
         diagonal[:] = np.inf
         return p_values, slopes, np.add.reduce(np.reciprocal(diff, out=diff))
 
-    return terms
+    def level():
+        return 4 * n * np.finfo(float).eps * (moduli @ np.abs(powers))
+
+    return terms, level
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # reported as an overflow
-def _aberth_pass(descending, z, tol):
+def _aberth_pass(terms, level, z, tol):
     """Steps z_i -= N_i / (1 - N_i S_i), N = p/p' and S from _aberth_terms, until all <= tol.
 
     Returns (z, iterations, failure); failure is None on convergence, else the cause.
     A non-finite step ends the pass at once (NaN and inf iterates never recover; a
     zero p' or coincident iterates give one), and so does a stall: every |p(z_i)|
-    within _rounding_level, past which no step can meet tol. The stall is checked
-    at iterations 2^j >= 2n only, after generic input has converged (in about
+    within level(), past which no step can meet tol. The stall is checked at
+    iterations 2^j >= 2n only, after generic input has converged (in about
     0.7-0.95n), and so costs at most the iterations already spent.
     """
     n = len(z)
-    terms = _aberth_terms(descending)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         p_values, slopes, sums = terms(z)
         newton = p_values / slopes
@@ -105,7 +103,7 @@ def _aberth_pass(descending, z, tol):
         if not math.isfinite(largest):
             return z - step, iteration, f"overflowed at iteration {iteration}"
         if (iteration >= 2 * n and iteration & (iteration - 1) == 0
-                and np.all(np.abs(p_values) <= _rounding_level(descending, np.abs(z)))):
+                and np.all(np.abs(p_values) <= level())):
             return z, iteration, f"stalled at the rounding level after {iteration} iterations"
         z = z - step
     return z, _MAX_ITERATIONS, f"did not converge in {_MAX_ITERATIONS} iterations"
@@ -125,30 +123,32 @@ def find_roots(p: Polynomial) -> RootSet:
     restart. NoConvergenceError names the cause when the iteration
     overflows, stalls at the rounding level (checked at iterations
     2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
-    exceeds both 1e-8 * prod(1 + |z_i|) and its root's _rounding_level.
+    |p(z_i)|, from one more fill of the pass's power block, exceeds both
+    1e-8 * prod(1 + |z_i|) and its rounding level 4n*eps*sum|a_k||z_i|^k.
     Deterministic for fixed input. Python's sorted orders the roots on
     _order_keys, as NaN-bearing failures need.
     """
     n = p.degree
-    descending = p.descending()
     scale = 1.0 + max(abs(c) for c in p.lower)
     tol = 1e-13 * scale
 
     if n == 1:
         root = 0.0 - p.lower[0]  # not -x, which turns a zero part into -0
-        residual = abs(p.evaluate(root))
-        return RootSet((complex(root),), (residual,), abs(root), 0)
+        return RootSet((complex(root),), (0.0,), abs(root), 0)  # p(root) = (0 - a) + a = 0
 
     angles = 2 * np.pi * np.arange(n) / n + 0.4
-    z, iterations, failure = _aberth_pass(descending, 0.9 * scale * np.exp(1j * angles), tol)
+    terms, level = _aberth_terms(p.descending())
+    z, iterations, failure = _aberth_pass(terms, level, 0.9 * scale * np.exp(1j * angles), tol)
     order = sorted(range(n), key=_order_keys(z).__getitem__)
     roots = tuple(complex(z[i]) for i in order)
-    residuals = tuple(abs(p.evaluate(r)) for r in roots)
 
     guard = 1e-8 * float(np.prod([1.0 + abs(r) for r in roots]))
-    if failure is None and any(res > guard and res > _rounding_level(descending, abs(r))
-                               for r, res in zip(roots, residuals)):
-        failure = f"converged in {iterations} iterations but a residual exceeds the guard"
+    with np.errstate(all="ignore"):  # an overflowed pass leaves inf and NaN in z
+        residuals = np.abs(terms(z)[0])
+        over = residuals > guard
+        if failure is None and over.any() and np.any(residuals[over] > level()[over]):
+            failure = f"converged in {iterations} iterations but a residual exceeds the guard"
+    residuals = tuple(residuals[order].tolist())
     if failure is not None:
         raise NoConvergenceError(
             f"root iteration {failure} (max residual {max(residuals):.3e}, guard {guard:.3e})",

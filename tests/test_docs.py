@@ -1,15 +1,18 @@
 """The README agrees with the code: its method table with the method table
 that drives compare, its compare example with real CLI output, its Python
 API example with what that code prints, and its flag list with the compare
-parser. Every name a module exports exists."""
+parser. Every name a module exports exists, and the runtime dependency is numpy only."""
 
 import argparse
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import zerobounds
@@ -88,3 +91,14 @@ def test_every_exported_name_exists():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_import_loads_no_test_only_or_slow_module():
+    # scipy, mpmath and hypothesis serve the tests only; fractions and decimal cost import time
+    banned = ("scipy", "mpmath", "hypothesis", "fractions", "decimal")
+    src = str(Path(zerobounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = f"import sys, zerobounds; print(sorted(set({banned!r}) & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"

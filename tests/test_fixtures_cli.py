@@ -452,6 +452,26 @@ def test_cli_bad_config_exits_two(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["", "   ", "# note", "  # note", "--format json"],
+                         ids=["blank", "spaces", "comment", "indented-comment", "flag-space-value"])
+def test_cli_preset_line_that_is_not_one_argument_is_named(tmp_path, capsys, line):
+    preset = tmp_path / "lines.args"
+    preset.write_text(f"--format=json\n{line}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--poly", "1, 2, 3", f"@{preset}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zerobounds compare ")
+    assert f"zerobounds compare: error: preset line {line!r} is not one argument" in err
+
+
+def test_cli_preset_flag_value_with_spaces_is_one_argument(tmp_path, capsys):
+    preset = tmp_path / "poly.args"
+    preset.write_text("--poly=1, 0, -1\n--format=json\n", encoding="utf-8")
+    assert main(["compare", f"@{preset}", "--methods", "cauchy"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == ["1", "0", "-1"]
+
+
 def test_cli_preset_variant_error_matches_the_flag(tmp_path, capsys):
     preset = tmp_path / "variant.args"
     preset.write_text("--variant=linden=bogus\n", encoding="utf-8")

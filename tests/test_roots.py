@@ -4,6 +4,7 @@ import functools
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,19 +23,30 @@ from zerobounds import (
     validate_rectangle,
 )
 from zerobounds.cli import main
-from zerobounds.polynomial import horner
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
-def horner_calls(monkeypatch):
-    """Count the oracle's Horner evaluations."""
-    calls = []
+def block_calls(monkeypatch):
+    """Count the oracle's power-block fills and rounding-level reads."""
+    calls = {"terms": 0, "level": 0}
+    aberth_terms = zerobounds.roots._aberth_terms
 
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
+    def counted(descending):
+        terms, level = aberth_terms(descending)
 
-    monkeypatch.setattr(zerobounds.roots, "horner", counted)
+        def counted_terms(z):
+            calls["terms"] += 1
+            return terms(z)
+
+        def counted_level():
+            calls["level"] += 1
+            return level()
+
+        return counted_terms, counted_level
+
+    monkeypatch.setattr(zerobounds.roots, "_aberth_terms", counted)
     return calls
 
 
@@ -113,13 +125,32 @@ def test_order_keys_are_the_scalar_modulus_and_argument_bit_for_bit():
         assert np.array(got).tobytes() == np.array(want).tobytes(), z
 
 
+def _assert_residuals_are_at_their_roots(p, rs):
+    """Each residual within 4n*eps*sum|a_k||r|^k of |p(r)| in 50 digits, r its own root."""
+    descending = p.descending()
+    with mpmath.workdps(50):
+        exact = [mpmath.mpc(c.real, c.imag) for c in descending]
+        for r, res in zip(rs.roots, rs.residuals, strict=True):
+            want = abs(mpmath.polyval(exact, mpmath.mpc(r.real, r.imag)))
+            level = 4 * p.degree * EPS * np.polyval(np.abs(descending), abs(r))
+            assert abs(res - want) <= level, (r, res, want, level)
+
+
 def test_residuals_are_small_and_reported():
     p = parse_polynomial("1, -1/2, 1/3, -1/4")
     rs = find_roots(p)
     assert len(rs.residuals) == 3
     assert max(rs.residuals) < 1e-10
-    for r, res in zip(rs.roots, rs.residuals):
-        assert abs(p.evaluate(r)) == res
+    _assert_residuals_are_at_their_roots(p, rs)
+
+
+@pytest.mark.parametrize("p", [
+    *(random_polynomial(np.random.default_rng(degree), degree) for degree in (4, 16, 64)),
+    _exact_polynomial([[1, 0]] * 3 + [[1, Fraction(-3, 2)], [1, Fraction(7, 10)]]),
+], ids=["gaussian4", "gaussian16", "gaussian64", "zero_roots"])
+def test_each_residual_is_taken_at_its_own_final_root(p):
+    # residuals from one fill at the pass's last z, reordered with the roots
+    _assert_residuals_are_at_their_roots(p, find_roots(p))
 
 
 def test_no_convergence_error_carries_best_effort_roots(monkeypatch):
@@ -146,7 +177,8 @@ def test_overflow_to_nan_fails_fast(coefficients):
 ], ids=["coincident", "zero-slope"])
 def test_coincident_iterates_and_a_zero_slope_end_as_an_overflow(descending, z):
     # without a RuntimeWarning, which pytest turns into an error
-    *_, failure = zerobounds.roots._aberth_pass(descending, np.array(z), 1e-13)
+    terms, level = zerobounds.roots._aberth_terms(descending)
+    *_, failure = zerobounds.roots._aberth_pass(terms, level, np.array(z), 1e-13)
     assert failure == "overflowed at iteration 1"
 
 
@@ -163,18 +195,19 @@ def test_multiple_roots_stall_at_the_rounding_level_fast(factors):
     assert int(re.search(r"after (\d+) iterations", str(err.value))[1]) < 150
 
 
-def test_the_stall_check_costs_early_convergence_nothing(horner_calls):
-    # horner runs only in the stall check and for a root over the absolute guard
+def test_the_stall_check_costs_early_convergence_nothing(block_calls):
+    # one fill per iteration and one for the residuals; the level is read only by the
+    # stall check and for a root over the absolute guard
     rs = find_roots(random_polynomial(np.random.default_rng(16), 16))
     assert rs.iterations < 32  # converged before the first check at 2n
-    assert horner_calls == []
+    assert block_calls == {"terms": rs.iterations + 1, "level": 0}
 
 
 def test_the_guard_still_refuses_a_root_off_by_1e_3(monkeypatch):
     aberth_pass = zerobounds.roots._aberth_pass
 
-    def planted(descending, z, tol):
-        z, iterations, failure = aberth_pass(descending, z, tol)
+    def planted(terms, level, z, tol):
+        z, iterations, failure = aberth_pass(terms, level, z, tol)
         return z + np.eye(len(z))[0] * 1e-3, iterations, failure
 
     monkeypatch.setattr(zerobounds.roots, "_aberth_pass", planted)
@@ -193,18 +226,20 @@ def test_cli_roots_names_the_stall(capsys):
 def test_aberth_terms_match_horner_and_a_direct_loop(n):
     rng = np.random.default_rng(n)
     descending = (1, *(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    terms = zerobounds.roots._aberth_terms(descending)
-    eps = np.finfo(float).eps
+    terms, level = zerobounds.roots._aberth_terms(descending)
     for _ in range(2):  # the second call refills the buffers of the first
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         p_values, slopes, sums = terms(z)
         # to rounding: within 4n eps times the sum of the moduli of the terms
         for got, coefficients in ((p_values, descending), (slopes, np.polyder(descending))):
-            scale = horner(np.abs(coefficients), np.abs(z)).real
-            assert np.all(abs(got - horner(coefficients, z)) <= 4 * n * eps * scale)
+            scale = np.polyval(np.abs(coefficients), np.abs(z))
+            assert np.all(abs(got - np.polyval(coefficients, z)) <= 4 * n * EPS * scale)
         for i in range(n):
             addends = [1 / (z[i] - z[j]) for j in range(n) if j != i]
-            assert abs(sums[i] - sum(addends)) <= 4 * n * eps * sum(map(abs, addends))
+            assert abs(sums[i] - sum(addends)) <= 4 * n * EPS * sum(map(abs, addends))
+        # level() reads this call's powers; each way to sum the moduli rounds within 8(n+1) eps
+        want = 4 * n * EPS * np.polyval(np.abs(descending), np.abs(z))
+        assert np.all(abs(level() - want) <= 8 * (n + 1) * EPS * want)
 
 
 def test_degree_one_is_solved_directly():
