@@ -29,22 +29,27 @@ EPS = np.finfo(float).eps
 
 @pytest.fixture
 def block_calls(monkeypatch):
-    """Count the oracle's power-block fills and rounding-level reads."""
-    calls = {"terms": 0, "level": 0}
+    """Count the oracle's power-block fills, Aberth-sum fills and rounding-level reads."""
+    calls = {"fills": 0, "sums": 0, "level": 0}
     aberth_terms = zerobounds.roots._aberth_terms
 
     def counted(descending):
-        terms, level = aberth_terms(descending)
+        values, terms, level = aberth_terms(descending)
+
+        def counted_values(z):
+            calls["fills"] += 1
+            return values(z)
 
         def counted_terms(z):
-            calls["terms"] += 1
+            calls["fills"] += 1
+            calls["sums"] += 1
             return terms(z)
 
         def counted_level():
             calls["level"] += 1
             return level()
 
-        return counted_terms, counted_level
+        return counted_values, counted_terms, counted_level
 
     monkeypatch.setattr(zerobounds.roots, "_aberth_terms", counted)
     return calls
@@ -177,7 +182,7 @@ def test_overflow_to_nan_fails_fast(coefficients):
 ], ids=["coincident", "zero-slope"])
 def test_coincident_iterates_and_a_zero_slope_end_as_an_overflow(descending, z):
     # without a RuntimeWarning, which pytest turns into an error
-    terms, level = zerobounds.roots._aberth_terms(descending)
+    _, terms, level = zerobounds.roots._aberth_terms(descending)
     *_, failure = zerobounds.roots._aberth_pass(terms, level, np.array(z), 1e-13)
     assert failure == "overflowed at iteration 1"
 
@@ -196,11 +201,11 @@ def test_multiple_roots_stall_at_the_rounding_level_fast(factors):
 
 
 def test_the_stall_check_costs_early_convergence_nothing(block_calls):
-    # one fill per iteration and one for the residuals; the level is read only by the
-    # stall check and for a root over the absolute guard
+    # one fill per iteration and one for the residuals, which takes no Aberth sums; the
+    # level is read only by the stall check and for a root over the absolute guard
     rs = find_roots(random_polynomial(np.random.default_rng(16), 16))
     assert rs.iterations < 32  # converged before the first check at 2n
-    assert block_calls == {"terms": rs.iterations + 1, "level": 0}
+    assert block_calls == {"fills": rs.iterations + 1, "sums": rs.iterations, "level": 0}
 
 
 def test_the_guard_still_refuses_a_root_off_by_1e_3(monkeypatch):
@@ -222,14 +227,19 @@ def test_cli_roots_names_the_stall(capsys):
     assert "stalled at the rounding level" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [2, 7, 64])
+# each side of the cutoff between the two fills, an odd and an even degree above it
+_HIGH = zerobounds.roots._HIGH_DEGREE
+
+
+@pytest.mark.parametrize("n", sorted({2, 7, 64, _HIGH - 1, _HIGH, 97, 128}))
 def test_aberth_terms_match_horner_and_a_direct_loop(n):
     rng = np.random.default_rng(n)
     descending = (1, *(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    terms, level = zerobounds.roots._aberth_terms(descending)
+    values, terms, level = zerobounds.roots._aberth_terms(descending)
     for _ in range(2):  # the second call refills the buffers of the first
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         p_values, slopes, sums = terms(z)
+        assert all(map(np.array_equal, values(z), (p_values, slopes)))
         # to rounding: within 4n eps times the sum of the moduli of the terms
         for got, coefficients in ((p_values, descending), (slopes, np.polyder(descending))):
             scale = np.polyval(np.abs(coefficients), np.abs(z))
@@ -240,6 +250,40 @@ def test_aberth_terms_match_horner_and_a_direct_loop(n):
         # level() reads this call's powers; each way to sum the moduli rounds within 8(n+1) eps
         want = 4 * n * EPS * np.polyval(np.abs(descending), np.abs(z))
         assert np.all(abs(level() - want) <= 8 * (n + 1) * EPS * want)
+
+
+def _gaussian(degree, seed, spread=0.0):
+    """Monic, complex Gaussian lower coefficients, each scaled by 10^U(-spread, spread)."""
+    rng = np.random.default_rng(seed)
+    lower = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    return Polynomial(tuple(lower * 10.0 ** rng.uniform(-spread, spread, degree)))
+
+
+def _outcome(p):
+    """find_roots' RootSet, or the cause its NoConvergenceError names."""
+    try:
+        return find_roots(p)
+    except NoConvergenceError as err:
+        return str(err).partition(" (max residual")[0]
+
+
+@pytest.mark.parametrize("p", [
+    *(_gaussian(degree, seed) for degree in (16, 32, 47, 48) for seed in (0, 1)),
+    _gaussian(64, 0, spread=5),  # its start circle overflows z^n
+    _gaussian(64, 6, spread=5),  # the first of seeds 0-7 whose run converges
+], ids=[*(f"gaussian{d}-{s}" for d in (16, 32, 47, 48) for s in (0, 1)),
+        "scaled64-overflow", "scaled64"])
+def test_both_fills_reach_the_same_roots(p, monkeypatch):
+    outcomes = []
+    for cutoff in (p.degree + 1, p.degree):  # the accumulate and n x n path, then the other
+        monkeypatch.setattr(zerobounds.roots, "_HIGH_DEGREE", cutoff)
+        outcomes.append(_outcome(p))
+    low, high = outcomes
+    if isinstance(low, str) or isinstance(high, str):
+        assert high == low
+        return
+    assert high.iterations == low.iterations
+    assert np.all(abs(np.subtract(high.roots, low.roots)) <= 1e-13 * np.abs(low.roots))
 
 
 def test_degree_one_is_solved_directly():
@@ -254,19 +298,20 @@ def test_degree_one_is_solved_directly():
 # parts). A faster kernel for the same iteration must leave every entry as it
 # is. (64, 9), (64, 31), (128, 12) and (128, 13) each have one root whose
 # residual exceeds the absolute guard 1e-8 * prod(1 + |z_i|) but not its
-# rounding level, which the guard also requires before it refuses.
+# rounding level, which the guard also requires before it refuses. (97, 0) and
+# (97, 1) take the high-degree fill at an odd degree.
 _GAUSSIAN_ITERATIONS = {
     (16, 0): 16, (16, 1): 19, (16, 2): 16, (16, 3): 20, (16, 4): 13,
     (64, 0): 46, (64, 1): 48, (64, 2): 52, (64, 3): 51, (64, 4): 48,
     (128, 0): 96, (128, 1): 95, (128, 2): 91, (128, 3): 99, (128, 4): 93,
     (64, 9): 49, (64, 31): 43, (128, 12): 92, (128, 13): 95,
+    (97, 0): 70, (97, 1): 75,
 }
 
 
 @pytest.mark.parametrize("degree, seed", sorted(_GAUSSIAN_ITERATIONS))
 def test_gaussian_iteration_counts_and_failures_are_pinned(degree, seed):
-    rng = np.random.default_rng(seed)
-    p = Polynomial(tuple(rng.standard_normal(degree) + 1j * rng.standard_normal(degree)))
+    p = _gaussian(degree, seed)
     rs = find_roots(p)
     assert rs.iterations == _GAUSSIAN_ITERATIONS[degree, seed]
     reference = np.abs(np.roots(p.descending())).max()
