@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BoundResult, coupled
+from .classical import BoundResult, coupled, halved_coupled
 from .companion import BlockCompanion, build_companion, cartesian_parts
 from .errors import (
     BlockShapeMismatchError,
@@ -281,14 +281,15 @@ def partition_rectangle(q: Polynomial) -> Rectangle:
     cos_n = math.cos(math.pi / n)
     cos_n1 = math.cos(math.pi / (n + 1))
     mid = [abs(a(k)) for k in range(n + 1, 2 * n - 1)]
-    tail = [abs(a(k)) for k in range(2, n)]
-    re_n, im_n = abs(a(n).real), abs(a(n).imag)
-    off = (re_n + math.hypot(re_n, abs(1 - a(1)), *tail)
-           + im_n + math.hypot(im_n, abs(1 + a(1)), *tail)) / 2
+    # quarters: half_off sums them, so it is finite whenever half the coupling term is
+    tail = [abs(a(k)) / 4 for k in range(2, n)]
+    re_n, im_n = abs(a(n).real) / 4, abs(a(n).imag) / 4
+    half_off = (re_n + math.hypot(re_n, abs(1 - a(1)) / 4, *tail)
+                + im_n + math.hypot(im_n, abs(1 + a(1)) / 4, *tail))
     s_top = coupled(abs(a(2 * n).real), cos_n, abs(1 - a(2 * n - 1)), *mid)
     t_top = coupled(abs(a(2 * n).imag), cos_n, abs(1 + a(2 * n - 1)), *mid)
-    s = coupled(s_top, cos_n1, off)
-    t = coupled(t_top, cos_n1, off)
+    s = halved_coupled(s_top / 2, cos_n1 / 2, half_off)
+    t = halved_coupled(t_top / 2, cos_n1 / 2, half_off)
     return Rectangle(-s, s, -t, t)
 
 
@@ -301,7 +302,7 @@ def partition_disk_parts(q: Polynomial) -> tuple[float, float, float, float]:
     tail = [abs(a(k)) for k in range(2, n)]
     d1 = coupled(abs(a(n)), 0.0, abs(1 - a(1)), *tail)
     d2 = coupled(abs(a(n)), 0.0, abs(1 + a(1)), *tail)
-    value = coupled(big_l, math.cos(math.pi / (n + 1)), d1 + d2)
+    value = halved_coupled(big_l / 2, math.cos(math.pi / (n + 1)) / 2, d1 / 2 + d2 / 2)
     return value, big_l, d1, d2
 
 

@@ -62,8 +62,15 @@ def _moduli(p: Polynomial) -> list[float]:
 def coupled(x: float, y: float, *off: float) -> float:
     """(x + y + sqrt((x - y)^2 + sum off^2)) / 2, the coupling root that ends every
     partitioned bound; hypot scales the squares, and each term is halved before
-    the sum (exactly, for normal floats), so it is finite when representable."""
-    return x / 2 + y / 2 + math.hypot(x - y, *off) / 2
+    hypot or the sum sees it (exactly, for normal floats), so it is finite when
+    representable."""
+    return halved_coupled(x / 2, y / 2, *[o / 2 for o in off])
+
+
+def halved_coupled(x: float, y: float, *off: float) -> float:
+    """coupled(2x, 2y, *2off), for a caller whose off term is a sum that may
+    overflow before it is halved."""
+    return x + y + math.hypot(x - y, *off)
 
 
 def cauchy(p: Polynomial) -> BoundResult:
@@ -85,7 +92,7 @@ def fujii_kubo(p: Polynomial) -> BoundResult:
     """cos(pi/(n+1)) + (|a_n| + sum_{k=1}^{n} |a_k|^2) / 2."""
     n = p.degree
     mods = _moduli(p)
-    value = math.cos(math.pi / (n + 1)) + 0.5 * (mods[-1] + sum(m * m for m in mods))
+    value = math.cos(math.pi / (n + 1)) + (mods[-1] / 2 + sum(m * (m / 2) for m in mods))
     return BoundResult("fujii_kubo", value)
 
 
@@ -150,9 +157,9 @@ def abu_omar_kittaneh(p: Polynomial) -> BoundResult:
     if n < 2:
         raise DegreeTooSmallError("abu_omar_kittaneh needs degree >= 2")
     mods = _moduli(p)
-    mid = (mods[-1] + math.hypot(*mods)) / 2
-    beta = math.hypot(*mods[:-1])
-    value = coupled(mid, math.cos(math.pi / (n + 1)), 2.0 * math.sqrt(beta))
+    mid = mods[-1] / 2 + math.hypot(*[m / 2 for m in mods])
+    quarter_beta = math.hypot(*[m / 4 for m in mods[:-1]])  # finite where beta may not be
+    value = coupled(mid, math.cos(math.pi / (n + 1)), 4.0 * math.sqrt(quarter_beta))
     return BoundResult("abu_omar_kittaneh", value)
 
 
@@ -171,7 +178,7 @@ def al_dolat(p: Polynomial) -> BoundResult:
         raise DegreeTooSmallError("al_dolat needs degree >= 2")
     mods = _moduli(p)
     a_n = mods[-1]
-    root_head = math.hypot(*mods[:-1])
-    value = 0.5 * (a_n + 2.0 * math.cos(math.pi / n) + math.hypot(a_n, root_head + 1.0))
-    t_star = root_head / (1.0 + root_head)
+    half_head = math.hypot(*[m / 2 for m in mods[:-1]])
+    value = a_n / 2 + math.cos(math.pi / n) + math.hypot(a_n / 2, half_head + 0.5)
+    t_star = half_head / (0.5 + half_head)
     return BoundResult("al_dolat", value, notes=(f"t_star={t_star:.6f}",))

@@ -1,5 +1,13 @@
 """Exception taxonomy shared by all zerobounds modules."""
 
+__all__ = [
+    "ZeroBoundsError", "NonSquareError", "NotHermitianError", "NegativeEntryError",
+    "NegativeInputError", "InternalConsistencyError", "ZeroLeadingCoefficientError",
+    "DegreeTooSmallError", "OddDegreeError", "NonFiniteMatrixError",
+    "BlockShapeMismatchError", "HypothesisViolatedError",
+    "NoConvergenceError", "PolynomialParseError", "UnknownFixtureError",
+]
+
 
 class ZeroBoundsError(Exception):
     """Base class for every error raised by this package."""

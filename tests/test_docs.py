@@ -1,7 +1,9 @@
 """The README agrees with the code: its method table with the method table
 that drives compare, its compare example with real CLI output, its Python
 API example with what that code prints, and its flag list with the compare
-parser. Every name a module exports exists, and the runtime dependency is numpy only."""
+parser. Every name a module exports exists and reaches the package exactly once,
+importing the package loads its library modules but not the CLI, and the
+runtime dependency is numpy only."""
 
 import argparse
 import contextlib
@@ -93,12 +95,38 @@ def test_every_exported_name_exists():
         assert not missing, (module.__name__, missing)
 
 
-def test_import_loads_no_test_only_or_slow_module():
-    # scipy, mpmath and hypothesis serve the tests only; fractions and decimal cost import time
-    banned = ("scipy", "mpmath", "hypothesis", "fractions", "decimal")
+# every module but the CLI, which is left out of the package namespace
+_LIBRARY = sorted(info.name for info in pkgutil.iter_modules(zerobounds.__path__)
+                  if info.name != "cli")
+
+
+def test_the_package_exports_each_module_export_exactly_once():
+    assert len(_LIBRARY) == 10
+    for name in _LIBRARY:
+        module = importlib.import_module(f"zerobounds.{name}")
+        for public in module.__all__:
+            assert zerobounds.__all__.count(public) == 1, (name, public)
+            assert getattr(zerobounds, public) is getattr(module, public), (name, public)
+
+
+def _modules_loaded_by_import() -> set[str]:
+    """sys.modules after `import zerobounds` in a fresh interpreter."""
     src = str(Path(zerobounds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = f"import sys, zerobounds; print(sorted(set({banned!r}) & set(sys.modules)))"
+    code = "import sys, zerobounds; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout == "[]\n"
+    return set(result.stdout.split())
+
+
+def test_import_loads_no_test_only_or_slow_module():
+    # scipy, mpmath and hypothesis serve the tests only; fractions and decimal cost import time
+    banned = {"scipy", "mpmath", "hypothesis", "fractions", "decimal"}
+    assert not banned & _modules_loaded_by_import()
+
+
+def test_import_loads_the_library_modules_and_not_the_cli():
+    loaded = _modules_loaded_by_import()
+    own = {name for name in loaded if name.startswith("zerobounds")}
+    assert own == {"zerobounds", *(f"zerobounds.{name}" for name in _LIBRARY)}
+    assert "argparse" not in loaded

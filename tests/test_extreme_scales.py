@@ -283,6 +283,29 @@ def test_the_cartesian_rows_halve_before_they_sum(poly, method):
         assert abs(row.value - want) <= 1e-12 * want, (row.value, want)
 
 
+@pytest.mark.parametrize("poly, name", [
+    ("1, 1.2e154, 1.2e154", "fujii_kubo"),  # sum |a_k|^2 = 2.88e308, half of it is finite
+    ("1, 1e308, 1.5e308, 0", "kittaneh_disk[plus_one]"),  # the coupling's hypot is 1.8e308
+    ("1, 1.5e308, 0, 0, 1", "abu_omar_kittaneh"),  # |a_n| + alpha = 3e308
+    ("1, 1, 1.5e308, 1.2e308", "abu_omar_kittaneh"),  # alpha and beta are 1.92e308
+    ("1, 1.5e308, 0, 0, 1", "al_dolat"),  # |a_n| + hypot(|a_n|, 1) = 3e308
+    ("1, 1, 1.5e308, 1.2e308", "al_dolat"),  # sqrt(S) = 1.92e308
+    ("1, 0, 0, 1.5e308, 1", "partition_disk"),  # D1 + D2 = 3e308
+    ("1, 0, 0, 1.2e308+1.2e308i, 1", "partition_disk"),  # D1 + D2 = 3.39e308
+    ("1, 0, 0, 1.5e308, 1", "partition_rectangle.re"),  # the coupling term is 3e308 / 2
+    ("1, 0, 0, 1.5e308, 1", "partition_rectangle.im"),
+    ("1, 0, 0, 1.2e308+1.2e308i, 1", "partition_rectangle.re"),  # and here 4.8e308 / 2
+    ("1, 0, 0, 1.2e308+1.2e308i, 1", "partition_rectangle.im"),
+    ("1, 0, 0, 0, 1.2e308, 1.5e308, 1", "partition_rectangle.re"),  # one row norm is 1.92e308
+])
+def test_the_closed_forms_halve_before_they_sum(poly, name):
+    with mpmath.workdps(50):
+        compute, want = _reference(parse_polynomial(poly).lower)[name]
+        assert want <= FLOAT_MAX
+        got = compute()
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("poly", [
     "1, 1e-310, 1",  # Re C's scale is subnormal

@@ -8,7 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from zerobounds import FIXTURES, CompareOptions, Expectation, Fixture, Polynomial, find_roots
+import zerobounds.report
+from zerobounds import (
+    FIXTURES,
+    CompareOptions,
+    Expectation,
+    Fixture,
+    NoConvergenceError,
+    Polynomial,
+    find_roots,
+)
 from zerobounds.report import (
     _coefficient_text,
     _f12,
@@ -126,8 +135,13 @@ def test_seeded_gaussian_compares_render_as_json_dumps(degree):
         _assert_compare_renders_as_dumps(report)
 
 
-def test_refused_rectangle_and_oracle_free_rows_render_as_json_dumps():
-    failed = run_compare("1, -4, 6, -4, 1")  # (z - 1)^4: the oracle stalls
+def test_refused_rectangle_and_oracle_free_rows_render_as_json_dumps(monkeypatch):
+    def stall(p):
+        raise NoConvergenceError("root iteration stalled (synthetic)", best_roots=(), residuals=())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zerobounds.report, "find_roots", stall)
+        failed = run_compare("1, -4, 6, -4, 1")  # (z - 1)^4, with an oracle error
     assert failed.oracle is None and "stalled" in failed.oracle_error
     without = run_compare("1, -4, 6, -4, 1", CompareOptions(oracle=False))
     assert without.oracle is None and without.oracle_error is None
