@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BoundResult, coupled, halved_coupled
+from .classical import BoundResult, _moduli, _modulus, coupled, halved_coupled
 from .companion import BlockCompanion, build_companion, cartesian_parts
 from .errors import (
     BlockShapeMismatchError,
@@ -258,10 +258,10 @@ def kittaneh_rectangle(p: Polynomial) -> Rectangle:
         raise DegreeTooSmallError("kittaneh_rectangle needs degree >= 3")
     a_n = p.coefficient(n)
     a_n1 = p.coefficient(n - 1)
-    tail = [abs(p.coefficient(k)) for k in range(1, n - 1)]
+    tail = [_modulus(p.coefficient(k)) for k in range(1, n - 1)]
     cos_n = math.cos(math.pi / n)
-    c = coupled(abs(a_n.real), cos_n, abs(a_n1 - 1), *tail)
-    d = coupled(abs(a_n.imag), cos_n, abs(a_n1 + 1), *tail)
+    c = coupled(abs(a_n.real), cos_n, _modulus(a_n1 - 1), *tail)
+    d = coupled(abs(a_n.imag), cos_n, _modulus(a_n1 + 1), *tail)
     return Rectangle(-c, c, -d, d)
 
 
@@ -280,14 +280,14 @@ def partition_rectangle(q: Polynomial) -> Rectangle:
     a = q.coefficient
     cos_n = math.cos(math.pi / n)
     cos_n1 = math.cos(math.pi / (n + 1))
-    mid = [abs(a(k)) for k in range(n + 1, 2 * n - 1)]
+    mid = [_modulus(a(k)) for k in range(n + 1, 2 * n - 1)]
     # quarters: half_off sums them, so it is finite whenever half the coupling term is
-    tail = [abs(a(k)) / 4 for k in range(2, n)]
+    tail = [_modulus(a(k)) / 4 for k in range(2, n)]
     re_n, im_n = abs(a(n).real) / 4, abs(a(n).imag) / 4
-    half_off = (re_n + math.hypot(re_n, abs(1 - a(1)) / 4, *tail)
-                + im_n + math.hypot(im_n, abs(1 + a(1)) / 4, *tail))
-    s_top = coupled(abs(a(2 * n).real), cos_n, abs(1 - a(2 * n - 1)), *mid)
-    t_top = coupled(abs(a(2 * n).imag), cos_n, abs(1 + a(2 * n - 1)), *mid)
+    half_off = (re_n + math.hypot(re_n, _modulus(1 - a(1)) / 4, *tail)
+                + im_n + math.hypot(im_n, _modulus(1 + a(1)) / 4, *tail))
+    s_top = coupled(abs(a(2 * n).real), cos_n, _modulus(1 - a(2 * n - 1)), *mid)
+    t_top = coupled(abs(a(2 * n).imag), cos_n, _modulus(1 + a(2 * n - 1)), *mid)
     s = halved_coupled(s_top / 2, cos_n1 / 2, half_off)
     t = halved_coupled(t_top / 2, cos_n1 / 2, half_off)
     return Rectangle(-s, s, -t, t)
@@ -297,11 +297,11 @@ def partition_disk_parts(q: Polynomial) -> tuple[float, float, float, float]:
     """(value, L, D1, D2) for partition_disk."""
     n = _even_half(q)
     a = q.coefficient
-    head = math.hypot(*(abs(a(k)) for k in range(n + 2, 2 * n + 1)))
-    big_l = coupled(head, 0.0, abs(a(n + 1)) + 1)
-    tail = [abs(a(k)) for k in range(2, n)]
-    d1 = coupled(abs(a(n)), 0.0, abs(1 - a(1)), *tail)
-    d2 = coupled(abs(a(n)), 0.0, abs(1 + a(1)), *tail)
+    head = math.hypot(*[_modulus(a(k)) for k in range(n + 2, 2 * n + 1)])
+    big_l = coupled(head, 0.0, _modulus(a(n + 1)) + 1)
+    tail = [_modulus(a(k)) for k in range(2, n)]
+    d1 = coupled(_modulus(a(n)), 0.0, _modulus(1 - a(1)), *tail)
+    d2 = coupled(_modulus(a(n)), 0.0, _modulus(1 + a(1)), *tail)
     value = halved_coupled(big_l / 2, math.cos(math.pi / (n + 1)) / 2, d1 / 2 + d2 / 2)
     return value, big_l, d1, d2
 
@@ -349,7 +349,7 @@ def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
     if n < 2:
         raise DegreeTooSmallError("mw_bound needs degree >= 2")
     c = g.lower
-    mods = [abs(x) for x in c]
+    mods = _moduli(g)
     value = coupled(math.hypot(*mods[1:]), 0.0, mods[0] + 1.0)
 
     some_ge1 = any(m >= 1.0 for m in mods[1:])
@@ -402,6 +402,8 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
     scales = np.repeat([max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0,
                         max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0], 2)
+    # a modulus past the float range reads inf: the row's largest part bounds every entry
+    scales[scales == np.inf] = max(np.abs(row.real).max(), np.abs(row.imag).max())
     # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2, in quarter turns
     # q = 0, 2, -1, 1: the powers of i, exactly
     powers = np.arange(1, row.size + 1)

@@ -55,8 +55,19 @@ class BoundResult:
     notes: tuple[str, ...] = ()
 
 
+def _modulus(c: complex) -> float:
+    """abs(c), or inf where abs raises: a modulus past the float range."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def _moduli(p: Polynomial) -> list[float]:
-    return [abs(c) for c in p.lower]
+    try:
+        return [abs(c) for c in p.lower]
+    except OverflowError:
+        return [_modulus(c) for c in p.lower]
 
 
 def coupled(x: float, y: float, *off: float) -> float:

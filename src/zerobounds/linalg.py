@@ -320,13 +320,16 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
 
     A companion matrix (any first row, ones on the subdiagonal, exact zeros
     elsewhere, n >= 2) gets f from a rank-one secular equation over the known
-    Toeplitz spectrum, O(n^2) per angle; any other X one ``eigh`` per angle.
+    Toeplitz spectrum, O(n^2) per angle; any other X, and any X with a modulus
+    past the float range (over its largest part), one ``eigh`` per angle.
     """
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
-    if _is_companion(m):
+    if _is_companion(m) and scale < math.inf:
         peaks = _companion_peaks(m[0], scale, support=True)
     else:
+        if scale == math.inf:  # a modulus past the float range: scale by the largest part
+            scale = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
         peaks = lambda thetas, start: _dense_peaks(m / scale, thetas)
     thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
     values, points = peaks(thetas, None)

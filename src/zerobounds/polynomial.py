@@ -44,7 +44,7 @@ class Polynomial:
     lower: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.lower)
+        coeffs = tuple([complex(c) for c in self.lower])
         if len(coeffs) < 1:
             raise DegreeTooSmallError("a polynomial needs degree at least 1")
         for c in coeffs:

@@ -150,7 +150,7 @@ def resolve_methods(spec: str | None) -> tuple[str, ...]:
     """Turn a comma-separated method list (or 'all'/None) into METHODS ids."""
     if spec is None or spec.strip() == "all":
         return ALL_METHODS
-    names = tuple(t for t in (s.strip() for s in spec.split(",")) if t)
+    names = tuple([t for t in (s.strip() for s in spec.split(",")) if t])
     unknown = [n for n in names if n not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {', '.join(unknown)} (known: {', '.join(ALL_METHODS)})")
@@ -511,7 +511,7 @@ def format_fixture_json(reports: list[FixtureReport]) -> str:
             _json_list([
                 _CHECK_JSON.format(
                     _json(c.method), _json(c.variant), _json(c.component), _json(c.status),
-                    *("null" if math.isnan(x) else _json12(x) for x in (c.reference, c.computed)),
+                    *["null" if math.isnan(x) else _json12(x) for x in (c.reference, c.computed)],
                     _json(c.passed), _json(c.detail))
                 for c in r.checks
             ], "    "))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from .classical import _moduli, _modulus
 from .errors import NoConvergenceError
 from .polynomial import Polynomial
 
@@ -51,6 +52,7 @@ class Verdict:
         return self.verdict == "holds"
 
 
+@np.errstate(over="ignore")  # an overflowed p' or |a_k| ends the pass as an overflow
 def _aberth_terms(descending):
     """(values, terms, level) on one (n+1) x n block of powers z_i^k, which values(z) refills.
 
@@ -148,6 +150,29 @@ def _aberth_pass(terms, level, z, tol):
     return z, _MAX_ITERATIONS, f"did not converge in {_MAX_ITERATIONS} iterations"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a modulus past the float range: inf starts
+def _hull_start(moduli):
+    """(starts, r) on the upper convex hull of (k, log|a_k|), a_n = 1 (Bini 1996).
+
+    An edge from vertex i to vertex j puts j - i starts evenly on the circle of radius
+    (|a_i|/|a_j|)^(1/(j-i)), turned by 2*pi*i/n + 0.4 so that no two edges share a start;
+    the k0 zero roots of a polynomial whose k0 lowest coefficients vanish start on half
+    the smallest circle. r, the largest radius, is max_k |a_k|^(1/(n-k)): 2r bounds |z|.
+    """
+    n, hull = len(moduli), []
+    for k, height in [(k, math.log(m)) for k, m in enumerate(moduli) if m] + [(n, 0.0)]:
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (height - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()  # hull[-1] lies on or below the chord from hull[-2] to (k, height)
+        hull.append((k, height))
+    radii = [np.exp((low - high) / (j - i)) for (i, low), (j, high) in zip(hull, hull[1:])]
+    circles = [(hull[0][0], min(radii, default=1.0) / 2, 0.4)]  # count, radius, turn
+    circles += [(j - i, r, 2 * np.pi * i / n + 0.4)
+                for (i, _), (j, _), r in zip(hull, hull[1:], radii)]
+    return np.concatenate([r * np.exp(1j * (2 * np.pi * np.arange(count) / count + turn))
+                           for count, r, turn in circles]), max(radii, default=0.0)
+
+
 def _order_keys(z):
     """(-abs(z_i), np.angle(z_i)) bit for bit; np.abs's vector loop can round an ulp away."""
     return list(zip((-np.hypot(z.real, z.imag)).tolist(), np.arctan2(z.imag, z.real).tolist()))
@@ -156,32 +181,36 @@ def _order_keys(z):
 def find_roots(p: Polynomial) -> RootSet:
     """All roots of p by Ehrlich-Aberth simultaneous iteration.
 
-    Initial guesses sit on a circle of radius (1 + max|a_k|) * 0.9 (inside
-    the Cauchy disk) at angles 2*pi*k/degree + 0.4 to break symmetry.
-    Convergence when the max step is <= 1e-13 * (1 + max|a_k|), with no
-    restart. NoConvergenceError names the cause when the iteration
-    overflows, stalls at the rounding level (checked at iterations
-    2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
-    |p(z_i)|, from one more fill of the pass's power block, exceeds both
-    1e-8 * prod(1 + |z_i|) and its rounding level 4n*eps*sum|a_k||z_i|^k.
-    Deterministic for fixed input. Python's sorted orders the roots on
-    _order_keys, as NaN-bearing failures need.
+    Below degree _HIGH_DEGREE the initial guesses sit on the circle of radius
+    0.9(1 + max|a_k|), inside the Cauchy disk, at angles 2*pi*k/degree + 0.4 to break
+    symmetry, and the pass stops when the max step is <= 1e-13 * (1 + max|a_k|). From
+    _HIGH_DEGREE on they sit on _hull_start's Newton-polygon circles, and the stop is
+    1e-13 * (1 + 2r), where 2r is Fujiwara's bound on |z|. No restart.
+    NoConvergenceError names the cause when the iteration overflows, stalls at the
+    rounding level (checked at iterations 2^j >= 2*degree) or hits _MAX_ITERATIONS, or
+    when a converged residual |p(z_i)|, from one more fill of the pass's power block,
+    exceeds both 1e-8 * prod(1 + |z_i|) and its rounding level 4n*eps*sum|a_k||z_i|^k.
+    Deterministic for fixed input. Python's sorted orders the roots on _order_keys, as
+    NaN-bearing failures need.
     """
     n = p.degree
-    scale = 1.0 + max(abs(c) for c in p.lower)
-    tol = 1e-13 * scale
-
     if n == 1:
         root = 0.0 - p.lower[0]  # not -x, which turns a zero part into -0
-        return RootSet((complex(root),), (0.0,), abs(root), 0)  # p(root) = (0 - a) + a = 0
+        return RootSet((complex(root),), (0.0,), _modulus(root), 0)  # p(root) = (0 - a) + a = 0
 
-    angles = 2 * np.pi * np.arange(n) / n + 0.4
+    if n < _HIGH_DEGREE:
+        scale = 1.0 + max(_moduli(p))
+        start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
+        tol = 1e-13 * scale
+    else:
+        start, largest = _hull_start(_moduli(p))
+        tol = 1e-13 * (1.0 + 2 * largest)
     values, terms, level = _aberth_terms(p.descending())
-    z, iterations, failure = _aberth_pass(terms, level, 0.9 * scale * np.exp(1j * angles), tol)
+    z, iterations, failure = _aberth_pass(terms, level, start, tol)
     order = sorted(range(n), key=_order_keys(z).__getitem__)
-    roots = tuple(complex(z[i]) for i in order)
+    roots = tuple([complex(z[i]) for i in order])
 
-    guard = 1e-8 * float(np.prod([1.0 + abs(r) for r in roots]))
+    guard = 1e-8 * float(np.prod([1.0 + _modulus(r) for r in roots]))
     with np.errstate(all="ignore"):  # an overflowed pass leaves inf and NaN in z
         residuals = np.abs(values(z)[0])
         over = residuals > guard
@@ -192,7 +221,7 @@ def find_roots(p: Polynomial) -> RootSet:
         raise NoConvergenceError(
             f"root iteration {failure} (max residual {max(residuals):.3e}, guard {guard:.3e})",
             best_roots=roots, residuals=residuals)
-    return RootSet(roots, residuals, max(abs(r) for r in roots), iterations)
+    return RootSet(roots, residuals, max([_modulus(r) for r in roots]), iterations)
 
 
 def validate_bound(value: float, roots: RootSet) -> Verdict:

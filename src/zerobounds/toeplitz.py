@@ -60,9 +60,9 @@ def _offdiag_factor(t: TriToeplitz) -> complex:
 def toeplitz_eigenvalues(t: TriToeplitz) -> tuple[complex, ...]:
     """All n eigenvalues via the closed form, k = 1..n."""
     factor = _offdiag_factor(t)
-    return tuple(
+    return tuple([
         complex(t.a + factor * np.cos(k * np.pi / (t.n + 1))) for k in range(1, t.n + 1)
-    )
+    ])
 
 
 def toeplitz_spectral_radius(t: TriToeplitz) -> float:

@@ -325,3 +325,31 @@ def test_hermitian_rectangle_scales_each_part_after_its_turn(poly, capsys):
             size = max(abs(x) for x in part)
             assert abs(min(values) - lo) <= 1e-15 * size and abs(max(values) - hi) <= 1e-15 * size
     assert main(["compare", "--poly", poly, "--no-oracle", "--methods", "hermitian_rectangle"]) == 0
+
+
+@pytest.mark.parametrize("poly", [
+    "1, 1, 1.5e308+1.5e308i, 0",  # |a_2| exceeds the float range, where abs raises
+    "1, 1.5e308+1.5e308i, 1, 0, 2",  # the companion matrix's corner entry does
+])
+@pytest.mark.parametrize("args, code", [
+    (["compare", "--format", "json"], 4),
+    (["compare", "--no-oracle", "--format", "json"], 0),
+    (["roots"], 4),
+])
+def test_a_coefficient_modulus_past_the_float_range_reads_inf_or_fails_loudly(
+        poly, args, code, capsys):
+    assert main([*args, "--poly", poly]) == code
+    out, err = capsys.readouterr()
+    if args[0] == "roots":
+        assert "error: root oracle failed: root iteration overflowed" in err
+        return
+    report = json.loads(out)
+    assert (report["oracle_error"] is None) == ("--no-oracle" in args)
+    for row in report["rows"]:
+        if row["applicability"] == "refused":
+            continue
+        cells = [float(cell) for cell in ([row["value"]] if row["rectangle"] is None
+                                          else row["rectangle"].values())]
+        assert not any(map(math.isnan, cells)), row
+        assert all(map(math.isfinite, cells)) or (
+            "overflow: true value exceeds the float range" in row["notes"]), row

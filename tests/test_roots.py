@@ -274,16 +274,114 @@ def _outcome(p):
 ], ids=[*(f"gaussian{d}-{s}" for d in (16, 32, 47, 48) for s in (0, 1)),
         "scaled64-overflow", "scaled64"])
 def test_both_fills_reach_the_same_roots(p, monkeypatch):
+    # _HIGH_DEGREE also switches find_roots' start, so each fill runs the pass
+    # from the same start and stop: the circle and tolerance below the cutoff
+    n = p.degree
+    scale = 1.0 + max(map(abs, p.lower))
+    start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
     outcomes = []
-    for cutoff in (p.degree + 1, p.degree):  # the accumulate and n x n path, then the other
+    for cutoff in (n + 1, n):  # the accumulate and n x n path, then the other
         monkeypatch.setattr(zerobounds.roots, "_HIGH_DEGREE", cutoff)
-        outcomes.append(_outcome(p))
-    low, high = outcomes
-    if isinstance(low, str) or isinstance(high, str):
-        assert high == low
+        _, terms, level = zerobounds.roots._aberth_terms(p.descending())
+        outcomes.append(zerobounds.roots._aberth_pass(terms, level, start, 1e-13 * scale))
+    (low, low_iterations, low_failure), (high, high_iterations, high_failure) = outcomes
+    assert high_failure == low_failure
+    if low_failure is None:
+        assert high_iterations == low_iterations
+        assert np.all(abs(high - low) <= 1e-13 * np.abs(low))
+
+
+def _upper_hull(moduli):
+    """Vertices (k, log|a_k|) of the upper convex hull, a_n = 1, by brute force: a point is
+    a vertex unless it lies on or below a chord between two others on either side of it."""
+    points = [(k, np.log(m)) for k, m in enumerate(moduli) if m] + [(len(moduli), 0.0)]
+    return [(k, y) for at, (k, y) in enumerate(points) if not any(
+        y <= yi + (yj - yi) * (k - i) / (j - i)
+        for i, yi in points[:at] for j, yj in points[at + 1:])]
+
+
+# at and above the cutoff: generic, widely scaled, zero low-order coefficients,
+# sparse, z^n - c, and a hull with one interior vertex
+def _hull_inputs():
+    yield _gaussian(48, 3)
+    yield _gaussian(64, 0, spread=5)
+    yield _gaussian(97, 2, spread=2)
+    for zeros, seed in ((1, 0), (3, 1), (10, 2)):
+        yield Polynomial((0j,) * zeros + _gaussian(64 - zeros, seed).lower)
+    sparse = np.zeros(80, complex)
+    sparse[[0, 7, 31, 55, 79]] = (1e-3, 2j, 50, 3 - 4j, 1e2)
+    yield Polynomial(tuple(sparse))
+    yield Polynomial((-7.0 + 1j,) + (0j,) * 49)
+    yield Polynomial((1e-8,) + (0j,) * 29 + (1e4,) + (0j,) * 19)
+
+
+@pytest.mark.parametrize("p", _hull_inputs())
+def test_each_hull_edge_gets_its_own_count_of_starts_on_its_radius(p):
+    moduli = [abs(c) for c in p.lower]
+    starts, largest = zerobounds.roots._hull_start(moduli)
+    assert starts.shape == (p.degree,)
+    hull = _upper_hull(moduli)
+    radii = [np.exp((yi - yj) / (j - i)) for (i, yi), (j, yj) in zip(hull, hull[1:])]
+    for ((i, _), (j, _)), radius in zip(zip(hull, hull[1:]), radii):
+        on_circle = abs(np.abs(starts) - radius) <= 1e-12 * radius
+        assert on_circle.sum() == j - i, (i, j, radius)
+    zeros = hull[0][0]  # the number of lowest coefficients that vanish
+    assert np.sum(np.abs(starts) < min(radii) * (1 - 1e-12)) == zeros
+    assert abs(largest - max(radii)) <= 1e-12 * max(radii)
+    # the largest radius is max_k |a_k|^(1/(n-k)), half Fujiwara's bound
+    fujiwara = max(m ** (1 / (p.degree - k)) for k, m in enumerate(moduli))
+    assert abs(largest - fujiwara) <= 1e-12 * fujiwara
+
+
+@pytest.mark.parametrize("p", _hull_inputs())
+def test_hull_starts_are_finite_and_distinct_and_bound_the_roots(p):
+    starts, largest = zerobounds.roots._hull_start([abs(c) for c in p.lower])
+    assert np.all(np.isfinite(starts))
+    gaps = np.abs(starts[:, None] - starts[None, :]) + np.diag(np.full(p.degree, np.inf))
+    assert gaps.min() > 0
+    # every root lies within twice the largest start radius (Fujiwara)
+    assert np.abs(np.roots(p.descending())).max() <= 2 * largest * (1 + 1e-12)
+
+
+def test_a_widely_scaled_input_whose_start_circle_overflowed_converges():
+    p = _gaussian(64, 0, spread=5)  # the circle inside the Cauchy disk overflows z^n
+    reference = np.abs(np.roots(p.descending())).max()
+    assert abs(find_roots(p).max_modulus - reference) <= 1e-12 * reference
+
+
+def _known_roots(kind, degree, seed):
+    """(distinct roots, multiplicities): doubled or tripled Gaussian roots, or simple
+    complex Gaussian roots of modulus about 30."""
+    rng = np.random.default_rng([degree, seed])
+    gaussian = lambda size: rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if kind == "large":
+        return 30 * gaussian(degree) / np.sqrt(2), [1] * degree
+    fold = {"double": 2, "triple": 3}[kind]
+    rest = degree % fold
+    return np.append(gaussian(degree // fold), gaussian(rest)), [fold] * (degree // fold) + [1] * rest
+
+
+@pytest.mark.parametrize("kind", ["double", "triple", "large"])
+@pytest.mark.parametrize("degree", [48, 64, 80, 96])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multiple_and_large_roots_fail_loudly_or_come_out_right(kind, degree, seed):
+    distinct, multiplicities = _known_roots(kind, degree, seed)
+    p = make_monic(np.poly(np.repeat(distinct, multiplicities)))
+    outcome = _outcome(p)
+    if isinstance(outcome, str):
+        assert re.fullmatch(r"root iteration (stalled|overflowed) .*", outcome)
         return
-    assert high.iterations == low.iterations
-    assert np.all(abs(np.subtract(high.roots, low.roots)) <= 1e-13 * np.abs(low.roots))
+    true = np.abs(distinct).max()
+    if kind == "large":  # simple roots
+        assert abs(outcome.max_modulus - true) <= 1e-12 * true
+        return
+    # a root r of multiplicity m moves by about (eps' sum|a_k||r|^k / prod|r - s|^m_s)^(1/m)
+    # when the coefficients move by eps' = 8n eps relative
+    descending, bound = np.abs(p.descending()), 0.0
+    for r, m in zip(distinct, multiplicities):
+        others = np.prod([abs(r - s) ** k for s, k in zip(distinct, multiplicities) if s != r])
+        bound = max(bound, (8 * degree * EPS * np.polyval(descending, abs(r)) / others) ** (1 / m))
+    assert abs(outcome.max_modulus - true) <= bound
 
 
 def test_degree_one_is_solved_directly():
@@ -296,16 +394,18 @@ def test_degree_one_is_solved_directly():
 # Iteration count of find_roots on monic polynomials with complex Gaussian
 # lower coefficients (seeded standard_normal, real parts then imaginary
 # parts). A faster kernel for the same iteration must leave every entry as it
-# is. (64, 9), (64, 31), (128, 12) and (128, 13) each have one root whose
-# residual exceeds the absolute guard 1e-8 * prod(1 + |z_i|) but not its
-# rounding level, which the guard also requires before it refuses. (97, 0) and
-# (97, 1) take the high-degree fill at an odd degree.
+# is. Degree 16 starts on the circle inside the Cauchy disk; degrees 64, 97
+# and 128 start on the Newton-polygon circles. (64, 9), (128, 12) and
+# (128, 13) each have one root whose residual exceeds the absolute guard
+# 1e-8 * prod(1 + |z_i|) but not its rounding level, which the guard also
+# requires before it refuses. (97, 0) and (97, 1) take the high-degree fill
+# and start at an odd degree.
 _GAUSSIAN_ITERATIONS = {
     (16, 0): 16, (16, 1): 19, (16, 2): 16, (16, 3): 20, (16, 4): 13,
-    (64, 0): 46, (64, 1): 48, (64, 2): 52, (64, 3): 51, (64, 4): 48,
-    (128, 0): 96, (128, 1): 95, (128, 2): 91, (128, 3): 99, (128, 4): 93,
-    (64, 9): 49, (64, 31): 43, (128, 12): 92, (128, 13): 95,
-    (97, 0): 70, (97, 1): 75,
+    (64, 0): 12, (64, 1): 11, (64, 2): 8, (64, 3): 11, (64, 4): 12,
+    (128, 0): 13, (128, 1): 13, (128, 2): 11, (128, 3): 10, (128, 4): 12,
+    (64, 9): 10, (64, 31): 11, (128, 12): 13, (128, 13): 11,
+    (97, 0): 11, (97, 1): 11,
 }
 
 
