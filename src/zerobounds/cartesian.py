@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BoundResult, _moduli, _modulus, coupled, halved_coupled
+from .classical import BoundResult, coupled, halved_coupled
 from .companion import BlockCompanion, build_companion, cartesian_parts
 from .errors import (
     BlockShapeMismatchError,
@@ -32,7 +32,7 @@ from .errors import (
     OddDegreeError,
 )
 from .linalg import _companion_peaks, as_matrix, hermitian_eigs, nonneg_numrad, operator_norm
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _modulus
 
 __all__ = [
     "Rectangle",
@@ -253,16 +253,20 @@ def kittaneh_rectangle(p: Polynomial) -> Rectangle:
     matrix couples the shift block with +a_{n-1}, not -a_{n-1}, and the
     minus-sign variant fails root containment on random inputs.
     """
-    n = p.degree
-    if n < 3:
+    if p.degree < 3:
         raise DegreeTooSmallError("kittaneh_rectangle needs degree >= 3")
-    a_n = p.coefficient(n)
-    a_n1 = p.coefficient(n - 1)
-    tail = [_modulus(p.coefficient(k)) for k in range(1, n - 1)]
-    cos_n = math.cos(math.pi / n)
-    c = coupled(abs(a_n.real), cos_n, _modulus(a_n1 - 1), *tail)
-    d = coupled(abs(a_n.imag), cos_n, _modulus(a_n1 + 1), *tail)
+    c, d = _rectangle_halves(p.lower, p.moduli)
     return Rectangle(-c, c, -d, d)
+
+
+def _rectangle_halves(lower, moduli) -> tuple[float, float]:
+    """kittaneh_rectangle's (c, d) for the coefficients a_1..a_m in lower and their moduli:
+    coupled(|Re a_m|, cos(pi/m), |a_{m-1} - 1|, |a_1|, ..., |a_{m-2}|) and its twin with
+    |Im a_m| and |a_{m-1} + 1|. partition_rectangle's top half is this on a_{n+1}..a_{2n}."""
+    lead, edge, tail = lower[-1], lower[-2], moduli[:-2]
+    cos_m = math.cos(math.pi / len(lower))
+    return (coupled(abs(lead.real), cos_m, _modulus(edge - 1), *tail),
+            coupled(abs(lead.imag), cos_m, _modulus(edge + 1), *tail))
 
 
 def _even_half(q: Polynomial) -> int:
@@ -277,17 +281,14 @@ def partition_rectangle(q: Polynomial) -> Rectangle:
     """Rectangle [-s, s] x [-t, t] for even degree 2n, from the 2x2-partitioned
     companion matrix's real/imaginary parts bounded row by row."""
     n = _even_half(q)
-    a = q.coefficient
-    cos_n = math.cos(math.pi / n)
+    a_1, a_n = q.lower[0], q.lower[n - 1]
     cos_n1 = math.cos(math.pi / (n + 1))
-    mid = [_modulus(a(k)) for k in range(n + 1, 2 * n - 1)]
     # quarters: half_off sums them, so it is finite whenever half the coupling term is
-    tail = [_modulus(a(k)) / 4 for k in range(2, n)]
-    re_n, im_n = abs(a(n).real) / 4, abs(a(n).imag) / 4
-    half_off = (re_n + math.hypot(re_n, _modulus(1 - a(1)) / 4, *tail)
-                + im_n + math.hypot(im_n, _modulus(1 + a(1)) / 4, *tail))
-    s_top = coupled(abs(a(2 * n).real), cos_n, _modulus(1 - a(2 * n - 1)), *mid)
-    t_top = coupled(abs(a(2 * n).imag), cos_n, _modulus(1 + a(2 * n - 1)), *mid)
+    tail = [m / 4 for m in q.moduli[1:n - 1]]
+    re_n, im_n = abs(a_n.real) / 4, abs(a_n.imag) / 4
+    half_off = (re_n + math.hypot(re_n, _modulus(1 - a_1) / 4, *tail)
+                + im_n + math.hypot(im_n, _modulus(1 + a_1) / 4, *tail))
+    s_top, t_top = _rectangle_halves(q.lower[n:], q.moduli[n:])
     s = halved_coupled(s_top / 2, cos_n1 / 2, half_off)
     t = halved_coupled(t_top / 2, cos_n1 / 2, half_off)
     return Rectangle(-s, s, -t, t)
@@ -296,12 +297,11 @@ def partition_rectangle(q: Polynomial) -> Rectangle:
 def partition_disk_parts(q: Polynomial) -> tuple[float, float, float, float]:
     """(value, L, D1, D2) for partition_disk."""
     n = _even_half(q)
-    a = q.coefficient
-    head = math.hypot(*[_modulus(a(k)) for k in range(n + 2, 2 * n + 1)])
-    big_l = coupled(head, 0.0, _modulus(a(n + 1)) + 1)
-    tail = [_modulus(a(k)) for k in range(2, n)]
-    d1 = coupled(_modulus(a(n)), 0.0, _modulus(1 - a(1)), *tail)
-    d2 = coupled(_modulus(a(n)), 0.0, _modulus(1 + a(1)), *tail)
+    mods, a_1 = q.moduli, q.lower[0]
+    big_l = coupled(math.hypot(*mods[n + 1:]), 0.0, mods[n] + 1)
+    tail = mods[1:n - 1]
+    d1 = coupled(mods[n - 1], 0.0, _modulus(1 - a_1), *tail)
+    d2 = coupled(mods[n - 1], 0.0, _modulus(1 + a_1), *tail)
     value = halved_coupled(big_l / 2, math.cos(math.pi / (n + 1)) / 2, d1 / 2 + d2 / 2)
     return value, big_l, d1, d2
 
@@ -348,12 +348,11 @@ def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
     n = g.degree
     if n < 2:
         raise DegreeTooSmallError("mw_bound needs degree >= 2")
-    c = g.lower
-    mods = _moduli(g)
+    mods = g.moduli
     value = coupled(math.hypot(*mods[1:]), 0.0, mods[0] + 1.0)
 
     some_ge1 = any(m >= 1.0 for m in mods[1:])
-    all_real = all(x.imag == 0 for x in c)
+    all_real = all(x.imag == 0 for x in g.lower)
     all_lt1 = all(m < 1.0 for m in mods)
     increasing = all(mods[k + 1] > mods[k] for k in range(n - 1))
     tail_sum = sum(mods[1:])

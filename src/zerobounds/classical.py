@@ -1,7 +1,9 @@
 """Nine classical zero-modulus bounds computed from coefficient data.
 
 Each bound maps a monic polynomial p(z) = z^n + a_n z^{n-1} + ... + a_1 to a
-radius R such that every zero satisfies |z| <= R. Two of the formulas
+radius R such that every zero satisfies |z| <= R. Each reads the moduli |a_k|
+from p.moduli and halves its terms before a sum or math.hypot sees them, so R
+is finite wherever its true value is representable. Two of the formulas
 (linden, kittaneh_disk) ship in two variants because the displayed form and
 the form that reproduces the published comparison tables differ; the default
 is the displayed form and fixtures select variants explicitly.
@@ -55,21 +57,6 @@ class BoundResult:
     notes: tuple[str, ...] = ()
 
 
-def _modulus(c: complex) -> float:
-    """abs(c), or inf where abs raises: a modulus past the float range."""
-    try:
-        return abs(c)
-    except OverflowError:
-        return math.inf
-
-
-def _moduli(p: Polynomial) -> list[float]:
-    try:
-        return [abs(c) for c in p.lower]
-    except OverflowError:
-        return [_modulus(c) for c in p.lower]
-
-
 def coupled(x: float, y: float, *off: float) -> float:
     """(x + y + sqrt((x - y)^2 + sum off^2)) / 2, the coupling root that ends every
     partitioned bound; hypot scales the squares, and each term is halved before
@@ -86,23 +73,23 @@ def halved_coupled(x: float, y: float, *off: float) -> float:
 
 def cauchy(p: Polynomial) -> BoundResult:
     """1 + max|a_k|."""
-    return BoundResult("cauchy", 1.0 + max(_moduli(p)))
+    return BoundResult("cauchy", 1.0 + max(p.moduli))
 
 
 def carmichael_mason(p: Polynomial) -> BoundResult:
     """sqrt(1 + sum |a_k|^2)."""
-    return BoundResult("carmichael_mason", math.hypot(1.0, *_moduli(p)))
+    return BoundResult("carmichael_mason", math.hypot(1.0, *p.moduli))
 
 
 def montel(p: Polynomial) -> BoundResult:
     """max(1, sum |a_k|)."""
-    return BoundResult("montel", max(1.0, sum(_moduli(p))))
+    return BoundResult("montel", max(1.0, sum(p.moduli)))
 
 
 def fujii_kubo(p: Polynomial) -> BoundResult:
     """cos(pi/(n+1)) + (|a_n| + sum_{k=1}^{n} |a_k|^2) / 2."""
     n = p.degree
-    mods = _moduli(p)
+    mods = p.moduli
     value = math.cos(math.pi / (n + 1)) + (mods[-1] / 2 + sum(m * (m / 2) for m in mods))
     return BoundResult("fujii_kubo", value)
 
@@ -113,9 +100,10 @@ def abdurakhmanov(p: Polynomial) -> BoundResult:
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("abdurakhmanov needs degree >= 2")
-    mods = _moduli(p)
-    head = sum(m * m for m in mods[:-1])
-    return BoundResult("abdurakhmanov", coupled(mods[-1], math.cos(math.pi / n), 1.0 + head))
+    mods = p.moduli
+    half_off = 0.5 + sum(m * (m / 2) for m in mods[:-1])  # (1 + S)/2: 1 + S may overflow
+    value = halved_coupled(mods[-1] / 2, math.cos(math.pi / n) / 2, half_off)
+    return BoundResult("abdurakhmanov", value)
 
 
 def linden(p: Polynomial, variant: str = "printed") -> BoundResult:
@@ -131,14 +119,16 @@ def linden(p: Polynomial, variant: str = "printed") -> BoundResult:
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("linden needs degree >= 2")
-    mods = _moduli(p)
+    mods = p.moduli
     a_n = mods[-1]
     ratio = math.sqrt((n - 1) / n)
     if variant == "printed":
-        root = math.hypot(math.sqrt(n - 1), *mods[:-1], ratio * a_n)
+        first, last = math.sqrt(n - 1), ratio * a_n
     else:
-        root = math.hypot(math.sqrt(n - 1 - 1 / (4 * n * n)), *mods[:-1], a_n - 1 / (2 * n))
-    return BoundResult("linden", a_n / n + ratio * root, variant=variant)
+        first, last = math.sqrt(n - 1 - 1 / (4 * n * n)), a_n - 1 / (2 * n)
+    # halved: the root may overflow where ratio times it does not
+    half_root = math.hypot(first / 2, *[m / 2 for m in mods[:-1]], last / 2)
+    return BoundResult("linden", a_n / n + 2 * (ratio * half_root), variant=variant)
 
 
 def kittaneh_disk(p: Polynomial, variant: str = "printed") -> BoundResult:
@@ -154,7 +144,7 @@ def kittaneh_disk(p: Polynomial, variant: str = "printed") -> BoundResult:
     n = p.degree
     if n < 3:
         raise DegreeTooSmallError("kittaneh_disk needs degree >= 3")
-    mods = _moduli(p)
+    mods = p.moduli
     edge = mods[-2] - 1.0 if variant == "printed" else mods[-2] + 1.0
     value = coupled(mods[-1], math.cos(math.pi / n), edge, *mods[: n - 2])
     return BoundResult("kittaneh_disk", value, variant=variant)
@@ -167,7 +157,7 @@ def abu_omar_kittaneh(p: Polynomial) -> BoundResult:
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("abu_omar_kittaneh needs degree >= 2")
-    mods = _moduli(p)
+    mods = p.moduli
     mid = mods[-1] / 2 + math.hypot(*[m / 2 for m in mods])
     quarter_beta = math.hypot(*[m / 4 for m in mods[:-1]])  # finite where beta may not be
     value = coupled(mid, math.cos(math.pi / (n + 1)), 4.0 * math.sqrt(quarter_beta))
@@ -187,7 +177,7 @@ def al_dolat(p: Polynomial) -> BoundResult:
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("al_dolat needs degree >= 2")
-    mods = _moduli(p)
+    mods = p.moduli
     a_n = mods[-1]
     half_head = math.hypot(*[m / 2 for m in mods[:-1]])
     value = a_n / 2 + math.cos(math.pi / n) + math.hypot(a_n / 2, half_head + 0.5)

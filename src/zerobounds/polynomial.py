@@ -18,9 +18,10 @@ like "a_1 is literally zero" in odd_reduce are algebraic, not numerical.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegreeTooSmallError,
@@ -37,20 +38,34 @@ __all__ = [
 ]
 
 
+def _modulus(c: complex) -> float:
+    """abs(c), or inf where abs raises: a modulus past the float range."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic polynomial; ``lower[k-1]`` is a_k, the coefficient of z**(k-1)."""
+    """Monic polynomial; ``lower[k-1]`` is a_k, the coefficient of z**(k-1), and
+    ``moduli[k-1]`` is |a_k|, or inf past the float range (as for 1.5e308+1.5e308i)."""
 
     lower: tuple[complex, ...]
+    moduli: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple([complex(c) for c in self.lower])
         if len(coeffs) < 1:
             raise DegreeTooSmallError("a polynomial needs degree at least 1")
+        moduli = []
         for c in coeffs:
-            if not (abs(c.real) < float("inf") and abs(c.imag) < float("inf")):
+            modulus = _modulus(c)  # below inf only if both parts are finite
+            if not (modulus < math.inf or abs(c.real) < math.inf and abs(c.imag) < math.inf):
                 raise ValueError("coefficients must be finite")
+            moduli.append(modulus)
         object.__setattr__(self, "lower", coeffs)
+        object.__setattr__(self, "moduli", tuple(moduli))
         object.__setattr__(self, "_descending", (1.0 + 0j, *reversed(coeffs)))
 
     @property

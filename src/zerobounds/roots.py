@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .classical import _moduli, _modulus
 from .errors import NoConvergenceError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _modulus
 
 __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_rectangle"]
 
@@ -199,11 +198,11 @@ def find_roots(p: Polynomial) -> RootSet:
         return RootSet((complex(root),), (0.0,), _modulus(root), 0)  # p(root) = (0 - a) + a = 0
 
     if n < _HIGH_DEGREE:
-        scale = 1.0 + max(_moduli(p))
+        scale = 1.0 + max(p.moduli)
         start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
         tol = 1e-13 * scale
     else:
-        start, largest = _hull_start(_moduli(p))
+        start, largest = _hull_start(p.moduli)
         tol = 1e-13 * (1.0 + 2 * largest)
     values, terms, level = _aberth_terms(p.descending())
     z, iterations, failure = _aberth_pass(terms, level, start, tol)
@@ -236,15 +235,11 @@ def validate_rectangle(rect, roots: RootSet) -> Verdict:
 
     rect needs re_lo/re_hi/im_lo/im_hi attributes.
     """
-    worst = float("inf")
-    for root in roots.roots:
-        slack = min(
-            root.real - rect.re_lo,
-            rect.re_hi - root.real,
-            root.imag - rect.im_lo,
-            rect.im_hi - root.imag,
-        )
-        worst = min(worst, slack)
+    re = [root.real for root in roots.roots]
+    im = [root.imag for root in roots.roots]
+    # rounded subtraction is monotone, so the extreme parts give each root's least slack
+    worst = min(min(re) - rect.re_lo, rect.re_hi - max(re),
+                min(im) - rect.im_lo, rect.im_hi - max(im))
     if worst >= -_VALIDATION_SLACK:
         return Verdict("holds", max(worst, 0.0))
     return Verdict("violated", -worst)

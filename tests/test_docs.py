@@ -2,10 +2,12 @@
 that drives compare, its compare example with real CLI output, its Python
 API example with what that code prints, and its flag list with the compare
 parser. Every name a module exports exists and reaches the package exactly once,
-importing the package loads its library modules but not the CLI, and the
-runtime dependency is numpy only."""
+importing the package loads its library modules but not the CLI, the
+runtime dependency is numpy only, and every module parses at the declared
+Python floor."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -22,6 +24,7 @@ from zerobounds.cli import build_parser, main
 from zerobounds.report import ALL_METHODS, METHODS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _readme_method_rows() -> dict[str, list[str]]:
@@ -130,3 +133,14 @@ def test_import_loads_the_library_modules_and_not_the_cli():
     own = {name for name in loaded if name.startswith("zerobounds")}
     assert own == {"zerobounds", *(f"zerobounds.{name}" for name in _LIBRARY)}
     assert "argparse" not in loaded
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # syntax only: a call to an API newer than the floor parses all the same
+    floor = re.search(r'requires-python = ">=([\d.]+)"', PYPROJECT.read_text(encoding="utf-8"))[1]
+    assert f"Python >= {floor}." in README.read_text(encoding="utf-8")
+    major, minor = map(int, floor.split(".")[:2])
+    modules = sorted(Path(zerobounds.__file__).parent.glob("*.py"))
+    assert len(modules) == len(_LIBRARY) + 2  # the library, the CLI and __init__
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

@@ -17,6 +17,7 @@ from zerobounds import (
     build_companion,
     find_roots,
     get_fixture,
+    hermitian_rectangle,
     make_monic,
     parse_polynomial,
     validate_bound,
@@ -460,6 +461,20 @@ def test_validate_rectangle_verdicts():
     outside = validate_rectangle(Rectangle(-1.0, 1.0, -1.0, 1.0), rs)
     assert not outside.holds
     assert abs(outside.margin - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("poly", ["1, 0, 1", "1, 0, -1", "1, 0, 0, 0, -1", "1, 1i, 0, 1/2, 1"])
+def test_validate_rectangle_margin_is_the_least_slack_of_any_root_bit_for_bit(poly):
+    # hermitian_rectangle of 1, 0, 1 is [0, 0] x [-1, 1]: both roots lie on its zero-width extent,
+    # as they do on the [-1, 1] x [0, 0] of 1, 0, -1
+    p = parse_polynomial(poly)
+    rs = find_roots(p)
+    for rect in (hermitian_rectangle(p), Rectangle(-2.0, 2.0, -2.0, 2.0)):
+        slacks = [min(z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo,
+                      rect.im_hi - z.imag) for z in rs.roots]
+        verdict = validate_rectangle(rect, rs)
+        assert verdict.holds
+        assert repr(verdict.margin) == repr(max(min(slacks), 0.0))  # repr tells -0.0 from 0.0
 
 
 def test_validate_accepts_precomputed_roots():
