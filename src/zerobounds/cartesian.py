@@ -10,9 +10,9 @@ parts of the full matrix (or of an individual block where stated).
 The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
 A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
 compare's Cartesian disk rows are closed forms of the first row whose one
-eigensolve (for w1) has size <= 4. block_cartesian_radius takes that closed
-form when it is handed a BlockCompanion; the dense eigensolves serve general
-grids of blocks.
+eigensolve, for w1, has size <= 4 and runs once per polynomial (_shared_row_parts).
+block_cartesian_radius takes that closed form when it is handed a
+BlockCompanion; the dense eigensolves serve general grids of blocks.
 """
 
 from __future__ import annotations
@@ -117,12 +117,21 @@ def _twice_abs(h: np.ndarray) -> np.ndarray:
     return (eig.vectors * (mods + mods)) @ eig.vectors.conj().T
 
 
+def _shared_row_parts(bc: BlockCompanion) -> tuple[float, float, complex, float]:
+    """_companion_row_parts of bc, kept in the memo build_block_companion gives it."""
+    memo = getattr(bc, "_memo", {})  # a BlockCompanion built by hand has none
+    if "row_parts" not in memo:
+        memo["row_parts"] = _companion_row_parts(bc.companion[0], bc.n)
+    return memo["row_parts"]
+
+
 def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex, float]:
     """(w1, w2, s_1, t = |(s_2, ..., s_n)|) of a companion matrix with first
     row (r, s) in n x n blocks, n >= 2. w_k = w(P_kk^2 + Q_kk^2) is lambda_max
     of the PSD (A_kk* A_kk + A_kk A_kk*)/2: diag(1/2, 1, ..., 1, 1/2) for
     A22 = Z, and I plus a difference compressed to at most 4 x 4 for
-    A11 = Z + e_1 r^T, with Z the down-shift.
+    A11 = Z + e_1 r^T, with Z the down-shift. It runs once per polynomial:
+    _shared_row_parts keeps it in the memo every partition of the polynomial carries.
 
     As Z^T e_1 = 0, A11* A11 = I - e_n e_n^T + conj(r) r^T and
     A11 A11* = I - e_1 e_1^T + |r|^2 e_1 e_1^T + Z conj(r) e_1^T + e_1 (Z conj(r))*,
@@ -145,7 +154,7 @@ def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex
     return w1, 1.0 if n > 2 else 0.5, complex(row[n]), math.hypot(*np.abs(row[n + 1:]))
 
 
-def _companion_block_cartesian(row: np.ndarray, n: int) -> float:
+def _companion_block_cartesian(bc: BlockCompanion) -> float:
     """block_cartesian_radius on a companion matrix with first row (r, s) in
     n x n blocks, n >= 2. A12 = e_1 s^T acts as [[s_1, t], [0, 0]] on
     span{e_1, (0, conj(s_2), ..., conj(s_n)) / t} and, with A12*, as 0 off it.
@@ -155,7 +164,7 @@ def _companion_block_cartesian(row: np.ndarray, n: int) -> float:
     is thus (t^2/g_P + t^2/g_Q) I + 2 (x_P/g_P) P12 + 2 (x_Q/g_Q) Q12. A21 =
     e_1 e_n^T weighs 2^2 / 2 = 2; w of [[2 w1, ||M||^2 / 2], [2, 2 w2]] is the
     lambda_max of its symmetric part."""
-    w1, w2, s1, t = _companion_row_parts(row, n)
+    w1, w2, s1, t = _shared_row_parts(bc)
     x, y = s1.real, s1.imag
     p, q = math.atan2(t, x), math.atan2(t, y)  # x/g = cos, t/g = sin without forming g
     norm12 = t * (math.sin(p) + math.sin(q)) + coupled(
@@ -181,7 +190,7 @@ def block_cartesian_radius(blocks) -> float:
     when it happens to assemble to a companion matrix).
     """
     if isinstance(blocks, BlockCompanion):
-        return _companion_block_cartesian(blocks.companion[0], blocks.n)
+        return _companion_block_cartesian(blocks)
     grid = [[as_matrix(b) for b in row] for row in blocks]
     m = len(grid)
     if m == 0 or any(len(row) != m for row in grid):
@@ -216,9 +225,8 @@ def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
     (Y + det(Y)^{1/2} I) / (tr Y + 2 det(Y)^{1/2})^{1/2} for a 2 x 2 PSD Y,
     |P21| + |Q21| = diag(|s|^2 + t, 1 + t) / (|s|^2 + 1 + 2t)^{1/2} there.
     """
-    row = bc.companion[0]
-    w1, w2, s1, t = _companion_row_parts(row, bc.n)
-    s = row[bc.n:]
+    w1, w2, s1, t = _shared_row_parts(bc)
+    s = bc.companion[0, bc.n:]
     squared = float(np.vdot(s, s).real)
     as_matrix([[squared]])  # refuses an overflowed |s|^2
     coupling = math.sqrt(coupled(squared, 1.0, 2 * abs(s1))) + (

@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from .errors import NoConvergenceError, PolynomialParseError, UnknownFixtureError
-from .polynomial import parse_polynomial
+from .polynomial import _modulus, parse_polynomial
 from .report import (
     ALL_METHODS,
     METHODS,
@@ -125,12 +125,9 @@ def _compare_options(args: argparse.Namespace) -> CompareOptions:
 def _cmd_compare(args: argparse.Namespace) -> int:
     options = _compare_options(args)
     report = run_compare(args.poly, options)
-    if args.format == "csv":
-        sys.stdout.write(format_compare_csv(report))
-    elif args.format == "json":
-        sys.stdout.write(format_compare_json(report))
-    else:
-        sys.stdout.write(format_compare_text(report))
+    render = {"text": format_compare_text, "csv": format_compare_csv,
+              "json": format_compare_json}[args.format]
+    sys.stdout.write(render(report))
     if options.oracle and report.oracle_error is not None:
         return 4
     if options.strict_mw and any(
@@ -156,15 +153,11 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(format_roots_json(rootset))
     else:
-        sys.stdout.write(
-            f"degree {p.degree}, max |z| = {rootset.max_modulus:.10g}, "
-            f"{rootset.iterations} iterations\n"
-        )
+        sys.stdout.write(f"degree {p.degree}, max |z| = {rootset.max_modulus:.10g}, "
+                         f"{rootset.iterations} iterations\n")
         for z, residual in zip(rootset.roots, rootset.residuals):
-            sys.stdout.write(
-                f"  {z.real:+.10g} {z.imag:+.10g}i   |z| = {abs(z):.10g}   "
-                f"residual {residual:.3g}\n"
-            )
+            sys.stdout.write(f"  {z.real:+.10g} {z.imag:+.10g}i   |z| = {_modulus(z):.10g}   "
+                             f"residual {residual:.3g}\n")
     return 0
 
 

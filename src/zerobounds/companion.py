@@ -51,7 +51,8 @@ class BlockCompanion:
 
 
 def build_block_companion(q: Polynomial) -> BlockCompanion:
-    """Partition C(q) for even degree 2n >= 4 into four n x n blocks."""
+    """Partition C(q) for even degree 2n >= 4 into four n x n blocks. Its arrays are
+    read-only, and it carries q's one memo, where cartesian keeps q's w1."""
     degree = q.degree
     if degree % 2 != 0:
         raise OddDegreeError(f"block partition needs even degree, got {degree}")
@@ -59,5 +60,7 @@ def build_block_companion(q: Polynomial) -> BlockCompanion:
         raise DegreeTooSmallError("block partition needs degree >= 4")
     n = degree // 2
     full = build_companion(q)
-    return BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
-
+    full.flags.writeable = False
+    blocks = BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    object.__setattr__(blocks, "_memo", vars(q).setdefault("_companion_memo", {}))
+    return blocks

@@ -7,6 +7,11 @@ oracle_max_modulus, verdict, margin) with the value cell empty for rectangles;
 rectangle extents appear in the text and JSON renderings. Machine formats
 render every number as a 12-significant-digit decimal string so that reports
 round-trip byte-for-byte through a JSON parse.
+
+The rows of one compare or fixture share the polynomial's set-up: its
+moduli, its even quotient, and the memo that build_block_companion gives each
+partition of it, where w1 is kept, so both Cartesian disk rows take w1 from
+one eigensolve.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import io
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -38,7 +43,7 @@ from .companion import build_block_companion, build_companion
 from .errors import HypothesisViolatedError, NoConvergenceError, NonFiniteMatrixError
 from .fixtures import DIVERGENT, EXACT, FIXTURES, Fixture, get_fixture
 from .linalg import numerical_radius_sweep
-from .polynomial import Polynomial, odd_reduce, parse_polynomial
+from .polynomial import Polynomial, _modulus, odd_reduce, parse_polynomial
 from .roots import RootSet, find_roots, validate_bound, validate_rectangle
 
 __all__ = [
@@ -162,10 +167,12 @@ def resolve_methods(spec: str | None) -> tuple[str, ...]:
     return names
 
 
-def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
-         opt: CompareOptions, oracle: RootSet | None) -> ReportRow:
-    """One method's row: the method table's refusal rules, the run, and the
-    oracle's verdict on the result (none without an oracle)."""
+def _row_fields(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
+                opt: CompareOptions, oracle: RootSet | None) -> tuple:
+    """One method's ReportRow fields but its rank, (method, variant, value, applicability,
+    rectangle, verdict, margin, notes): the method table's refusal rules, the run, and the
+    oracle's verdict (none without an oracle). The caller holds np.errstate(over="ignore",
+    invalid="ignore"), so an overflow reads as a refusal or inf."""
     method = METHODS[name]
     target, notes, refusal = p, (), None
     if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
@@ -176,14 +183,13 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
         target, notes = quotient, ("zero root factored out; computed on the even quotient",)
     if refusal is None:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported as refusal or inf
-                outcome = method.run(target, opt)
+            outcome = method.run(target, opt)
         except HypothesisViolatedError as exc:
             refusal = str(exc)
         except NonFiniteMatrixError as exc:
             refusal = f"overflow: {exc}"
     if refusal is not None:
-        return ReportRow(name, None, None, "refused", notes=notes + (refusal,))
+        return name, None, None, "refused", None, None, None, notes + (refusal,)
 
     if isinstance(outcome, Rectangle):
         rectangle, variant, value, applicability = outcome, None, None, "valid"
@@ -195,11 +201,8 @@ def _row(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
         verdict = validate_bound(value, oracle) if oracle is not None else None
     if math.inf in extents:
         notes += ("overflow: true value exceeds the float range",)
-    return ReportRow(
-        name, variant, value, applicability, rectangle=rectangle,
-        verdict=None if verdict is None else verdict.verdict,
-        margin=None if verdict is None else verdict.margin, notes=notes,
-    )
+    verdict, margin = (None, None) if verdict is None else (verdict.verdict, verdict.margin)
+    return name, variant, value, applicability, rectangle, verdict, margin, notes
 
 
 def run_compare(source: str | Polynomial, options: CompareOptions | None = None) -> CompareReport:
@@ -216,18 +219,17 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
         except NoConvergenceError as exc:
             oracle_error = str(exc)
 
-    rows = [_row(name, p, quotient, reduced, opt, oracle) for name in requested]
-    ranked = sorted(
-        (i for i, r in enumerate(rows) if r.value is not None and r.applicability != "refused"),
-        key=lambda i: rows[i].value,
-    )
-    for rank, i in enumerate(ranked, start=1):
-        rows[i] = replace(rows[i], rank=rank)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as refusal or inf
+        fields = [_row_fields(name, p, quotient, reduced, opt, oracle) for name in requested]
+    # ranked by value among the rows that hold one and are not refused
+    ranked = sorted((i for i, f in enumerate(fields) if f[2] is not None and f[3] != "refused"),
+                    key=lambda i: fields[i][2])
+    ranks = {i: rank for rank, i in enumerate(ranked, start=1)}
 
     return CompareReport(
         degree=p.degree,
         coefficients=p.descending(),
-        rows=tuple(rows),
+        rows=tuple([ReportRow(*f[:7], ranks.get(i), f[7]) for i, f in enumerate(fields)]),
         oracle=oracle,
         oracle_error=oracle_error,
         reduced=reduced,
@@ -259,8 +261,7 @@ FIXTURE_TOLERANCE = 1e-7
 
 
 def _relative_error(computed: float, reference: float) -> float:
-    scale = max(abs(reference), 1e-30)
-    return abs(computed - reference) / scale
+    return abs(computed - reference) / max(abs(reference), 1e-30)
 
 
 def run_fixture(name: str | Fixture) -> FixtureReport:
@@ -279,63 +280,64 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
     quotient, reduced = odd_reduce(p)
     oracle = find_roots(p)
     checks: list[FixtureCheck] = []
-    mw_row: ReportRow | None = None  # shared by the mw expectation and the guard checks
+    rows: dict[tuple[str, str | None], ReportRow] = {}  # each (method, variant) runs once
 
-    for exp in fixture.expected:
-        method, computed, detail = METHODS.get(exp.method), math.nan, ""
-        if exp.method == "max_modulus":
-            computed = oracle.max_modulus
-            passed = (exp.status == DIVERGENT
-                      or _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE)
-            if exp.status == DIVERGENT:
-                detail = "reference max modulus does not match the root oracle"
-        elif method is None:
-            passed, detail = False, f"unknown method {exp.method!r}"
-        elif exp.variant not in (None, *method.variants):
-            passed = False
-            detail = (f"method {exp.method!r} has no variant {exp.variant!r}" if method.variants
-                      else f"method {exp.method!r} has no variants")
-        elif exp.component not in ((None,) if method.kind == "disk" else ("re_half", "im_half")):
-            passed, detail = False, f"method {exp.method!r} has no component {exp.component!r}"
-        else:
-            opt = CompareOptions(**({} if exp.variant is None else {method.option: exp.variant}))
-            row = _row(exp.method, p, quotient, reduced, opt, oracle)
-            if exp.method == "mw":
-                mw_row = row
-            rect = row.rectangle
-            if rect is not None:
-                computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
-            elif row.value is not None:
-                computed = row.value
-            if row.applicability == "refused":
-                passed, detail = False, "; ".join(row.notes)
-            elif exp.status != DIVERGENT:
-                passed = _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE
-            elif rect is not None:
-                passed = row.verdict == "holds"
-                detail = "divergent reference; computed rectangle checked for root containment"
+    def row(method: str, variant: str | None) -> ReportRow:
+        if (method, variant) not in rows:
+            option = {} if variant is None else {METHODS[method].option: variant}
+            fields = _row_fields(method, p, quotient, reduced, CompareOptions(**option), oracle)
+            rows[method, variant] = ReportRow(*fields[:7], None, fields[7])
+        return rows[method, variant]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exp in fixture.expected:
+            method, computed, passed, detail = METHODS.get(exp.method), math.nan, False, ""
+            if exp.method == "max_modulus":
+                computed = oracle.max_modulus
+                passed = (exp.status == DIVERGENT
+                          or _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE)
+                if exp.status == DIVERGENT:
+                    detail = "reference max modulus does not match the root oracle"
+            elif method is None:
+                detail = f"unknown method {exp.method!r}"
+            elif exp.variant not in (None, *method.variants):
+                detail = (f"method {exp.method!r} has no variant {exp.variant!r}"
+                          if method.variants else f"method {exp.method!r} has no variants")
+            elif exp.component not in ((None,) if method.kind == "disk"
+                                       else ("re_half", "im_half")):
+                detail = f"method {exp.method!r} has no component {exp.component!r}"
             else:
-                passed = row.verdict == "holds" and validate_bound(exp.value, oracle).holds
-                detail = "divergent reference; both values checked against the oracle"
-        checks.append(FixtureCheck(exp.method, exp.variant, exp.component, exp.status,
-                                   exp.value, computed, passed, detail))
+                result = row(exp.method, exp.variant)
+                rect = result.rectangle
+                if rect is not None:
+                    computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
+                elif result.value is not None:
+                    computed = result.value
+                if result.applicability == "refused":
+                    detail = "; ".join(result.notes)
+                elif exp.status != DIVERGENT:
+                    passed = _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE
+                elif rect is not None:
+                    passed = result.verdict == "holds"
+                    detail = "divergent reference; computed rectangle checked for root containment"
+                else:
+                    passed = result.verdict == "holds" and validate_bound(exp.value, oracle).holds
+                    detail = "divergent reference; both values checked against the oracle"
+            checks.append(FixtureCheck(exp.method, exp.variant, exp.component, exp.status,
+                                       exp.value, computed, passed, detail))
+        mw_row = row("mw", None) if fixture.mw_guard is not None else None
 
-    if fixture.mw_guard is not None:
-        if mw_row is None:
-            mw_row = _row("mw", p, quotient, reduced, CompareOptions(), oracle)
+    if mw_row is not None:
         # a row the method table refuses reads "refused" too
         status = next(s for s, a in MW_APPLICABILITY.items() if a == mw_row.applicability)
-        checks.append(
-            FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan,
-                         status == fixture.mw_guard,
-                         f"guard status {status!r}, expected {fixture.mw_guard!r}")
-        )
+        checks.append(FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan,
+                                   status == fixture.mw_guard,
+                                   f"guard status {status!r}, expected {fixture.mw_guard!r}"))
         if fixture.mw_verdict is not None:
-            checks.append(
-                FixtureCheck("mw", None, "verdict", "exact", math.nan, math.nan,
-                             mw_row.verdict == fixture.mw_verdict,
-                             f"oracle verdict {mw_row.verdict!r}, expected {fixture.mw_verdict!r}")
-            )
+            checks.append(FixtureCheck(
+                "mw", None, "verdict", "exact", math.nan, math.nan,
+                mw_row.verdict == fixture.mw_verdict,
+                f"oracle verdict {mw_row.verdict!r}, expected {fixture.mw_verdict!r}"))
 
     return FixtureReport(
         name=fixture.name,
@@ -368,14 +370,11 @@ def _coefficient_text(c: complex) -> str:
 
 
 def format_compare_text(report: CompareReport) -> str:
-    lines = []
     coeffs = ", ".join(_coefficient_text(c) for c in report.coefficients)
-    lines.append(f"monic degree {report.degree}: [{coeffs}]")
+    lines = [f"monic degree {report.degree}: [{coeffs}]"]
     if report.oracle is not None:
-        lines.append(
-            f"oracle max |z| = {_f10(report.oracle.max_modulus)} "
-            f"({report.oracle.iterations} iterations)"
-        )
+        lines.append(f"oracle max |z| = {_f10(report.oracle.max_modulus)} "
+                     f"({report.oracle.iterations} iterations)")
     elif report.oracle_error is not None:
         lines.append(f"oracle failed: {report.oracle_error}")
     else:
@@ -391,14 +390,11 @@ def format_compare_text(report: CompareReport) -> str:
     width = max([22, *map(len, values)])
     header = f"{'method':<20} {'variant':<9} {'value':<{width}} {'applicability':<13} " \
              f"{'verdict':<9} {'margin':<13} {'rank':<4} notes"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row, value_text in zip(report.rows, values):
-        lines.append(
-            f"{row.method:<20} {row.variant or '':<9} {value_text:<{width}} "
-            f"{row.applicability:<13} {row.verdict or '':<9} {_f10(row.margin):<13} "
-            f"{row.rank if row.rank is not None else '':<4} {'; '.join(row.notes)}"
-        )
+    lines += [header, "-" * len(header)]
+    lines += [f"{row.method:<20} {row.variant or '':<9} {value_text:<{width}} "
+              f"{row.applicability:<13} {row.verdict or '':<9} {_f10(row.margin):<13} "
+              f"{row.rank if row.rank is not None else '':<4} {'; '.join(row.notes)}"
+              for row, value_text in zip(report.rows, values)]
     return "\n".join(lines) + "\n"
 
 
@@ -426,7 +422,8 @@ def _json(value: str | int | bool | None) -> str:
 
 
 def _json12(value: float | None) -> str:
-    return _json(_f12(value))
+    """_json(_f12(value)): the digits of a float need no escaping."""
+    return "null" if value is None else f'"{value:.12g}"'
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -462,12 +459,13 @@ def format_compare_json(report: CompareReport) -> str:
         maxmod, _json(report.oracle.iterations))
     rows = [
         _ROW_JSON.format(
-            _json(row.method), _json(row.variant), _json12(row.value),
-            _json(row.applicability), maxmod, _json(row.verdict), _json12(row.margin),
-            _json(row.rank),
+            _quote(row.method), "null" if row.variant is None else _quote(row.variant),
+            _json12(row.value), _quote(row.applicability), maxmod,
+            "null" if row.verdict is None else _quote(row.verdict), _json12(row.margin),
+            "null" if row.rank is None else str(row.rank),
             "null" if (rect := row.rectangle) is None else _RECTANGLE_JSON.format(
                 *map(_json12, (rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi))),
-            _json_list([_json(note) for note in row.notes], "      "),
+            _json_list([_quote(note) for note in row.notes], "      "),
         )
         for row in report.rows
     ]
@@ -482,9 +480,7 @@ def format_fixture_text(report: FixtureReport) -> str:
     lines = [f"fixture {report.name}: {'PASS' if report.passed else 'FAIL'} "
              f"(oracle max |z| = {_f10(report.oracle_max_modulus)})"]
     for c in report.checks:
-        tag = "ok " if c.passed else "FAIL"
-        if c.status == DIVERGENT:
-            tag = "ok*" if c.passed else "FAIL"
+        tag = ("ok*" if c.status == DIVERGENT else "ok ") if c.passed else "FAIL"
         label = c.method
         if c.variant:
             label += f"[{c.variant}]"
@@ -523,5 +519,5 @@ def format_roots_json(roots: RootSet) -> str:
     """The roots with their moduli and residuals, in the layout of json.dumps(indent=2)."""
     return _ROOTS_JSON.format(
         len(roots.roots), _json12(roots.max_modulus), roots.iterations,
-        _json_list([_ROOT_JSON.format(*map(_json12, (z.real, z.imag, abs(z), r)))
+        _json_list([_ROOT_JSON.format(*map(_json12, (z.real, z.imag, _modulus(z), r)))
                     for z, r in zip(roots.roots, roots.residuals)], "  "))

@@ -161,6 +161,23 @@ def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):
     ]
 
 
+def test_fixture_runs_each_method_and_variant_once(monkeypatch):
+    """table2 checks both halves of two rectangles: each rectangle runs once."""
+    calls = []
+    for name in ("partition_rectangle", "kittaneh_rectangle"):
+        def spy(p, name=name, original=getattr(zerobounds.report, name)):
+            calls.append(name)
+            return original(p)
+
+        monkeypatch.setattr(zerobounds.report, name, spy)
+    report = run_fixture("table2")
+    assert [(c.method, c.component) for c in report.checks] == [
+        ("partition_rectangle", "re_half"), ("partition_rectangle", "im_half"),
+        ("kittaneh_rectangle", "re_half"), ("kittaneh_rectangle", "im_half")]
+    assert report.passed
+    assert calls == ["partition_rectangle", "kittaneh_rectangle"]
+
+
 def test_fixture_mw_guard_is_read_from_the_row_applicability(monkeypatch):
     """The guard status comes from the mw row's applicability, which
     mw_bound maps one to one from its status; the notes play no part."""
@@ -522,6 +539,16 @@ def test_cli_degree_one_root_has_no_negative_zero(poly, text, re_im, capsys):
     assert main(["roots", "--poly", poly, "--format", "json"]) == 0
     root = json.loads(capsys.readouterr().out)["roots"][0]
     assert (root["re"], root["im"]) == re_im
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("text", "  -1.5e+308 -1.5e+308i   |z| = inf   residual 0"),
+    ("json", '      "modulus": "inf",'),
+], ids=["text", "json"])
+def test_cli_root_with_a_modulus_past_the_float_range_reads_inf(fmt, line, capsys):
+    """Both parts of the degree-1 root are finite, but its modulus is not."""
+    assert main(["roots", "--poly", "1, 1.5e308+1.5e308i", "--format", fmt]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_cli_roots_json(capsys):
