@@ -9,12 +9,9 @@ Each module's ``__all__`` is the one list of its public names. The package
 re-exports all of them but the CLI's, so importing it does not load argparse.
 """
 
-from . import (
-    cartesian, classical, companion, errors, fixtures, linalg, polynomial, report, roots, toeplitz,
-)
+from . import cartesian, classical, errors, fixtures, linalg, polynomial, report, roots, toeplitz
 from .cartesian import *  # noqa: F403
 from .classical import *  # noqa: F403
-from .companion import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .fixtures import *  # noqa: F403
 from .linalg import *  # noqa: F403
@@ -26,7 +23,7 @@ from .toeplitz import *  # noqa: F403
 __version__ = "0.1.0"
 
 __all__ = ["__version__"]
-for _module in (cartesian, classical, companion, errors, fixtures, linalg, polynomial, report,
-                roots, toeplitz):
+for _module in (cartesian, classical, errors, fixtures, linalg, polynomial, report, roots,
+                toeplitz):
     __all__ += _module.__all__
 del _module

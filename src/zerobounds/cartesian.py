@@ -1,29 +1,33 @@
-"""Zero-inclusion regions built from Cartesian decompositions of the companion
-matrix: coupling inequalities for 2x2 operator matrices, a general m x m block
-bound, the partitioned-companion disk and rectangle bounds, and the MW
-closed-form bound with its applicability guard.
+"""The companion matrix, its 2x2 block partition and Cartesian parts, and the
+zero-inclusion regions built from them: coupling inequalities for 2x2 operator
+matrices, a general m x m block bound, the partitioned-companion disk and
+rectangle bounds, and the MW closed-form bound with its applicability guard.
 
-Conventions: for a monic polynomial of even degree 2n the companion matrix is
-split into four n x n blocks; P and Q denote the Hermitian real/imaginary
-parts of the full matrix (or of an individual block where stated).
+Conventions: for a monic polynomial p of degree m the companion matrix C(p)
+has first row (-a_m, -a_{m-1}, ..., -a_1) and ones on the subdiagonal, so its
+eigenvalues are the zeros of p. For even degree 2n it is split into four
+n x n blocks A11, A12, A21, A22 (a BlockCompanion); P and Q denote the
+Hermitian real/imaginary parts of the full matrix (or of an individual block
+where stated).
 
 The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
 A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
 compare's Cartesian disk rows are closed forms of the first row whose one
-eigensolve, for w1, has size <= 4 and runs once per polynomial (_shared_row_parts).
-block_cartesian_radius takes that closed form when it is handed a
-BlockCompanion; the dense eigensolves serve general grids of blocks.
+eigensolve, for w1, has size <= 4. It runs once per polynomial: every
+partition of a polynomial carries the polynomial's one memo, and
+_shared_row_parts keeps w1 there. block_cartesian_radius takes that closed
+form when it is handed a BlockCompanion; the dense eigensolves serve general
+grids of blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classical import BoundResult, coupled, halved_coupled
-from .companion import BlockCompanion, build_companion, cartesian_parts
 from .errors import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
@@ -35,6 +39,10 @@ from .linalg import _companion_peaks, as_matrix, hermitian_eigs, nonneg_numrad, 
 from .polynomial import Polynomial, _modulus
 
 __all__ = [
+    "BlockCompanion",
+    "build_companion",
+    "build_block_companion",
+    "cartesian_parts",
     "Rectangle",
     "radius_from_norm_coupling",
     "radius_from_pm_coupling",
@@ -50,6 +58,54 @@ __all__ = [
     "mw_bound",
     "hermitian_rectangle",
 ]
+
+
+def build_companion(p: Polynomial) -> np.ndarray:
+    """The degree x degree companion matrix of p."""
+    n = p.degree
+    if n < 2:
+        raise DegreeTooSmallError("companion matrix needs degree >= 2")
+    matrix = np.eye(n, k=-1, dtype=complex)
+    matrix[0] = np.negative(p.lower[::-1])
+    return matrix
+
+
+def cartesian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian parts P = (M + M*)/2 and Q = (M - M*)/(2i), so M = P + iQ."""
+    return (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+
+
+@dataclass(frozen=True)
+class BlockCompanion:
+    """Companion matrix of an even-degree polynomial in 2x2 block form.
+
+    n is the half-degree; the four n x n blocks are views of companion. _memo
+    holds what the Cartesian rows share (w1); one built by hand has its own.
+    """
+
+    n: int
+    companion: np.ndarray
+    a11: np.ndarray
+    a12: np.ndarray
+    a21: np.ndarray
+    a22: np.ndarray
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+
+def build_block_companion(q: Polynomial) -> BlockCompanion:
+    """Partition C(q) for even degree 2n >= 4 into four n x n blocks. Its arrays are
+    read-only, and its memo is q's one memo, so every partition of q shares q's w1."""
+    degree = q.degree
+    if degree % 2 != 0:
+        raise OddDegreeError(f"block partition needs even degree, got {degree}")
+    if degree < 4:
+        raise DegreeTooSmallError("block partition needs degree >= 4")
+    n = degree // 2
+    full = build_companion(q)
+    full.flags.writeable = False
+    blocks = BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    object.__setattr__(blocks, "_memo", vars(q).setdefault("_companion_memo", {}))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -118,8 +174,8 @@ def _twice_abs(h: np.ndarray) -> np.ndarray:
 
 
 def _shared_row_parts(bc: BlockCompanion) -> tuple[float, float, complex, float]:
-    """_companion_row_parts of bc, kept in the memo build_block_companion gives it."""
-    memo = getattr(bc, "_memo", {})  # a BlockCompanion built by hand has none
+    """_companion_row_parts of bc, kept in bc's memo."""
+    memo = bc._memo
     if "row_parts" not in memo:
         memo["row_parts"] = _companion_row_parts(bc.companion[0], bc.n)
     return memo["row_parts"]

@@ -10,7 +10,8 @@ is the displayed form and fixtures select variants explicitly.
 
 Note: the displayed kittaneh_disk variant is retained exactly as printed even
 though it can dip below the true max root modulus on some inputs (the
-plus_one variant is the safe one); see the validity tests.
+plus_one variant is the safe one), and so are fujii_kubo and abdurakhmanov,
+which can at degree 1-3; see the validity tests.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def montel(p: Polynomial) -> BoundResult:
 
 
 def fujii_kubo(p: Polynomial) -> BoundResult:
-    """cos(pi/(n+1)) + (|a_n| + sum_{k=1}^{n} |a_k|^2) / 2."""
+    """cos(pi/(n+1)) + (|a_n| + sum_{k=1}^{n} |a_k|^2) / 2, the form the published
+    tables use. It can undershoot at low degree: 0.375 on z + 1/2, whose root has
+    modulus 0.5 (a checked erratum in the acceptance tests)."""
     n = p.degree
     mods = p.moduli
     value = math.cos(math.pi / (n + 1)) + (mods[-1] / 2 + sum(m * (m / 2) for m in mods))
@@ -96,7 +99,9 @@ def fujii_kubo(p: Polynomial) -> BoundResult:
 
 def abdurakhmanov(p: Polynomial) -> BoundResult:
     """(|a_n| + cos(pi/n) + sqrt((|a_n| - cos(pi/n))^2 + (1 + S)^2)) / 2,
-    where S = sum_{k=1}^{n-1} |a_k|^2."""
+    where S = sum_{k=1}^{n-1} |a_k|^2, the form the published tables use. It can
+    undershoot at low degree: 0.625 on z^2 + 1/2, whose roots have modulus
+    0.7071067812 (a checked erratum in the acceptance tests)."""
     n = p.degree
     if n < 2:
         raise DegreeTooSmallError("abdurakhmanov needs degree >= 2")

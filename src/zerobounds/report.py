@@ -8,10 +8,10 @@ rectangle extents appear in the text and JSON renderings. Machine formats
 render every number as a 12-significant-digit decimal string so that reports
 round-trip byte-for-byte through a JSON parse.
 
-The rows of one compare or fixture share the polynomial's set-up: its
-moduli, its even quotient, and the memo that build_block_companion gives each
-partition of it, where w1 is kept, so both Cartesian disk rows take w1 from
-one eigensolve.
+Each entry of the method table calls its bound directly. The rows of one
+compare or fixture share the polynomial's set-up: its moduli, its even
+quotient, and the memo that each partition of it carries (see cartesian),
+where w1 is kept, so both Cartesian disk rows take w1 from one eigensolve.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .cartesian import (
     MW_APPLICABILITY,
     Rectangle,
     block_cartesian_radius,
+    build_block_companion,
+    build_companion,
     cartesian_disk,
     hermitian_rectangle,
     kittaneh_rectangle,
@@ -39,7 +41,6 @@ from .cartesian import (
     unit_tail_disk,
 )
 from .classical import BoundResult
-from .companion import build_block_companion, build_companion
 from .errors import HypothesisViolatedError, NoConvergenceError, NonFiniteMatrixError
 from .fixtures import DIVERGENT, EXACT, FIXTURES, Fixture, get_fixture
 from .linalg import numerical_radius_sweep
@@ -83,12 +84,6 @@ class Method:
     option: str | None = None
 
 
-def _classical(name: str, option: str | None = None) -> Callable:
-    if option is None:
-        return lambda p, opt: getattr(classical, name)(p)
-    return lambda p, opt: getattr(classical, name)(p, getattr(opt, option))
-
-
 def _block_cartesian(p: Polynomial, opt: CompareOptions) -> BoundResult:
     bc = build_block_companion(p)
     value = block_cartesian_radius(bc)
@@ -101,17 +96,18 @@ def _radius_sweep(p: Polynomial, opt: CompareOptions) -> BoundResult:
 
 
 METHODS: dict[str, Method] = {
-    "cauchy": Method("disk", 1, _classical("cauchy")),
-    "carmichael_mason": Method("disk", 1, _classical("carmichael_mason")),
-    "montel": Method("disk", 1, _classical("montel")),
-    "fujii_kubo": Method("disk", 1, _classical("fujii_kubo")),
-    "abdurakhmanov": Method("disk", 2, _classical("abdurakhmanov")),
-    "linden": Method("disk", 2, _classical("linden", "linden_variant"),
+    "cauchy": Method("disk", 1, lambda p, opt: classical.cauchy(p)),
+    "carmichael_mason": Method("disk", 1, lambda p, opt: classical.carmichael_mason(p)),
+    "montel": Method("disk", 1, lambda p, opt: classical.montel(p)),
+    "fujii_kubo": Method("disk", 1, lambda p, opt: classical.fujii_kubo(p)),
+    "abdurakhmanov": Method("disk", 2, lambda p, opt: classical.abdurakhmanov(p)),
+    "linden": Method("disk", 2, lambda p, opt: classical.linden(p, opt.linden_variant),
                      variants=classical.LINDEN_VARIANTS, option="linden_variant"),
-    "kittaneh_disk": Method("disk", 3, _classical("kittaneh_disk", "kittaneh_variant"),
-                            variants=classical.KITTANEH_VARIANTS, option="kittaneh_variant"),
-    "abu_omar_kittaneh": Method("disk", 2, _classical("abu_omar_kittaneh")),
-    "al_dolat": Method("disk", 2, _classical("al_dolat")),
+    "kittaneh_disk": Method(
+        "disk", 3, lambda p, opt: classical.kittaneh_disk(p, opt.kittaneh_variant),
+        variants=classical.KITTANEH_VARIANTS, option="kittaneh_variant"),
+    "abu_omar_kittaneh": Method("disk", 2, lambda p, opt: classical.abu_omar_kittaneh(p)),
+    "al_dolat": Method("disk", 2, lambda p, opt: classical.al_dolat(p)),
     "cartesian_disk": Method(
         "disk", 4, lambda p, opt: cartesian_disk(build_block_companion(p)), even=True),
     "block_cartesian": Method("disk", 4, _block_cartesian, even=True),
@@ -167,19 +163,20 @@ def resolve_methods(spec: str | None) -> tuple[str, ...]:
     return names
 
 
-def _row_fields(name: str, p: Polynomial, quotient: Polynomial, reduced: bool,
-                opt: CompareOptions, oracle: RootSet | None) -> tuple:
+def _row_fields(name: str, p: Polynomial, quotient: Polynomial, opt: CompareOptions,
+                oracle: RootSet | None) -> tuple:
     """One method's ReportRow fields but its rank, (method, variant, value, applicability,
     rectangle, verdict, margin, notes): the method table's refusal rules, the run, and the
-    oracle's verdict (none without an oracle). The caller holds np.errstate(over="ignore",
-    invalid="ignore"), so an overflow reads as a refusal or inf."""
+    oracle's verdict (none without an oracle). quotient is odd_reduce(p)'s, so it is p
+    unless p was reduced. The caller holds np.errstate(over="ignore", invalid="ignore"),
+    so an overflow reads as a refusal or inf."""
     method = METHODS[name]
     target, notes, refusal = p, (), None
     if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
         refusal = "requires even degree (constant term is nonzero)"
     elif p.degree < method.min_degree:
         refusal = f"requires degree >= {method.min_degree}"
-    elif method.even and reduced:
+    elif method.even and quotient is not p:
         target, notes = quotient, ("zero root factored out; computed on the even quotient",)
     if refusal is None:
         try:
@@ -220,7 +217,7 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
             oracle_error = str(exc)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as refusal or inf
-        fields = [_row_fields(name, p, quotient, reduced, opt, oracle) for name in requested]
+        fields = [_row_fields(name, p, quotient, opt, oracle) for name in requested]
     # ranked by value among the rows that hold one and are not refused
     ranked = sorted((i for i, f in enumerate(fields) if f[2] is not None and f[3] != "refused"),
                     key=lambda i: fields[i][2])
@@ -277,7 +274,7 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
     """
     fixture = get_fixture(name) if isinstance(name, str) else name
     p = fixture.polynomial()
-    quotient, reduced = odd_reduce(p)
+    quotient, _ = odd_reduce(p)
     oracle = find_roots(p)
     checks: list[FixtureCheck] = []
     rows: dict[tuple[str, str | None], ReportRow] = {}  # each (method, variant) runs once
@@ -285,7 +282,7 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
     def row(method: str, variant: str | None) -> ReportRow:
         if (method, variant) not in rows:
             option = {} if variant is None else {METHODS[method].option: variant}
-            fields = _row_fields(method, p, quotient, reduced, CompareOptions(**option), oracle)
+            fields = _row_fields(method, p, quotient, CompareOptions(**option), oracle)
             rows[method, variant] = ReportRow(*fields[:7], None, fields[7])
         return rows[method, variant]
 

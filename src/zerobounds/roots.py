@@ -224,9 +224,10 @@ def find_roots(p: Polynomial) -> RootSet:
 
 
 def validate_bound(value: float, roots: RootSet) -> Verdict:
-    """Check roots.max_modulus <= value (+1e-9 slack)."""
+    """Check roots.max_modulus <= value (+1e-9 slack). A value equal to the max
+    modulus holds with margin 0, also when both are inf (where inf - inf is NaN)."""
     if roots.max_modulus <= value + _VALIDATION_SLACK:
-        return Verdict("holds", value - roots.max_modulus)
+        return Verdict("holds", 0.0 if value == roots.max_modulus else value - roots.max_modulus)
     return Verdict("violated", roots.max_modulus - value)
 
 

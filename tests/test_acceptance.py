@@ -1,8 +1,9 @@
 """Acceptance gate: nine end-to-end criteria, one test each, so that
 ``pytest -v`` prints one pass/fail line per criterion.
 
-Two errors in the published record are asserted as errata, so each test
-passes while the erratum still holds and fails when it changes:
+Errors in the published record, or in our reading of it, are asserted as
+errata, so each test passes while the erratum still holds and fails when it
+changes:
 
 * criterion 4: the published max root modulus for the h2 polynomial
   (0.6408240287, kept in the fixture table as ``reference-divergent``) is
@@ -10,12 +11,16 @@ passes while the erratum still holds and fails when it changes:
   0.6319764145, and the test checks that value, the oracle's agreement with
   the companion-matrix eigenvalues it computes itself, and that the fixture
   still carries the published value. The h2 MW verdict is the same either
-  way.
+  way. Two inputs that pass the MW guard, one by each of its two rules, are
+  pinned too: compare reports their MW rows as ``valid`` and ``violated``.
 * criterion 6: the as-displayed ``printed`` kittaneh_disk variant undershoots
   the largest root on a few of the seeded random inputs (see also the pinned
   counterexample in test_classical.py). Its undershoots are collected apart
   from the valid bounds: the test asserts that they still occur and that the
-  ``plus_one`` variant holds on each of those inputs.
+  ``plus_one`` variant holds on each of those inputs. fujii_kubo and
+  abdurakhmanov, as the published tables use them, undershoot at degree 1-3;
+  two such inputs are pinned, and compare reports those rows as ``valid``
+  and ``violated``.
 
 Every other reference value reproduces at the stated tolerances.
 """
@@ -26,6 +31,7 @@ import numpy as np
 
 from conftest import random_matrix, random_polynomial
 from zerobounds import (
+    CompareOptions,
     Polynomial,
     TriToeplitz,
     abdurakhmanov,
@@ -51,6 +57,7 @@ from zerobounds import (
     operator_norm,
     partition_disk,
     partition_rectangle,
+    run_compare,
     toeplitz_spectral_radius,
     validate_bound,
     validate_rectangle,
@@ -60,6 +67,14 @@ from zerobounds.cartesian import _twice_abs
 
 def _rel(computed, reference):
     return abs(computed - reference) / max(abs(reference), 1e-30)
+
+
+def _undershooting_rows(source, methods):
+    """{method: (value, max modulus)} of the rows of compare(source) that read
+    valid but whose value is below the oracle's max |z|."""
+    report = run_compare(source, CompareOptions(methods=methods))
+    return {row.method: (row.value, report.oracle.max_modulus) for row in report.rows
+            if (row.applicability, row.verdict) == ("valid", "violated")}
 
 
 def _even_suite():
@@ -136,6 +151,13 @@ def test_criterion_3_mw_small_coefficient_tables():
 H2_PUBLISHED_MAX_MODULUS = 0.6408240287
 H2_MAX_MODULUS = 0.6319764145
 
+# Inputs that pass the MW guard, by rule (i) and by rule (ii), whose MW value
+# is below the largest root (README caveat 4): (input, MW value, max modulus)
+MW_GUARANTEED_UNDERSHOOTS = [
+    ("1, 2.1, -0.5, 0.5", 2.3936956, 2.395807527),
+    ("1, -0.5648, -0.5307, -0.2001", 1.101802459, 1.166685725),
+]
+
 
 def test_criterion_4_mw_counterexample_suite():
     cases = [
@@ -180,6 +202,13 @@ def test_criterion_4_mw_counterexample_suite():
                     f"h2: oracle max modulus {roots.max_modulus!r} now matches the "
                     f"published {H2_PUBLISHED_MAX_MODULUS}; the erratum no longer holds"
                 )
+    for source, mw_ref, maxmod_ref in MW_GUARANTEED_UNDERSHOOTS:
+        rows = _undershooting_rows(source, ("mw",))
+        if "mw" not in rows:
+            problems.append(f"{source}: MW no longer reads valid and violated")
+        elif _rel(rows["mw"][0], mw_ref) > 1e-7 or _rel(rows["mw"][1], maxmod_ref) > 1e-9:
+            problems.append(f"{source}: (MW, max modulus) = {rows['mw']}, not "
+                            f"({mw_ref}, {maxmod_ref})")
     assert not problems, "; ".join(problems)
 
 
@@ -194,6 +223,15 @@ def test_criterion_5_rectangle_table():
     for r in (rect, kittaneh_rectangle(p)):
         for z in roots.roots:
             assert r.contains(z, slack=1e-9), (r, z)
+
+
+# fujii_kubo and abdurakhmanov are reproduced as the published tables use
+# them and undershoot at low degree (README caveat 3): (input, the methods
+# whose rows read valid and violated, their value, the max modulus)
+LOW_DEGREE_UNDERSHOOTS = [
+    ("1, 1/2", ("fujii_kubo",), 0.375, 0.5),
+    ("1, 0, 1/2", ("fujii_kubo", "abdurakhmanov"), 0.625, 0.7071067812),
+]
 
 
 def test_criterion_6_validity_property_suite():
@@ -279,6 +317,12 @@ def test_criterion_6_validity_property_suite():
     assert all(
         plus_one >= maxmod - 1e-9 for _, _, _, plus_one, maxmod in printed_undershoots
     ), f"kittaneh_disk[plus_one] fails where printed undershoots: {listed}"
+    for source, methods, value, maxmod in LOW_DEGREE_UNDERSHOOTS:
+        rows = _undershooting_rows(source, methods)
+        assert list(rows) == list(methods), f"{source}: only {list(rows)} undershoot"
+        for method, (computed, oracle_max) in rows.items():
+            assert _rel(computed, value) <= 1e-9 and _rel(oracle_max, maxmod) <= 1e-9, (
+                source, method, computed, oracle_max)
     assert not violations, f"{len(violations)} violations: " + "; ".join(violations)
 
 

@@ -12,7 +12,7 @@ from zerobounds import (
     find_roots,
     parse_polynomial,
 )
-from zerobounds.companion import cartesian_parts
+from zerobounds.cartesian import cartesian_parts
 
 
 def test_companion_layout():

@@ -104,7 +104,7 @@ _LIBRARY = sorted(info.name for info in pkgutil.iter_modules(zerobounds.__path__
 
 
 def test_the_package_exports_each_module_export_exactly_once():
-    assert len(_LIBRARY) == 10
+    assert len(_LIBRARY) == 9
     for name in _LIBRARY:
         module = importlib.import_module(f"zerobounds.{name}")
         for public in module.__all__:

@@ -551,6 +551,27 @@ def test_cli_root_with_a_modulus_past_the_float_range_reads_inf(fmt, line, capsy
     assert line in capsys.readouterr().out.splitlines()
 
 
+# the four degree-1 disks read inf, and so does the oracle's max |z|
+OVERFLOWED_HOLDING = ("cauchy", "carmichael_mason", "montel", "fujii_kubo")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_cli_a_bound_equal_to_an_inf_max_modulus_has_margin_zero(fmt, capsys):
+    """inf - inf is NaN; a holding bound equal to the max modulus has margin 0."""
+    assert main(["compare", "--poly", "1, 1.5e308+1.5e308i", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    if fmt == "text":  # method, value, applicability, verdict, margin, ...: no variant here
+        cells = {line.split()[0]: line.split() for line in out.splitlines()[4:]}
+        margins = [(cells[m][1], cells[m][3], cells[m][4]) for m in OVERFLOWED_HOLDING]
+    else:
+        rows = json.loads(out)["rows"] if fmt == "json" else csv.DictReader(io.StringIO(out))
+        rows = {row["method"]: row for row in rows}
+        margins = [(rows[m]["value"], rows[m]["verdict"], rows[m]["margin"])
+                   for m in OVERFLOWED_HOLDING]
+    assert margins == [("inf", "holds", "0")] * 4
+
+
 def test_cli_roots_json(capsys):
     assert main(["roots", "--poly", "1, 0, -1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

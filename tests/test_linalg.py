@@ -21,7 +21,7 @@ from zerobounds import (
     numerical_radius_sweep,
     operator_norm,
 )
-from zerobounds.companion import build_companion
+from zerobounds.cartesian import build_companion
 from zerobounds.linalg import _companion_peaks, _dense_peaks, as_matrix
 from zerobounds.polynomial import Polynomial, make_monic
 
