@@ -35,7 +35,8 @@ from .errors import (
     NegativeInputError,
     OddDegreeError,
 )
-from .linalg import _companion_peaks, as_matrix, hermitian_eigs, nonneg_numrad, operator_norm
+from .linalg import (_companion_peaks, _companion_spectra, as_matrix, hermitian_eigs,
+                     nonneg_numrad, operator_norm)
 from .polynomial import Polynomial, _modulus
 
 __all__ = [
@@ -58,6 +59,8 @@ __all__ = [
     "mw_bound",
     "hermitian_rectangle",
 ]
+
+_SECULAR_RECTANGLE = 33  # from this degree hermitian_rectangle's secular solve beats eigvalsh
 
 
 def build_companion(p: Polynomial) -> np.ndarray:
@@ -453,12 +456,12 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     """[lam_min(Re C), lam_max(Re C)] x [lam_min(Im C), lam_max(Im C)] for the
     unpartitioned companion matrix C.
 
-    With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0),
-    Im C = H(-pi/2) and lam_min(H(theta)) = -lam_max(H(theta + pi)), so the
-    four extents are lambda_max at four angles, from one batched secular
-    equation (linalg._companion_peaks, the sweep's companion route). Each
-    part is scaled by its own largest entry, so a huge Re C cannot wash out
-    Im C.
+    With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0) and Im C =
+    H(-pi/2), each formed by linalg._companion_border and scaled by its own
+    largest entry, so a huge Re C cannot wash out Im C. Below degree
+    _SECULAR_RECTANGLE their ends come from one batched eigvalsh; from there
+    on, as lam_min(H(theta)) = -lam_max(H(theta + pi)), from lambda_max at four
+    angles in one batched secular equation (linalg._companion_peaks).
     """
     row = build_companion(p)[0]
     # the rest of the first row, halved, and the subdiagonal's 1/2 (degree >= 3)
@@ -471,6 +474,10 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     # q = 0, 2, -1, 1: the powers of i, exactly
     powers = np.arange(1, row.size + 1)
     turns = lambda quarters: np.array([1, 1j, -1, -1j])[np.outer(quarters, powers) % 4]
-    peaks = _companion_peaks(row, scales, turns)(np.array([0, 2, -1, 1]))
+    if p.degree < _SECULAR_RECTANGLE:  # the ends of H(0) and H(-pi/2), from one eigvalsh
+        ends = _companion_spectra(row, turns(np.array([0, -1])), scales[::2, None])
+        peaks = (ends[:, [-1, 0]] * [1, -1]).ravel()
+    else:
+        peaks = _companion_peaks(row, scales, turns)(np.array([0, 2, -1, 1]))
     re_hi, re_neg, im_hi, im_neg = map(float, scales * peaks)
     return Rectangle(0.0 - re_neg, re_hi, 0.0 - im_neg, im_hi)  # 0.0 - 0.0 is +0.0

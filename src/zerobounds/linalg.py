@@ -4,17 +4,18 @@ Matrices are plain numpy arrays (complex dtype) of modest size, so the
 general kernels favor clarity and tight contracts over asymptotic
 cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``);
 it serves general matrices and blocks, while compare's rows on a companion
-matrix reach it only for matrices of size 4 or less (see ``cartesian``).
+matrix reach it for sizes of 4 or less, and below a crossover degree for the
+rectangle's two Cartesian parts (see ``cartesian``).
 The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
 support lines cut out; it takes lambda_max, and its slope from the top
 eigenvector, from a dense eigensolve for a general matrix and from a secular
 equation for a companion matrix, and places its angles on ladders graded by
-the curvature of lambda_max about each peak. ``_companion_peaks`` is the one
-place where a companion matrix's first row becomes that secular equation; the
-sweep and ``cartesian.hermitian_rectangle`` both reach it there, the
-rectangle without slopes.
+the curvature of lambda_max about each peak. ``_companion_border`` is the one
+place where a companion matrix's first row becomes that Hermitian part's
+bordered form; ``_companion_peaks`` solves it as a secular equation (the sweep,
+and the rectangle from the crossover on) and ``_companion_spectra`` densely.
 """
 
 from __future__ import annotations
@@ -176,6 +177,30 @@ def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]
     return peaks, inv
 
 
+def _companion_border(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray):
+    """(e^{i theta} c_0, h, g) of H(theta) = [[h, g*], [g, T]] (_companion_peaks) for
+    each row of turns[:, j] = e^{i theta (j+1)}, h and g over its scale: the row is
+    halved past the corner and turned, and the subdiagonal's 1/2 added, before each
+    entry is divided in real arithmetic (complex division would take 1/scale = inf)."""
+    turned = turns * np.concatenate((first_row[:1], first_row[1:] / 2))
+    top, g = turned[:, 0].copy(), np.conj(turned[:, 1:]) + (np.arange(1, first_row.size) == 1) / 2
+    g.view(float)[...] /= scale
+    return top, top.real / scale[..., 0], g  # the real part alone: the other may overflow
+
+
+def _companion_spectra(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each H(theta) / scale: one eigvalsh of _companion_border's form."""
+    n = first_row.size
+    _, h, g = _companion_border(first_row, turns, scale)
+    parts = np.zeros((h.size, n, n), dtype=complex)
+    parts[:, 0, 0], parts[:, 1:, 0] = h, g
+    parts[:, np.arange(2, n), np.arange(1, n - 1)] = np.full(n - 2, 0.5) / scale  # T
+    values = np.linalg.eigvalsh(parts)
+    if not np.isfinite(values).all():
+        raise InternalConsistencyError("dense eigensolve gave a non-finite eigenvalue")
+    return values
+
+
 def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=None,
                      support: bool = False):
     """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
@@ -199,9 +224,7 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     np.exp; a caller whose angles are multiples of pi/2 passes its own turns,
     a function of the batch giving exact powers of i. scale, one number or one
     per angle (cut into chunks with the angles), is at least the largest
-    entry of H(theta), as max |C_ij| is. Entries are divided by it in real
-    arithmetic: NumPy's complex division multiplies by 1/scale, which is
-    inf for a subnormal scale and short of bits for a huge one. With
+    entry of H(theta), as max |C_ij| is; _companion_border divides by it. With
     support=True it also returns e^{i theta} p, p = u*Cu / (scale u*u)
     for the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
     Re(e^{i theta} p) = lambda_max, and by Hellmann-Feynman the slope of
@@ -215,20 +238,15 @@ def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=Non
     # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi); the 2n
     # sines of those arguments are computed once and looked up
     sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
-    row = np.concatenate((first_row[:1], first_row[1:] / 2))  # past the corner, halved
     if turns is None:
         powers = np.arange(1, n + 1)
         turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
 
     def solve(thetas: np.ndarray, start, scale: np.ndarray):
-        # each entry is formed before it is scaled: one part's scale need not hold the other
-        turned = turns(thetas) * row
-        top, g = turned[:, 0].copy(), np.conj(turned[:, 1:]) + (k == 1) / 2
-        g.view(float)[...] /= scale
+        top, h, g = _companion_border(first_row, turns(thetas), scale)
         v_re, v_im = g.real @ sines, g.imag @ sines
-        del turned, g  # freed before the Newton steps allocate theirs
+        del g  # freed before the Newton steps allocate theirs
         w = v_re**2 + v_im**2
-        h = top.real / scale[..., 0]  # the real part alone: the other may overflow
         values, inv = _largest_secular_root(h, w, cosines / scale, start)
         if not support:
             return values

@@ -1,6 +1,19 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+import zerobounds.cartesian
 from zerobounds import Polynomial
+
+
+@pytest.fixture(params=["dense", "secular"])
+def rectangle_route(request, monkeypatch):
+    """Runs a test with hermitian_rectangle on one route at every degree: one
+    eigvalsh of Re C and Im C, or the secular equation at four angles."""
+    threshold = math.inf if request.param == "dense" else 0
+    monkeypatch.setattr(zerobounds.cartesian, "_SECULAR_RECTANGLE", threshold)
+    return request.param
 
 
 def random_polynomial(rng, degree, complex_coeffs=True, scale=3.0):

@@ -12,13 +12,17 @@ from zerobounds import (
     BlockShapeMismatchError,
     DegreeTooSmallError,
     HypothesisViolatedError,
+    InternalConsistencyError,
     NegativeInputError,
+    NoConvergenceError,
     OddDegreeError,
     Polynomial,
     Rectangle,
     block_cartesian_radius,
     build_block_companion,
+    build_companion,
     cartesian_disk,
+    cartesian_parts,
     diagonal_block_radius,
     find_roots,
     get_fixture,
@@ -537,9 +541,10 @@ def test_hermitian_rectangle_contains_all_roots():
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
-def test_hermitian_rectangle_solved_in_chunks_matches_one_batch(monkeypatch, chunk):
+def test_hermitian_rectangle_solved_in_chunks_matches_one_batch(monkeypatch, rectangle_route, chunk):
     # past degree 2048 the four angles are solved in chunks of 8192 // n < 4,
-    # each with its own angles' scales; a smaller chunk size shows it at low degree
+    # each with its own angles' scales; a smaller chunk size shows it at low
+    # degree on the secular route, and the dense route takes no chunks
     rng = np.random.default_rng(157)
     polys = [random_polynomial(rng, n) for n in (2, 3, 5, 8, 13)]
     polys.append(Polynomial((1e6, 1e-3, 0.0, 2j)))  # Re C and Im C scaled far apart
@@ -549,3 +554,43 @@ def test_hermitian_rectangle_solved_in_chunks_matches_one_batch(monkeypatch, chu
         monkeypatch.setattr(zerobounds.linalg, "_PEAKS_CHUNK", chunk * p.degree)
         # each chunk stops Newton on its own angles, so the last bit may differ
         assert np.allclose(extents(hermitian_rectangle(p)), expected, rtol=1e-15, atol=0.0)
+
+
+def _rectangle_input(family, rng, n):
+    """n lower coefficients of one seeded family."""
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z = {"real": z.real + 0j, "sparse": np.where(rng.random(n) < 0.7, 0, z),
+         "scaled": z * 10.0 ** rng.uniform(-5, 5, n), "1e+200": z * 1e200,
+         "1e-200": z * 1e-200}.get(family, z)
+    return Polynomial(tuple(complex(a) for a in z))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "real", "sparse", "scaled", "1e+200", "1e-200"])
+def test_hermitian_rectangle_routes_agree_and_contain_the_roots(monkeypatch, family):
+    # every degree on both routes, up to four past the switch between them
+    rng = np.random.default_rng(33)
+    for n in range(2, zerobounds.cartesian._SECULAR_RECTANGLE + 5):
+        p = _rectangle_input(family, rng, n)
+        scales = np.repeat([np.abs(part).max() for part in cartesian_parts(build_companion(p))], 2)
+        rects = []
+        for threshold in (math.inf, 0):  # dense, then secular
+            monkeypatch.setattr(zerobounds.cartesian, "_SECULAR_RECTANGLE", threshold)
+            rects.append(hermitian_rectangle(p))
+        dense, secular = (np.array([r.re_lo, r.re_hi, r.im_lo, r.im_hi]) for r in rects)
+        assert (np.abs(dense - secular) <= 1e-14 * scales).all(), (n, dense, secular)
+        try:
+            roots = find_roots(p)
+        except NoConvergenceError:
+            # the oracle overflows on 1e200-scale coefficients, a known defect:
+            # there the companion matrix's eigenvalues stand in for its roots
+            assert family == "1e+200"
+            roots = np.linalg.eigvals(build_companion(p))
+            assert all(r.contains(z, slack=1e-13 * scales.max()) for r in rects for z in roots)
+            continue
+        assert all(validate_rectangle(r, roots).holds for r in rects), n
+
+
+def test_a_non_finite_dense_extent_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        hermitian_rectangle(parse_polynomial("1, 2, 3"))

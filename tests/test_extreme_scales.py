@@ -317,7 +317,7 @@ def test_the_closed_forms_halve_before_they_sum(poly, name):
     "1, 1.7e308i, 0, 1",  # Im c_0 overflows Re C's scale of 1/2
     "1, 1e300+1e-310i, -1",  # both: Im C's scale is subnormal, and Re c_0 overflows it
 ])
-def test_hermitian_rectangle_scales_each_part_after_its_turn(poly, capsys):
+def test_hermitian_rectangle_scales_each_part_after_its_turn(poly, rectangle_route, capsys):
     # each extent is lambda_max of one part, exact to a few eps of that part's largest entry
     p = parse_polynomial(poly)
     rect = hermitian_rectangle(p)

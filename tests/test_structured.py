@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zerobounds.cartesian
+import zerobounds.linalg
 from conftest import dense_abs
 from zerobounds import (
     Polynomial,
@@ -25,6 +27,7 @@ from zerobounds.cartesian import cartesian_disk_parts
 from zerobounds.report import CompareOptions, run_compare
 
 ROWS = ("hermitian_rectangle", "cartesian_disk", "block_cartesian")
+SWITCH = zerobounds.cartesian._SECULAR_RECTANGLE  # hermitian_rectangle's secular route from here
 
 
 def _parts(a):
@@ -132,7 +135,7 @@ def test_structured_rows_match_on_sparse_rows(poly):
     _assert_equivalent(parse_polynomial(poly))
 
 
-def test_each_rectangle_part_is_scaled_by_its_own_largest_entry():
+def test_each_rectangle_part_is_scaled_by_its_own_largest_entry(rectangle_route):
     # Re C has the entry -1e200 and Im C entries of modulus 1: at Re C's scale
     # Im C's extents would be lost below the dropped secular weights
     _assert_rectangle_matches(make_monic([1, 1e200, 1]))
@@ -154,31 +157,48 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _degree_128():
+def _gaussian(degree=128):
     rng = np.random.default_rng(10)
-    return Polynomial(tuple(rng.normal(size=128) + 1j * rng.normal(size=128)))
+    return Polynomial(tuple(rng.normal(size=degree) + 1j * rng.normal(size=degree)))
 
 
-def test_compare_rows_solve_nothing_larger_than_4x4(kernel_calls):
-    report = run_compare(_degree_128(), CompareOptions(methods=ROWS, oracle=False))
+@pytest.mark.parametrize("degree", [2, SWITCH - 1, SWITCH, 128])
+def test_the_rectangle_takes_one_eigvalsh_below_the_switch_and_none_from_it(
+        kernel_calls, monkeypatch, degree):
+    solves = []
+    original = zerobounds.linalg._largest_secular_root
+    monkeypatch.setattr(zerobounds.linalg, "_largest_secular_root",
+                        lambda *args: solves.append(args) or original(*args))
+    options = CompareOptions(methods=("hermitian_rectangle",), oracle=False)
+    assert run_compare(_gaussian(degree), options).rows[0].applicability == "valid"
+    if degree < SWITCH:
+        assert (kernel_calls, len(solves)) == ([("eigvalsh", (2, degree, degree))], 0)
+    else:
+        assert (kernel_calls, len(solves)) == ([], 1)
+
+
+def test_compare_rows_solve_nothing_larger_than_4x4_from_the_switch_on(kernel_calls):
+    # below it the rectangle's one eigvalsh is of Re C and Im C, degree x degree
+    assert SWITCH <= 128
+    report = run_compare(_gaussian(), CompareOptions(methods=ROWS, oracle=False))
     assert [row.applicability for row in report.rows] == ["valid"] * 3
     assert kernel_calls and max(max(shape) for _, shape in kernel_calls) <= 4
 
 
 def test_block_cartesian_on_a_companion_makes_one_eigensolve(kernel_calls):
     # w1's compressed 4 x 4 eigh; the A12 weight and the 2 x 2 coupling are closed forms
-    report = run_compare(_degree_128(), CompareOptions(methods=("block_cartesian",), oracle=False))
+    report = run_compare(_gaussian(), CompareOptions(methods=("block_cartesian",), oracle=False))
     assert report.rows[0].applicability == "valid"
     assert kernel_calls == [("eigh", (4, 4))]
 
 
 def test_a_block_companion_takes_the_closed_form(kernel_calls):
-    block_cartesian_radius(build_block_companion(_degree_128()))
+    block_cartesian_radius(build_block_companion(_gaussian()))
     assert kernel_calls == [("eigh", (4, 4))]
 
 
 def test_a_grid_of_companion_blocks_takes_the_dense_route(kernel_calls):
-    bc = build_block_companion(_degree_128())
+    bc = build_block_companion(_gaussian())
     closed = block_cartesian_radius(bc)
     kernel_calls.clear()
     dense = block_cartesian_radius([[bc.a11, bc.a12], [bc.a21, bc.a22]])
