@@ -35,8 +35,7 @@ from .errors import (
     NegativeInputError,
     OddDegreeError,
 )
-from .linalg import (_companion_peaks, _companion_spectra, as_matrix, hermitian_eigs,
-                     nonneg_numrad, operator_norm)
+from .linalg import _companion_ends, as_matrix, hermitian_eigs, nonneg_numrad, operator_norm
 from .polynomial import Polynomial, _modulus
 
 __all__ = [
@@ -59,8 +58,6 @@ __all__ = [
     "mw_bound",
     "hermitian_rectangle",
 ]
-
-_SECULAR_RECTANGLE = 33  # from this degree hermitian_rectangle's secular solve beats eigvalsh
 
 
 def build_companion(p: Polynomial) -> np.ndarray:
@@ -458,26 +455,19 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
 
     With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0) and Im C =
     H(-pi/2), each formed by linalg._companion_border and scaled by its own
-    largest entry, so a huge Re C cannot wash out Im C. Below degree
-    _SECULAR_RECTANGLE their ends come from one batched eigvalsh; from there
-    on, as lam_min(H(theta)) = -lam_max(H(theta + pi)), from lambda_max at four
-    angles in one batched secular equation (linalg._companion_peaks).
+    largest entry, so a huge Re C cannot wash out Im C. One call of
+    linalg._companion_ends gives both parts' ends: from one eigvalsh below
+    degree linalg._SECULAR_ENDS, else (or past a part scale of 2^510) from
+    lambda_max of each part and its negation in one secular equation.
     """
     row = build_companion(p)[0]
     # the rest of the first row, halved, and the subdiagonal's 1/2 (degree >= 3)
     rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
-    scales = np.repeat([max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0,
-                        max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0], 2)
+    scales = np.array([[max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0],
+                       [max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0]])
     # a modulus past the float range reads inf: the row's largest part bounds every entry
     scales[scales == np.inf] = max(np.abs(row.real).max(), np.abs(row.imag).max())
-    # e^{i theta (j+1)} at theta = 0, pi, -pi/2, pi/2, in quarter turns
-    # q = 0, 2, -1, 1: the powers of i, exactly
-    powers = np.arange(1, row.size + 1)
-    turns = lambda quarters: np.array([1, 1j, -1, -1j])[np.outer(quarters, powers) % 4]
-    if p.degree < _SECULAR_RECTANGLE:  # the ends of H(0) and H(-pi/2), from one eigvalsh
-        ends = _companion_spectra(row, turns(np.array([0, -1])), scales[::2, None])
-        peaks = (ends[:, [-1, 0]] * [1, -1]).ravel()
-    else:
-        peaks = _companion_peaks(row, scales, turns)(np.array([0, 2, -1, 1]))
-    re_hi, re_neg, im_hi, im_neg = map(float, scales * peaks)
-    return Rectangle(0.0 - re_neg, re_hi, 0.0 - im_neg, im_hi)  # 0.0 - 0.0 is +0.0
+    # e^{i theta (j+1)} at theta = 0 and -pi/2: 1 and the powers of -i, exactly
+    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 1], np.arange(1, row.size + 1)) % 4]
+    (re_lo, re_hi), (im_lo, im_hi) = (scales * _companion_ends(row, turns, scales)).tolist()
+    return Rectangle(re_lo + 0.0, re_hi, im_lo + 0.0, im_hi)  # -0.0 + 0.0 is +0.0

@@ -5,7 +5,7 @@ general kernels favor clarity and tight contracts over asymptotic
 cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``);
 it serves general matrices and blocks, while compare's rows on a companion
 matrix reach it for sizes of 4 or less, and below a crossover degree for the
-rectangle's two Cartesian parts (see ``cartesian``).
+rectangle's two Cartesian parts (``_companion_ends``).
 The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
@@ -14,8 +14,8 @@ eigenvector, from a dense eigensolve for a general matrix and from a secular
 equation for a companion matrix, and places its angles on ladders graded by
 the curvature of lambda_max about each peak. ``_companion_border`` is the one
 place where a companion matrix's first row becomes that Hermitian part's
-bordered form; ``_companion_peaks`` solves it as a secular equation (the sweep,
-and the rectangle from the crossover on) and ``_companion_spectra`` densely.
+bordered form; ``_companion_peaks`` solves it as a secular equation for the
+sweep, and ``_companion_ends`` gives the ends of the rectangle's two parts.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ _HERMITIAN_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SECULAR_MAX_STEPS = 100  # Newton steps; 1 to 8 suffice on every tested input
+_SECULAR_ENDS = 33  # from this degree _companion_ends' secular solve beats eigvalsh
+_DENSE_ENDS_SCALE = 0.5 / math.sqrt(_TINY)  # 2^510: to here eigvalsh's (1/2 / scale)^2 is normal
 _PEAKS_CHUNK = 8192  # most angles times matrix size in one secular solve
 _SWEEP_START = 32  # equally spaced angles of the first round
 _SWEEP_SPLIT = 16  # a wide interval is split into this many
@@ -188,85 +190,86 @@ def _companion_border(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarra
     return top, top.real / scale[..., 0], g  # the real part alone: the other may overflow
 
 
-def _companion_spectra(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each H(theta) / scale: one eigvalsh of _companion_border's form."""
+def _toeplitz_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, S) of T (_companion_peaks): its eigenvalues mu_j = cos(j pi/n), j = 1..n-1,
+    descending, and orthonormal eigenvectors S_ij = sqrt(2/n) sin(i j pi/n)."""
+    k = np.arange(1, n)
+    # cos(j pi/n) as a sine, so that cos(pi/2) is exactly 0 and -mu reversed is mu;
+    # k j is reduced mod 2n first, and the 2n sines of [0, 2 pi) computed once and looked up
+    return (np.sin((n - 2 * k) * (np.pi / (2 * n))),
+            np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)])
+
+
+def _companion_ends(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(lambda_min, lambda_max) of each H(theta) / scale of _companion_border: the ends
+    of one eigvalsh below degree _SECULAR_ENDS and up to _DENSE_ENDS_SCALE, else lambda_max
+    of H and -H from one secular equation. In T's basis -H is diag(-mu) bordered by -v:
+    its poles, reversed, are mu, and its weights are H's |v_j|^2 reversed."""
     n = first_row.size
     _, h, g = _companion_border(first_row, turns, scale)
-    parts = np.zeros((h.size, n, n), dtype=complex)
-    parts[:, 0, 0], parts[:, 1:, 0] = h, g
-    parts[:, np.arange(2, n), np.arange(1, n - 1)] = np.full(n - 2, 0.5) / scale  # T
-    values = np.linalg.eigvalsh(parts)
-    if not np.isfinite(values).all():
-        raise InternalConsistencyError("dense eigensolve gave a non-finite eigenvalue")
-    return values
+    if n < _SECULAR_ENDS and scale.max() <= _DENSE_ENDS_SCALE:
+        parts = np.zeros((h.size, n, n), dtype=complex)
+        parts[:, 0, 0], parts[:, 1:, 0] = h, g
+        parts[:, np.arange(2, n), np.arange(1, n - 1)] = np.full(n - 2, 0.5) / scale  # T
+        values = np.linalg.eigvalsh(parts)
+        if not np.isfinite(values).all():
+            raise InternalConsistencyError("dense eigensolve gave a non-finite eigenvalue")
+        return values[:, [0, -1]]
+    mu, sines = _toeplitz_basis(n)
+    w = (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
+    peaks, _ = _largest_secular_root(np.concatenate((h, -h)), np.concatenate((w, w[:, ::-1])),
+                                     mu / np.concatenate((scale, scale)))
+    return np.stack((-peaks[h.size:], peaks[:h.size]), axis=1)
 
 
-def _companion_peaks(first_row: np.ndarray, scale: float | np.ndarray, turns=None,
-                     support: bool = False):
-    """thetas -> lambda_max of the Hermitian part of e^{i theta} C / scale, one
-    per angle, for C the companion matrix with the given first row c: the one
-    route from a companion matrix to its secular equation.
+def _companion_peaks(first_row: np.ndarray, scale: float):
+    """thetas -> (lambda_max of the Hermitian part of e^{i theta} C / scale, and
+    its support point), one per angle, for C the companion matrix with the
+    given first row c: the sweep's route to its secular equation.
 
     With D = diag(e^{i (k-1) theta}), D* e^{i theta} C D is the companion matrix
     of first row e^{i theta (j+1)} c_j, and its Hermitian part H(theta) is
     [[h, g*], [g, T]] where T is the (n-1) x (n-1) tridiagonal matrix with zero
-    diagonal and 1/2 off-diagonals. T has eigenvalues mu_j = cos(j pi/n),
-    j = 1..n-1, and orthonormal eigenvectors sqrt(2/n) sin(i j pi/n), so in
-    that basis H(theta) is diag(mu) bordered by v = S^T g, and det(z - H) is
-    the secular product
+    diagonal and 1/2 off-diagonals. In T's basis (_toeplitz_basis) H(theta) is
+    diag(mu) bordered by v = S^T g, and det(z - H) is the secular product
 
         (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k),
 
     whose largest root _largest_secular_root finds. The returned function
     takes a batch of angles, and optionally bounds above lambda_max to start
-    Newton from, solves it in chunks of at most 8192 / n angles, and builds
-    turns[:, j] = e^{i theta (j+1)}, j = 0..n-1, one row per angle, with
-    np.exp; a caller whose angles are multiples of pi/2 passes its own turns,
-    a function of the batch giving exact powers of i. scale, one number or one
-    per angle (cut into chunks with the angles), is at least the largest
-    entry of H(theta), as max |C_ij| is; _companion_border divides by it. With
-    support=True it also returns e^{i theta} p, p = u*Cu / (scale u*u)
+    Newton from, and solves it in chunks of at most 8192 / n angles. scale is
+    at least the largest entry of H(theta), as max |C_ij| is; _companion_border
+    divides by it. The support point is e^{i theta} p, p = u*Cu / (scale u*u)
     for the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
     Re(e^{i theta} p) = lambda_max, and by Hellmann-Feynman the slope of
     lambda_max in theta is -Im(e^{i theta} p).
     """
     n = first_row.size
-    k = np.arange(1, n)
-    scale = np.asarray(scale, dtype=float)[..., None]
-    # cos(j pi/n) as a sine, so that cos(pi/2) is exactly 0 and mu exactly odd
-    cosines = np.sin((n - 2 * k) * (np.pi / (2 * n)))
-    # reduce k j mod 2n first, so the sine arguments stay in [0, 2 pi); the 2n
-    # sines of those arguments are computed once and looked up
-    sines = np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)]
-    if turns is None:
-        powers = np.arange(1, n + 1)
-        turns = lambda thetas: np.exp(1j * thetas[:, None] * powers)
+    scale = np.array([scale])
+    cosines, sines = _toeplitz_basis(n)
+    powers = np.arange(1, n + 1)
 
-    def solve(thetas: np.ndarray, start, scale: np.ndarray):
-        top, h, g = _companion_border(first_row, turns(thetas), scale)
+    def solve(thetas: np.ndarray, start):
+        top, h, g = _companion_border(first_row, np.exp(1j * thetas[:, None] * powers), scale)
         v_re, v_im = g.real @ sines, g.imag @ sines
         del g  # freed before the Newton steps allocate theirs
         w = v_re**2 + v_im**2
         values, inv = _largest_secular_root(h, w, cosines / scale, start)
-        if not support:
-            return values
         # u*Cu / scale = u* (D* e^{i theta} C D / scale) u with u = (1, x), x = S y:
         # the first row past the corner is 2 conj(g) less the subdiagonal's 1/2,
         # and sum_j conj(g_j) x_j = sum_j conj(v_j) y_j = sum_j w_j / (lambda - mu_j)
         x = (v_re * inv) @ sines + 1j * ((v_im * inv) @ sines)
         shifted = (np.conj(x[:, 1:]) * x[:, :-1]).sum(axis=1) - 2j * x[:, 0].imag
-        point = (top + shifted) / scale[..., 0] + 2 * (w * inv).sum(axis=1)
+        point = (top + shifted) / scale[0] + 2 * (w * inv).sum(axis=1)
         return values, point / (1 + (x.real**2 + x.imag**2).sum(axis=1))
 
     def peaks(thetas: np.ndarray, start=None):
-        # in chunks, which bound the Newton steps' arrays of angles x n; a
-        # scale per angle is cut along with its angles
+        # in chunks, which bound the Newton steps' arrays of angles x n
         chunk, parts = max(1, _PEAKS_CHUNK // n), []
         for first in range(0, thetas.size, chunk):
             rows = slice(first, first + chunk)
-            parts.append(solve(thetas[rows], None if start is None else start[rows],
-                               scale if scale.size == 1 else scale[rows]))
-        return tuple(map(np.concatenate, zip(*parts))) if support else np.concatenate(parts)
+            parts.append(solve(thetas[rows], None if start is None else start[rows]))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     return peaks
 
@@ -344,7 +347,7 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
     if _is_companion(m) and scale < math.inf:
-        peaks = _companion_peaks(m[0], scale, support=True)
+        peaks = _companion_peaks(m[0], scale)
     else:
         if scale == math.inf:  # a modulus past the float range: scale by the largest part
             scale = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))

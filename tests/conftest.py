@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-import zerobounds.cartesian
+import zerobounds.linalg
 from zerobounds import Polynomial
 
 
 @pytest.fixture(params=["dense", "secular"])
 def rectangle_route(request, monkeypatch):
     """Runs a test with hermitian_rectangle on one route at every degree: one
-    eigvalsh of Re C and Im C, or the secular equation at four angles."""
+    eigvalsh of Re C and Im C (up to a part scale of 2^510), or the secular
+    equation on both parts and their negations."""
     threshold = math.inf if request.param == "dense" else 0
-    monkeypatch.setattr(zerobounds.cartesian, "_SECULAR_RECTANGLE", threshold)
+    monkeypatch.setattr(zerobounds.linalg, "_SECULAR_ENDS", threshold)
     return request.param
 
 

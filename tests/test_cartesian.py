@@ -540,22 +540,6 @@ def test_hermitian_rectangle_contains_all_roots():
         assert validate_rectangle(hermitian_rectangle(p), find_roots(p)).holds
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_hermitian_rectangle_solved_in_chunks_matches_one_batch(monkeypatch, rectangle_route, chunk):
-    # past degree 2048 the four angles are solved in chunks of 8192 // n < 4,
-    # each with its own angles' scales; a smaller chunk size shows it at low
-    # degree on the secular route, and the dense route takes no chunks
-    rng = np.random.default_rng(157)
-    polys = [random_polynomial(rng, n) for n in (2, 3, 5, 8, 13)]
-    polys.append(Polynomial((1e6, 1e-3, 0.0, 2j)))  # Re C and Im C scaled far apart
-    extents = lambda r: [r.re_lo, r.re_hi, r.im_lo, r.im_hi]
-    whole = [extents(hermitian_rectangle(p)) for p in polys]
-    for p, expected in zip(polys, whole):
-        monkeypatch.setattr(zerobounds.linalg, "_PEAKS_CHUNK", chunk * p.degree)
-        # each chunk stops Newton on its own angles, so the last bit may differ
-        assert np.allclose(extents(hermitian_rectangle(p)), expected, rtol=1e-15, atol=0.0)
-
-
 def _rectangle_input(family, rng, n):
     """n lower coefficients of one seeded family."""
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -569,12 +553,12 @@ def _rectangle_input(family, rng, n):
 def test_hermitian_rectangle_routes_agree_and_contain_the_roots(monkeypatch, family):
     # every degree on both routes, up to four past the switch between them
     rng = np.random.default_rng(33)
-    for n in range(2, zerobounds.cartesian._SECULAR_RECTANGLE + 5):
+    for n in range(2, zerobounds.linalg._SECULAR_ENDS + 5):
         p = _rectangle_input(family, rng, n)
         scales = np.repeat([np.abs(part).max() for part in cartesian_parts(build_companion(p))], 2)
         rects = []
         for threshold in (math.inf, 0):  # dense, then secular
-            monkeypatch.setattr(zerobounds.cartesian, "_SECULAR_RECTANGLE", threshold)
+            monkeypatch.setattr(zerobounds.linalg, "_SECULAR_ENDS", threshold)
             rects.append(hermitian_rectangle(p))
         dense, secular = (np.array([r.re_lo, r.re_hi, r.im_lo, r.im_hi]) for r in rects)
         assert (np.abs(dense - secular) <= 1e-14 * scales).all(), (n, dense, secular)

@@ -51,6 +51,16 @@ def test_readme_methods_table_matches_the_method_table():
             assert f"`{variant}`" in notes, (name, variant)
 
 
+def test_readme_names_the_rectangles_crossover_degree_where_it_describes_the_routes():
+    # both places say "below degree N" and "from degree N on", for N the code's switch
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("\n`hermitian_rectangle` scales ", 1)[1].split("\n\n", 1)[0]
+    row = _readme_method_rows()["hermitian_rectangle"][2]
+    for place in (paragraph, row):
+        degrees = re.findall(r"degree (\d+)", place)
+        assert degrees and set(degrees) == {str(zerobounds.linalg._SECULAR_ENDS)}, place
+
+
 def test_readme_compare_example_matches_the_cli(capsys):
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     blocks = section.split("```")

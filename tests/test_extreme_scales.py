@@ -10,6 +10,7 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from zerobounds.cli import main
 from zerobounds.report import ALL_METHODS, CompareOptions, run_compare
 
 FLOAT_MAX = mpmath.mpf(sys.float_info.max)
+EPS = sys.float_info.epsilon
 
 
 def _coupled(x, y, off_sq):
@@ -328,6 +330,48 @@ def test_hermitian_rectangle_scales_each_part_after_its_turn(poly, rectangle_rou
             size = max(abs(x) for x in part)
             assert abs(min(values) - lo) <= 1e-15 * size and abs(max(values) - hi) <= 1e-15 * size
     assert main(["compare", "--poly", poly, "--no-oracle", "--methods", "hermitian_rectangle"]) == 0
+
+
+def _mp_extents(c):
+    """(lambda_min, lambda_max) of Re C and of Im C, each to 50 digits of itself:
+    the working precision adds the digits by which C's largest part exceeds 1,
+    as an eigensolve's error is relative to the largest entry."""
+    top = max(max(abs(x.real), abs(x.imag)) for x in c.ravel())
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(top)))):
+        return [f(mpmath.eigh(part, eigvals_only=True))
+                for part in _mp_parts(_mp_matrix(c)) for f in (min, max)]
+
+
+def _assert_each_extent_to_a_few_eps_of_itself(p):
+    rect = hermitian_rectangle(p)
+    got = (rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi)
+    want = _mp_extents(build_companion(p))
+    assert all(abs(g - w) <= 8 * EPS * abs(w) for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("poly", [
+    *(f"1, {a_n}, 0, 0" for a_n in ("1e150", "1e154", "1e200", "1.7e308")),
+    *(f"1, {a_n}i, 0, 0" for a_n in ("1e150", "1e154", "1e200", "1.7e308")),
+    "1, 1.5e308+1.5e308i, 1, 0, 2",  # both parts huge, each with extents near 0.7
+])
+def test_hermitian_rectangle_keeps_a_huge_parts_small_extents(poly):
+    # the small extents are about 1/2 and 1/sqrt(2) where the part's scale is
+    # up to 1.7e308: an eigvalsh that squares T's 1/2 / scale below the normal
+    # range read re_hi 0 for 1, 1.7e308, 0, 0
+    _assert_each_extent_to_a_few_eps_of_itself(parse_polynomial(poly))
+
+
+@pytest.mark.parametrize("past", [False, True])
+@pytest.mark.parametrize("unit", [1, 1j])
+def test_hermitian_rectangle_takes_eigvalsh_up_to_a_part_scale_of_2_to_the_510(
+        monkeypatch, past, unit):
+    # at scale 2^510, (1/2 / scale)^2 is 2^-1022, the least normal number; one
+    # step past it the rectangle takes the secular equation, degree 4 as it is
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    scale = 2.0**510 * (1 + EPS if past else 1)
+    _assert_each_extent_to_a_few_eps_of_itself(Polynomial((2, -1 + 1j, 0.5, unit * scale)))
+    assert calls == ([] if past else [(2, 4, 4)])
 
 
 @pytest.mark.parametrize("poly", [

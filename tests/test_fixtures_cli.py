@@ -378,6 +378,11 @@ def test_cli_bad_input_exits_two(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_empty_method_list_exits_two(capsys):
+    assert main(["compare", "--poly", "1, 2", "--methods", ","]) == 2
+    assert capsys.readouterr().err == "error: empty method list\n"
+
+
 def test_cli_radius_sweep_holds_on_a_near_unitary_companion(capsys):
     # lambda_max(theta) has 12 nearly equal narrow peaks here; a grid search
     # settled on a low one and fell below the largest root modulus

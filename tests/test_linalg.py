@@ -145,7 +145,7 @@ def _companion(lower):
 def _fast_peaks(c, thetas):
     """The companion route at the sweep's scale, max |C_ij|, scaled back."""
     scale = np.max(np.abs(c))
-    return scale * _companion_peaks(c[0], scale)(thetas)
+    return scale * _companion_peaks(c[0], scale)(thetas)[0]
 
 
 def _assert_routes_agree(c):
@@ -217,6 +217,14 @@ def test_secular_root_next_to_a_nearly_decoupled_top_pole(top_weight, gap):
     assert abs(peaks[0] - expected) <= 1e-14
 
 
+def test_a_non_finite_secular_root_is_an_internal_error():
+    # a pole the secular equation drops (weight 0) is still an eigenvalue, and a NaN one
+    # reaches lambda_max only there, after Newton has converged on the kept pole
+    with pytest.raises(InternalConsistencyError, match="non-finite lambda_max"):
+        zerobounds.linalg._largest_secular_root(np.zeros(1), np.array([[0.0, 1.0]]),
+                                                np.array([np.nan, 0.0]))
+
+
 def test_sweep_of_a_huge_coefficient_is_that_coefficient():
     c = build_companion(make_monic([1, 1e150, 1, 2]))
     assert abs(numerical_radius_sweep(c)[0] / 1e150 - 1.0) <= 1e-12
@@ -258,8 +266,8 @@ def _record_batches(monkeypatch):
         values.append(out[0])
         return out
 
-    def companion_spy(first_row, scale, **options):
-        peaks = companion_peaks(first_row, scale, **options)
+    def companion_spy(first_row, scale):
+        peaks = companion_peaks(first_row, scale)
         return lambda batch, start=None: recorded(batch, peaks(batch, start))
 
     monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
@@ -337,7 +345,7 @@ def test_slopes_are_the_derivative_of_lambda_max(route):
     for m in matrices:
         scale = np.max(np.abs(m))
         if route == "companion":
-            values, points = _companion_peaks(m[0], scale, support=True)(thetas)
+            values, points = _companion_peaks(m[0], scale)(thetas)
         else:
             values, points = _dense_peaks(m / scale, thetas)
         ahead, behind = ([_eigvalsh_peak(m / scale, t + h) for t in thetas] for h in (1e-5, -1e-5))

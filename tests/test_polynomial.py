@@ -189,6 +189,11 @@ def test_make_monic_rejects_zero_leading_and_constants():
         make_monic([5])
 
 
+def test_a_polynomial_without_coefficients_is_refused():
+    with pytest.raises(DegreeTooSmallError, match="degree at least 1"):
+        Polynomial(())
+
+
 def _fraction_token(fr):
     return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
 

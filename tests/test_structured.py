@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import zerobounds.cartesian
 import zerobounds.linalg
 from conftest import dense_abs
 from zerobounds import (
@@ -27,7 +26,7 @@ from zerobounds.cartesian import cartesian_disk_parts
 from zerobounds.report import CompareOptions, run_compare
 
 ROWS = ("hermitian_rectangle", "cartesian_disk", "block_cartesian")
-SWITCH = zerobounds.cartesian._SECULAR_RECTANGLE  # hermitian_rectangle's secular route from here
+SWITCH = zerobounds.linalg._SECULAR_ENDS  # hermitian_rectangle's secular route from here
 
 
 def _parts(a):
