@@ -21,7 +21,8 @@ __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_recta
 
 _VALIDATION_SLACK = 1e-9
 _MAX_ITERATIONS = 2000
-_HIGH_DEGREE = 48  # from here _aberth_terms fills by doubling and sums half the pairs
+_HULL_START_DEGREE = 11  # from here find_roots starts on _hull_start's circles
+_HIGH_DEGREE = 48  # from here the stop is Fujiwara's, and _aberth_terms fills by doubling
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,11 @@ def _order_keys(z):
 def find_roots(p: Polynomial) -> RootSet:
     """All roots of p by Ehrlich-Aberth simultaneous iteration.
 
-    Below degree _HIGH_DEGREE the initial guesses sit on the circle of radius
+    Below degree _HULL_START_DEGREE the initial guesses sit on the circle of radius
     0.9(1 + max|a_k|), inside the Cauchy disk, at angles 2*pi*k/degree + 0.4 to break
-    symmetry, and the pass stops when the max step is <= 1e-13 * (1 + max|a_k|). From
-    _HIGH_DEGREE on they sit on _hull_start's Newton-polygon circles, and the stop is
-    1e-13 * (1 + 2r), where 2r is Fujiwara's bound on |z|. No restart.
+    symmetry; from it on they sit on _hull_start's Newton-polygon circles. Below degree
+    _HIGH_DEGREE the pass stops when the max step is <= 1e-13 * (1 + max|a_k|); from it on
+    the stop is 1e-13 * (1 + 2r), where 2r is Fujiwara's bound on |z|. No restart.
     NoConvergenceError names the cause when the iteration overflows, stalls at the
     rounding level (checked at iterations 2^j >= 2*degree) or hits _MAX_ITERATIONS, or
     when a converged residual |p(z_i)|, from one more fill of the pass's power block,
@@ -197,13 +198,12 @@ def find_roots(p: Polynomial) -> RootSet:
         root = 0.0 - p.lower[0]  # not -x, which turns a zero part into -0
         return RootSet((complex(root),), (0.0,), _modulus(root), 0)  # p(root) = (0 - a) + a = 0
 
-    if n < _HIGH_DEGREE:
-        scale = 1.0 + max(p.moduli)
+    scale = 1.0 + max(p.moduli)
+    if n < _HULL_START_DEGREE:
         start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
-        tol = 1e-13 * scale
     else:
         start, largest = _hull_start(p.moduli)
-        tol = 1e-13 * (1.0 + 2 * largest)
+    tol = 1e-13 * (scale if n < _HIGH_DEGREE else 1.0 + 2 * largest)
     values, terms, level = _aberth_terms(p.descending())
     z, iterations, failure = _aberth_pass(terms, level, start, tol)
     order = sorted(range(n), key=_order_keys(z).__getitem__)

@@ -61,6 +61,15 @@ def test_readme_names_the_rectangles_crossover_degree_where_it_describes_the_rou
         assert degrees and set(degrees) == {str(zerobounds.linalg._SECULAR_ENDS)}, place
 
 
+def test_readme_names_the_oracles_start_and_stop_degrees_where_it_describes_the_ranges():
+    # the start switches at one degree, the stop and the kernel at another
+    text = README.read_text(encoding="utf-8")
+    bullet = text.split("\n- an independent root oracle ", 1)[1].split("\n\n", 1)[0]
+    degrees = set(re.findall(r"degree (\d+)", bullet))
+    assert degrees == {str(zerobounds.roots._HULL_START_DEGREE),
+                       str(zerobounds.roots._HIGH_DEGREE)}, bullet
+
+
 def test_readme_compare_example_matches_the_cli(capsys):
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     blocks = section.split("```")

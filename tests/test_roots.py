@@ -168,13 +168,18 @@ def test_no_convergence_error_carries_best_effort_roots(monkeypatch):
     assert len(err.value.residuals) == 8
 
 
-@pytest.mark.parametrize("coefficients", [
-    [1, 1e200, 1],
-    list(np.poly(np.arange(1, 21))),  # Wilkinson-20: its starting circle overflows z^n
-], ids=["1e200", "wilkinson20"])
+@pytest.mark.parametrize("coefficients", [[1, 1e200, 1]], ids=["1e200"])
 def test_overflow_to_nan_fails_fast(coefficients):
     with pytest.raises(NoConvergenceError, match=r"overflowed at iteration 1 \(max residual nan"):
         find_roots(make_monic(coefficients))
+
+
+def test_wilkinson20_fails_loudly_with_a_named_cause():
+    # its stop 1e-13 * (1 + max|a_k|) exceeds every root, so from the hull start the
+    # pass ends at once and only the residual guard refuses it
+    with pytest.raises(NoConvergenceError, match=r"root iteration (overflowed|stalled|did not "
+                       r"converge|converged in \d+ iterations but a residual exceeds the guard)"):
+        find_roots(make_monic(list(np.poly(np.arange(1, 21)))))
 
 
 @pytest.mark.parametrize("descending, z", [
@@ -230,6 +235,7 @@ def test_cli_roots_names_the_stall(capsys):
 
 # each side of the cutoff between the two fills, an odd and an even degree above it
 _HIGH = zerobounds.roots._HIGH_DEGREE
+_HULL = zerobounds.roots._HULL_START_DEGREE
 
 
 @pytest.mark.parametrize("n", sorted({2, 7, 64, _HIGH - 1, _HIGH, 97, 128}))
@@ -275,8 +281,8 @@ def _outcome(p):
 ], ids=[*(f"gaussian{d}-{s}" for d in (16, 32, 47, 48) for s in (0, 1)),
         "scaled64-overflow", "scaled64"])
 def test_both_fills_reach_the_same_roots(p, monkeypatch):
-    # _HIGH_DEGREE also switches find_roots' start, so each fill runs the pass
-    # from the same start and stop: the circle and tolerance below the cutoff
+    # _HIGH_DEGREE switches find_roots' stop too, so each fill runs the pass from
+    # one fixed start and stop: the circle and tolerance of the lowest degrees
     n = p.degree
     scale = 1.0 + max(map(abs, p.lower))
     start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
@@ -344,6 +350,37 @@ def test_hull_starts_are_finite_and_distinct_and_bound_the_roots(p):
     assert np.abs(np.roots(p.descending())).max() <= 2 * largest * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("degree", [16, 32, 47])
+@pytest.mark.parametrize("seed", range(5))
+def test_widely_scaled_inputs_below_the_high_degree_converge_in_few_iterations(degree, seed):
+    # from the circle inside the Cauchy disk these took 74-274 iterations
+    p = _gaussian(degree, seed, spread=5)
+    rs = find_roots(p)
+    assert rs.iterations <= 15
+    reference = np.abs(np.roots(p.descending())).max()
+    assert abs(rs.max_modulus - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("degree", [_HULL - 1, _HULL])
+def test_the_start_switches_from_the_circle_to_the_hull_at_its_cutoff(degree, monkeypatch):
+    starts = []
+    aberth_pass = zerobounds.roots._aberth_pass
+
+    def spied(terms, level, z, tol):
+        starts.append(z)
+        return aberth_pass(terms, level, z, tol)
+
+    monkeypatch.setattr(zerobounds.roots, "_aberth_pass", spied)
+    p = _gaussian(degree, 0)
+    find_roots(p)
+    if degree < _HULL:
+        scale = 1.0 + max(p.moduli)
+        want = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(degree) / degree + 0.4))
+    else:
+        want, _ = zerobounds.roots._hull_start(p.moduli)
+    assert starts[0].tobytes() == want.tobytes()
+
+
 def test_a_widely_scaled_input_whose_start_circle_overflowed_converges():
     p = _gaussian(64, 0, spread=5)  # the circle inside the Cauchy disk overflows z^n
     reference = np.abs(np.roots(p.descending())).max()
@@ -395,14 +432,19 @@ def test_degree_one_is_solved_directly():
 # Iteration count of find_roots on monic polynomials with complex Gaussian
 # lower coefficients (seeded standard_normal, real parts then imaginary
 # parts). A faster kernel for the same iteration must leave every entry as it
-# is. Degree 16 starts on the circle inside the Cauchy disk; degrees 64, 97
-# and 128 start on the Newton-polygon circles. (64, 9), (128, 12) and
-# (128, 13) each have one root whose residual exceeds the absolute guard
-# 1e-8 * prod(1 + |z_i|) but not its rounding level, which the guard also
-# requires before it refuses. (97, 0) and (97, 1) take the high-degree fill
-# and start at an odd degree.
+# is. Degree 10 starts on the circle inside the Cauchy disk; every degree from
+# 11 on starts on the Newton-polygon circles. Degrees 11-47 stop at
+# 1e-13 * (1 + max|a_k|) and take the accumulate fill; degrees 48, 64, 97 and
+# 128 stop at Fujiwara's 1e-13 * (1 + 2r) and take the doubling fill.
+# (64, 9), (128, 12) and (128, 13) each have one root whose residual exceeds
+# the absolute guard 1e-8 * prod(1 + |z_i|) but not its rounding level, which
+# the guard also requires before it refuses. (97, 0) and (97, 1) take the
+# high-degree fill and start at an odd degree.
 _GAUSSIAN_ITERATIONS = {
-    (16, 0): 16, (16, 1): 19, (16, 2): 16, (16, 3): 20, (16, 4): 13,
+    (10, 0): 13, (10, 1): 9, (11, 0): 9, (11, 1): 8,
+    (16, 0): 9, (16, 1): 12, (16, 2): 10, (16, 3): 8, (16, 4): 10,
+    (20, 0): 9, (20, 1): 11, (21, 0): 8, (21, 1): 11, (32, 0): 9, (32, 1): 8,
+    (47, 0): 10, (47, 1): 9, (48, 0): 10, (48, 1): 10,
     (64, 0): 12, (64, 1): 11, (64, 2): 8, (64, 3): 11, (64, 4): 12,
     (128, 0): 13, (128, 1): 13, (128, 2): 11, (128, 3): 10, (128, 4): 12,
     (64, 9): 10, (64, 31): 11, (128, 12): 13, (128, 13): 11,
