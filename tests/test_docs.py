@@ -62,7 +62,7 @@ def test_readme_names_the_rectangles_crossover_degree_where_it_describes_the_rou
 
 
 def test_readme_names_the_oracles_start_and_stop_degrees_where_it_describes_the_ranges():
-    # the start switches at one degree, the stop and the kernel at another
+    # the first pass switches at one degree, the fallback pass and the kernel at another
     text = README.read_text(encoding="utf-8")
     bullet = text.split("\n- an independent root oracle ", 1)[1].split("\n\n", 1)[0]
     degrees = set(re.findall(r"degree (\d+)", bullet))

@@ -168,18 +168,13 @@ def test_no_convergence_error_carries_best_effort_roots(monkeypatch):
     assert len(err.value.residuals) == 8
 
 
-@pytest.mark.parametrize("coefficients", [[1, 1e200, 1]], ids=["1e200"])
+@pytest.mark.parametrize("coefficients", [
+    [1, 1e200, 1],
+    list(np.poly(np.arange(1, 21))),  # Wilkinson-20: its starting circle overflows z^n
+], ids=["1e200", "wilkinson20"])
 def test_overflow_to_nan_fails_fast(coefficients):
     with pytest.raises(NoConvergenceError, match=r"overflowed at iteration 1 \(max residual nan"):
         find_roots(make_monic(coefficients))
-
-
-def test_wilkinson20_fails_loudly_with_a_named_cause():
-    # its stop 1e-13 * (1 + max|a_k|) exceeds every root, so from the hull start the
-    # pass ends at once and only the residual guard refuses it
-    with pytest.raises(NoConvergenceError, match=r"root iteration (overflowed|stalled|did not "
-                       r"converge|converged in \d+ iterations but a residual exceeds the guard)"):
-        find_roots(make_monic(list(np.poly(np.arange(1, 21)))))
 
 
 @pytest.mark.parametrize("descending, z", [
@@ -281,8 +276,8 @@ def _outcome(p):
 ], ids=[*(f"gaussian{d}-{s}" for d in (16, 32, 47, 48) for s in (0, 1)),
         "scaled64-overflow", "scaled64"])
 def test_both_fills_reach_the_same_roots(p, monkeypatch):
-    # _HIGH_DEGREE switches find_roots' stop too, so each fill runs the pass from
-    # one fixed start and stop: the circle and tolerance of the lowest degrees
+    # _HIGH_DEGREE also switches which passes find_roots runs, so each fill runs
+    # the pass from one fixed start and stop: the circle and its tolerance
     n = p.degree
     scale = 1.0 + max(map(abs, p.lower))
     start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
@@ -361,13 +356,13 @@ def test_widely_scaled_inputs_below_the_high_degree_converge_in_few_iterations(d
     assert abs(rs.max_modulus - reference) <= 1e-12 * reference
 
 
-@pytest.mark.parametrize("degree", [_HULL - 1, _HULL])
-def test_the_start_switches_from_the_circle_to_the_hull_at_its_cutoff(degree, monkeypatch):
-    starts = []
+@pytest.mark.parametrize("degree", [_HULL - 1, _HULL, _HIGH - 1, _HIGH])
+def test_the_first_pass_switches_from_the_circle_to_the_hull_at_its_cutoff(degree, monkeypatch):
+    passes = []
     aberth_pass = zerobounds.roots._aberth_pass
 
     def spied(terms, level, z, tol):
-        starts.append(z)
+        passes.append((z, tol))
         return aberth_pass(terms, level, z, tol)
 
     monkeypatch.setattr(zerobounds.roots, "_aberth_pass", spied)
@@ -375,10 +370,69 @@ def test_the_start_switches_from_the_circle_to_the_hull_at_its_cutoff(degree, mo
     find_roots(p)
     if degree < _HULL:
         scale = 1.0 + max(p.moduli)
-        want = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(degree) / degree + 0.4))
+        start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(degree) / degree + 0.4))
+        tol = 1e-13 * scale
     else:
-        want, _ = zerobounds.roots._hull_start(p.moduli)
-    assert starts[0].tobytes() == want.tobytes()
+        start, largest = zerobounds.roots._hull_start(p.moduli)
+        tol = 1e-13 * (1.0 + 2 * largest)
+    assert len(passes) == 1  # generic input converges in the first pass
+    assert passes[0][0].tobytes() == start.tobytes() and passes[0][1] == tol
+
+
+def _seeded_roots(degree, seed, fold=1, scale=1.0):
+    """Complex Gaussian roots times scale, each repeated fold times (the last degree % fold once)."""
+    rng = np.random.default_rng([degree, seed, 17])
+
+    def draw(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    distinct = np.append(draw(degree // fold), draw(degree % fold))
+    counts = [fold] * (degree // fold) + [1] * (degree % fold)
+    return scale * np.repeat(distinct, counts)
+
+
+@pytest.mark.parametrize("p, causes", [
+    (make_monic(list(np.poly(np.arange(1, 21)))),
+     ["stalled at the rounding level after 64 iterations", "overflowed at iteration 1"]),
+    (make_monic(np.poly(_seeded_roots(31, 12, fold=2))),
+     ["stalled at the rounding level after 64 iterations", None]),
+], ids=["wilkinson20", "double31"])
+def test_a_failed_hull_pass_falls_back_on_the_circles_pass(p, causes, monkeypatch):
+    # below _HIGH_DEGREE find_roots then answers as the circle's pass alone does
+    passes = []
+    aberth_pass = zerobounds.roots._aberth_pass
+
+    def spied(terms, level, z, tol):
+        passes.append(aberth_pass(terms, level, z, tol))
+        return passes[-1]
+
+    monkeypatch.setattr(zerobounds.roots, "_aberth_pass", spied)
+    got = _outcome(p)
+    assert [failure for _, _, failure in passes] == causes
+    hull_iterations = passes[0][1]
+    monkeypatch.setattr(zerobounds.roots, "_HULL_START_DEGREE", _HIGH)
+    alone = _outcome(p)
+    if causes[-1] is None:
+        assert (got.roots, got.residuals) == (alone.roots, alone.residuals)
+        assert got.iterations == hull_iterations + alone.iterations
+    else:
+        assert got == alone == "root iteration " + causes[-1]
+
+
+@pytest.mark.parametrize("degree, seed", [
+    (13, 0), (13, 1), (13, 2), (13, 3), (13, 21), (21, 1), (21, 2), (21, 3),
+    (33, 0), (33, 2), (33, 3),
+])
+def test_roots_of_modulus_ten_are_found_to_np_roots_extreme_parts(degree, seed):
+    # the circle pass's stop 1e-13 * (1 + max|a_k|) would let a pass from the hull end
+    # early (2e-10 off at (13, 21)); from the circle most of these overflow or are refused
+    p = make_monic(np.poly(_seeded_roots(degree, seed, scale=10 / np.sqrt(2))))
+    rs = find_roots(p)
+    assert rs.iterations <= 15
+    z, reference = np.array(rs.roots), np.roots(p.descending())
+    for got, want in ((z.real, reference.real), (z.imag, reference.imag)):
+        assert abs(got.max() - want.max()) <= 1e-12 * rs.max_modulus
+        assert abs(got.min() - want.min()) <= 1e-12 * rs.max_modulus
 
 
 def test_a_widely_scaled_input_whose_start_circle_overflowed_converges():
@@ -432,10 +486,10 @@ def test_degree_one_is_solved_directly():
 # Iteration count of find_roots on monic polynomials with complex Gaussian
 # lower coefficients (seeded standard_normal, real parts then imaginary
 # parts). A faster kernel for the same iteration must leave every entry as it
-# is. Degree 10 starts on the circle inside the Cauchy disk; every degree from
-# 11 on starts on the Newton-polygon circles. Degrees 11-47 stop at
-# 1e-13 * (1 + max|a_k|) and take the accumulate fill; degrees 48, 64, 97 and
-# 128 stop at Fujiwara's 1e-13 * (1 + 2r) and take the doubling fill.
+# is. Degree 10 runs one pass, from the circle inside the Cauchy disk to
+# 1e-13 * (1 + max|a_k|); every degree from 11 on converges in its first pass,
+# from the Newton-polygon circles to Fujiwara's 1e-13 * (1 + 2r). Degrees
+# 11-47 take the accumulate fill; degrees 48, 64, 97 and 128 the doubling fill.
 # (64, 9), (128, 12) and (128, 13) each have one root whose residual exceeds
 # the absolute guard 1e-8 * prod(1 + |z_i|) but not its rounding level, which
 # the guard also requires before it refuses. (97, 0) and (97, 1) take the
@@ -444,7 +498,7 @@ _GAUSSIAN_ITERATIONS = {
     (10, 0): 13, (10, 1): 9, (11, 0): 9, (11, 1): 8,
     (16, 0): 9, (16, 1): 12, (16, 2): 10, (16, 3): 8, (16, 4): 10,
     (20, 0): 9, (20, 1): 11, (21, 0): 8, (21, 1): 11, (32, 0): 9, (32, 1): 8,
-    (47, 0): 10, (47, 1): 9, (48, 0): 10, (48, 1): 10,
+    (47, 0): 9, (47, 1): 9, (48, 0): 10, (48, 1): 10,
     (64, 0): 12, (64, 1): 11, (64, 2): 8, (64, 3): 11, (64, 4): 12,
     (128, 0): 13, (128, 1): 13, (128, 2): 11, (128, 3): 10, (128, 4): 12,
     (64, 9): 10, (64, 31): 11, (128, 12): 13, (128, 13): 11,
