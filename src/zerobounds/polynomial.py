@@ -10,14 +10,15 @@ Boundary input is degree-descending (human-friendly) and converted here, at
 a single point, to the ascending a_k indexing every formula uses.
 
 Coefficient literals accept decimals and exact fractions: ``a``, ``bi``,
-``a+bi``, ``a-bi`` where each part is a decimal number, optionally with an
-exponent (``1e-3``, ``-1.5E+2``), or a fraction ``p/q``.
+``a+bi``, ``a-bi`` where each part is a decimal number in ASCII digits,
+optionally with an exponent (``1e-3``, ``-1.5E+2``), or a fraction ``p/q``.
 Each part rounds once, from its exact value, to the nearest float, so tests
 like "a_1 is literally zero" in odd_reduce are algebraic, not numerical.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -55,17 +56,18 @@ class Polynomial:
     moduli: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple([complex(c) for c in self.lower])
+        # tuples from lists: one grown from an iterator by resizing fragments the heap
+        coeffs = tuple([*map(complex, self.lower)])
         if len(coeffs) < 1:
             raise DegreeTooSmallError("a polynomial needs degree at least 1")
-        moduli = []
-        for c in coeffs:
-            modulus = _modulus(c)  # below inf only if both parts are finite
-            if not (modulus < math.inf or abs(c.real) < math.inf and abs(c.imag) < math.inf):
-                raise ValueError("coefficients must be finite")
-            moduli.append(modulus)
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
+        try:
+            moduli = tuple([*map(abs, coeffs)])
+        except OverflowError:  # past the float range, as 1.5e308+1.5e308i's modulus is
+            moduli = tuple([*map(_modulus, coeffs)])
         object.__setattr__(self, "lower", coeffs)
-        object.__setattr__(self, "moduli", tuple(moduli))
+        object.__setattr__(self, "moduli", moduli)
         object.__setattr__(self, "_descending", (1.0 + 0j, *reversed(coeffs)))
 
     @property
@@ -89,14 +91,13 @@ def make_monic(coeffs_desc) -> Polynomial:
     The first entry is the leading coefficient; everything is divided
     through by it.
     """
-    coeffs = [complex(c) for c in coeffs_desc]
+    coeffs = list(map(complex, coeffs_desc))
     if len(coeffs) < 2:
         raise DegreeTooSmallError("need at least a degree-1 polynomial (two coefficients)")
     leading = coeffs[0]
     if leading == 0:
         raise ZeroLeadingCoefficientError("leading coefficient is zero")
-    scaled = [c / leading for c in coeffs[1:]]
-    return Polynomial(tuple(reversed(scaled)))
+    return Polynomial(tuple([c / leading for c in reversed(coeffs[1:])]))
 
 
 def odd_reduce(p: Polynomial) -> tuple[Polynomial, bool]:
@@ -113,9 +114,13 @@ def odd_reduce(p: Polynomial) -> tuple[Polynomial, bool]:
 
 
 # at most 4 exponent digits, as grammar: 10**4 is past float range, so a longer one "cannot parse"
-_NUMBER = r"(?:\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?0*\d{1,4})?)"
+_DECIMAL = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?0*\d{1,4})?"
+_NUMBER = rf"(?:\d+/\d+|{_DECIMAL})"
 # a, bi or a+bi in one match: patterns tried in turn backtrack through the digits of each miss
-_COEFFICIENT_RE = re.compile(rf"([+-]?)({_NUMBER})(?:([+-])({_NUMBER}))?(i?)")
+_COEFFICIENT_RE = re.compile(rf"([+-]?)({_NUMBER})(?:([+-])({_NUMBER})i|(i?))", re.ASCII)
+# a list of them in decimals, between optional ASCII whitespace; groups would slow its scan by half
+_DECIMALS = rf"\s*[+-]?{_DECIMAL}(?:[+-]{_DECIMAL}i|i?)\s*"
+_DECIMAL_LIST_RE = re.compile(rf"{_DECIMALS}(?:,{_DECIMALS})+", re.ASCII)
 
 
 def _signed(sign: str, magnitude: str, token: str) -> float:
@@ -144,7 +149,7 @@ def parse_complex(token: str) -> complex:
     PolynomialParseError.
     """
     match = _COEFFICIENT_RE.fullmatch(token.strip())
-    if match is None or (match.group(3) and not match.group(5)):  # a+b without the i
+    if match is None:
         raise PolynomialParseError(f"cannot parse coefficient {token!r}")
     sign, first, op, second, imaginary = match.groups()
     value = _signed(sign, first, token)
@@ -154,22 +159,28 @@ def parse_complex(token: str) -> complex:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse a comma-separated degree-descending coefficient list. A zero
-    leading coefficient, or a quotient by it beyond float range, is an error."""
-    tokens = [piece.strip() for piece in text.split(",")]
-    if any(t == "" for t in tokens):
-        # an empty slot is almost certainly a typo; dropping it would
-        # silently change the degree
-        raise PolynomialParseError("empty coefficient slot in input")
-    if len(tokens) < 2:
-        raise PolynomialParseError(
-            "need at least two comma-separated coefficients (degree >= 1)"
-        )
-    coeffs = [parse_complex(t) for t in tokens]
+    """Parse a comma-separated degree-descending coefficient list. A zero leading coefficient,
+    or a quotient by it beyond float range, is an error. A decimal list shorter than the int
+    digit limit takes one scan; other text, or a part past float range, goes token by token."""
+    coeffs, limit = None, sys.get_int_max_str_digits()
+    if not 0 < limit < len(text) and _DECIMAL_LIST_RE.fullmatch(text):
+        coeffs = list(map(complex, text.replace("i", "j").split(",")))  # rounds as float() does
+    if coeffs is None or not all(map(cmath.isfinite, coeffs)):
+        tokens = [piece.strip() for piece in text.split(",")]
+        if any(t == "" for t in tokens):
+            # an empty slot is almost certainly a typo; dropping it would
+            # silently change the degree
+            raise PolynomialParseError("empty coefficient slot in input")
+        if len(tokens) < 2:
+            raise PolynomialParseError(
+                "need at least two comma-separated coefficients (degree >= 1)"
+            )
+        coeffs = [parse_complex(t) for t in tokens]
     try:
         return make_monic(coeffs)
     except ZeroLeadingCoefficientError as exc:
         raise PolynomialParseError(str(exc)) from None
     except ValueError:  # Polynomial refuses a quotient that left the float range
         raise PolynomialParseError(
-            f"dividing by the leading coefficient {tokens[0]!r} overflows a float") from None
+            f"dividing by the leading coefficient {text.split(',')[0].strip()!r} overflows a float"
+        ) from None

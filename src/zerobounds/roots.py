@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoConvergenceError
 from .polynomial import Polynomial, _modulus
@@ -91,7 +91,7 @@ def _aberth_terms(descending):
                 for k in (1 << j for j in range((n - 1).bit_length()))]
         half, item = n // 2, np.dtype(complex).itemsize
         twice = np.empty((2, n), dtype=complex)
-        ahead = sliding_window_view(twice.reshape(-1), n)[1:half + 1]
+        ahead = as_strided(twice.reshape(-1)[1:], (half, n), (item, item))
         diff = np.empty((half, n), dtype=complex)
         wrapped = np.empty((half, 2, n), dtype=complex)
         behind = as_strided(wrapped.reshape(-1)[n - 1:], (n - 1 - half, n),
@@ -158,19 +158,25 @@ def _hull_start(moduli):
     (|a_i|/|a_j|)^(1/(j-i)), turned by 2*pi*i/n + 0.4 so that no two edges share a start;
     the k0 zero roots of a polynomial whose k0 lowest coefficients vanish start on half
     the smallest circle. r, the largest radius, is max_k |a_k|^(1/(n-k)): 2r bounds |z|.
+    The monotone chain skips each point strictly below a point on each side: none is a vertex.
     """
-    n, hull = len(moduli), []
-    for k, height in [(k, math.log(m)) for k, m in enumerate(moduli) if m] + [(n, 0.0)]:
+    n, top, hull = len(moduli), np.maximum.accumulate, []
+    heights = np.array([*map(math.log, filter(None, moduli)), 0.0])
+    kept = (heights == top(heights)) | (heights == top(heights[::-1])[::-1])
+    for k, height in zip(np.flatnonzero([*moduli, 1.0])[kept].tolist(), heights[kept].tolist()):
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (height - hull[-2][1])
                                  >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
             hull.pop()  # hull[-1] lies on or below the chord from hull[-2] to (k, height)
         hull.append((k, height))
-    radii = [np.exp((low - high) / (j - i)) for (i, low), (j, high) in zip(hull, hull[1:])]
-    circles = [(hull[0][0], min(radii, default=1.0) / 2, 0.4)]  # count, radius, turn
-    circles += [(j - i, r, 2 * np.pi * i / n + 0.4)
-                for (i, _), (j, _), r in zip(hull, hull[1:], radii)]
-    return np.concatenate([r * np.exp(1j * (2 * np.pi * np.arange(count) / count + turn))
-                           for count, r, turn in circles]), max(radii, default=0.0)
+    vertices, levels = zip(*hull)
+    counts = [vertices[0]] + [j - i for i, j in zip(vertices, vertices[1:])]
+    radii = np.exp(np.subtract(levels[:-1], levels[1:]) / counts[1:]).tolist()
+    # one column per circle, the zero roots' first: radius, count, first index and turn
+    circles = np.array([[min(radii, default=1.0) / 2, *radii], counts, [0, *vertices[:-1]],
+                        [0.4, *[2 * np.pi * i / n + 0.4 for i in vertices[:-1]]]])
+    radius, count, first, turn = circles.repeat(counts, axis=1)
+    starts = radius * np.exp(1j * (2 * np.pi * (np.arange(n) - first) / count + turn))
+    return starts, max(radii, default=0.0)
 
 
 def _order_keys(z):
@@ -211,21 +217,22 @@ def find_roots(p: Polynomial) -> RootSet:
         z, iterations, failure = _aberth_pass(terms, level, start, tol)
         spent += iterations
         order = sorted(range(n), key=_order_keys(z).__getitem__)
-        roots = tuple([complex(z[i]) for i in order])
-        guard = 1e-8 * float(np.prod([1.0 + _modulus(r) for r in roots]))
+        roots = z[order]
         with np.errstate(all="ignore"):  # an overflowed pass leaves inf and NaN in z
+            moduli = np.hypot(roots.real, roots.imag)  # abs(root) bit for bit, inf past the range
+            guard = 1e-8 * float(np.prod(1.0 + moduli))
             residuals = np.abs(values(z)[0])
             over = residuals > guard
             if failure is None and over.any() and np.any(residuals[over] > level()[over]):
                 failure = f"converged in {iterations} iterations but a residual exceeds the guard"
         if failure is None:
             break
-    residuals = tuple(residuals[order].tolist())
+    roots, residuals = tuple(roots.tolist()), tuple(residuals[order].tolist())
     if failure is not None:
         raise NoConvergenceError(
             f"root iteration {failure} (max residual {max(residuals):.3e}, guard {guard:.3e})",
             best_roots=roots, residuals=residuals)
-    return RootSet(roots, residuals, max([_modulus(r) for r in roots]), spent)
+    return RootSet(roots, residuals, float(moduli.max()), spent)
 
 
 def validate_bound(value: float, roots: RootSet) -> Verdict:

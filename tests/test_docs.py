@@ -154,12 +154,40 @@ def test_import_loads_the_library_modules_and_not_the_cli():
     assert "argparse" not in loaded
 
 
+def _regex_syntax_newer_than_3_10(pattern):
+    """Atomic groups and possessive quantifiers, which re compiles from Python 3.11 on only.
+    Escapes and character classes go first, so that [*+] or \\++ does not count."""
+    bare = re.sub(r"\\.|\[\^?\]?(?:\\.|[^\]])*\]", "", pattern)
+    return re.findall(r"\(\?>|[*+?}]\+", bare)
+
+
+def test_the_regex_syntax_check_finds_atomic_groups_and_possessive_quantifiers():
+    for newer in ("(?>ab)", "a*+", "a++", "(?:a)?+", r"\d{1,4}+", r"[\]]++"):
+        assert _regex_syntax_newer_than_3_10(newer), newer
+    for older in (r"a\++", "[*+]+", "[]+?]*", "a+?", "(?:a)?", r"\(\?>", "[?+]+"):
+        assert not _regex_syntax_newer_than_3_10(older), older
+
+
 def test_every_module_parses_at_the_declared_python_floor():
-    # syntax only: a call to an API newer than the floor parses all the same
+    # syntax only: a call to an API newer than the floor parses all the same; each regex
+    # a module hands to re is read for syntax re compiles only from 3.11 on
     floor = re.search(r'requires-python = ">=([\d.]+)"', PYPROJECT.read_text(encoding="utf-8"))[1]
     assert f"Python >= {floor}." in README.read_text(encoding="utf-8")
     major, minor = map(int, floor.split(".")[:2])
     modules = sorted(Path(zerobounds.__file__).parent.glob("*.py"))
     assert len(modules) == len(_LIBRARY) + 2  # the library, the CLI and __init__
+    patterns = []
     for path in modules:
-        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, str(path), feature_version=(major, minor))
+        module = importlib.import_module(f"zerobounds.{path.stem}".removesuffix(".__init__"))
+        namespace = vars(module)
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "re"):
+                pattern = eval(compile(ast.Expression(call.args[0]), str(path), "eval"), namespace)
+                patterns.append(pattern)
+                if (major, minor) < (3, 11):
+                    assert not _regex_syntax_newer_than_3_10(pattern), (path.name, pattern)
+    grammar = zerobounds.polynomial  # the walk evaluates f-strings built from its constants
+    assert {grammar._COEFFICIENT_RE.pattern, grammar._DECIMAL_LIST_RE.pattern} <= set(patterns)

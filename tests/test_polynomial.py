@@ -1,5 +1,6 @@
 """Parsing, normalization, and evaluation of monic polynomials."""
 
+import cmath
 import math
 import re
 import struct
@@ -175,6 +176,110 @@ def test_parse_rounds_each_part_as_exact_arithmetic_does(part, sign, imaginary):
         got = parse_complex(token)
         pair = (0.0, want) if imaginary else (want, 0.0)
         assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *pair)
+
+
+@pytest.mark.parametrize("token", ["３", "٣/٤", "1.５", "2e٣", "1+２i"])
+def test_parse_takes_ascii_digits_only(token):
+    # a Unicode \d matches these: "1, ３" parsed as 3 and "1, ٣/٤" as 0.75
+    refusal = re.escape(f"cannot parse coefficient {token!r}")
+    with pytest.raises(PolynomialParseError, match=refusal):
+        parse_polynomial(f"1, {token}")
+    with pytest.raises(PolynomialParseError, match=refusal):
+        parse_complex(token)
+
+
+def _bits(values):
+    return struct.pack(f"<{2 * len(values)}d", *(x for c in values for x in (c.real, c.imag)))
+
+
+@pytest.mark.parametrize("text, lower", [
+    ("-1, 0, 2", (complex(-2.0, -0.0), complex(-0.0, -0.0))),  # 0 / -1 is -0 in both parts
+    ("1, 0-0i", (complex(0.0, -0.0),)),
+    ("1, -2i", (complex(0.0, -2.0),)),
+    ("1, -0, -0i", (complex(0.0, -0.0), complex(0.0, 0.0))),  # -0 + 0 * 0 is +0
+])
+def test_parse_keeps_the_signed_zeros_of_complex_division(text, lower):
+    assert _bits(parse_polynomial(text).lower) == _bits(lower)
+
+
+_BAD_TOKENS = ("1+2", "i", "+i", "1+i", "1e12345", "1e-00012345", "1.2.3", "--1", "1 2", "1j",
+               "2ii", "1/2.5", "1/2i3", "0x10", "1_000", "inf", "nan", ".e1", "1e+", "(1)",
+               "1/-2", "bogus", "+", "３", "1e2.5")
+_SPACES = ("", " ", "  ", "\t", "\n ", "\u00a0", "\u2003 ")  # no-break and em spaces too
+
+
+@st.composite
+def _grammar_texts(draw):
+    """(text, tokens): a coefficient list in the grammar, and per token its parts as
+    (sign, magnitude, imaginary) or, for a malformed token, None."""
+    digits = st.text("0123456789", min_size=1, max_size=6)
+
+    def magnitude():
+        if draw(st.integers(0, 4)) == 0:
+            return f"{draw(digits)}/{draw(st.integers(1, 999))}"
+        whole, frac = draw(digits), draw(digits)
+        body = draw(st.sampled_from([whole, f"{whole}.", f"{whole}.{frac}", f".{frac}"]))
+        if draw(st.booleans()):
+            mark = draw(st.sampled_from(["e", "E", "e+", "E+", "e-", "E-"]))
+            body += f"{mark}{'0' * draw(st.integers(0, 3))}{draw(st.integers(0, 9999))}"
+        return body
+
+    tokens, parts = [], []
+    for at in range(draw(st.integers(2, 8))):
+        if at and draw(st.integers(0, 14)) == 0:
+            tokens.append(draw(st.sampled_from(_BAD_TOKENS)))
+            parts.append(None)
+            continue
+        form = draw(st.sampled_from(["a", "bi", "a+bi"]))
+        first = (draw(st.sampled_from(["", "+", "-"])), magnitude(), form == "bi")
+        token = f"{first[0]}{first[1]}{'i' if form == 'bi' else ''}"
+        these = [first]
+        if form == "a+bi":
+            these.append((draw(st.sampled_from(["+", "-"])), magnitude(), True))
+            token += f"{these[1][0]}{these[1][1]}i"
+        tokens.append(token)
+        parts.append(these)
+    pad = draw(st.sampled_from(["", "", "", " " * (_INT_DIGITS + 1)]))  # past the digit limit
+    text = ",".join(draw(st.sampled_from(_SPACES)) + t + draw(st.sampled_from(_SPACES))
+                    for t in tokens) + pad
+    return text, tokens, parts
+
+
+def _reference(tokens, parts):
+    """The lower coefficients by exact arithmetic, each part rounded once, the leading
+    coefficient divided out as make_monic divides; or the refusal's message."""
+    values = []
+    for token, these in zip(tokens, parts):
+        if these is None:
+            return f"cannot parse coefficient {token!r}"
+        re_part, im_part = 0.0, 0.0
+        for sign, magnitude, imaginary in these:
+            try:
+                value = float(Fraction(magnitude))
+            except OverflowError:
+                return f"coefficient {token!r} overflows a float"
+            value = -value if sign == "-" else value
+            re_part, im_part = (re_part, value) if imaginary else (value, im_part)
+        values.append(complex(re_part, im_part))
+    if values[0] == 0:
+        return "leading coefficient is zero"
+    lower = tuple(c / values[0] for c in reversed(values[1:]))
+    if not all(map(cmath.isfinite, lower)):
+        return f"dividing by the leading coefficient {tokens[0]!r} overflows a float"
+    return lower
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_grammar_texts())
+def test_parse_polynomial_is_exact_arithmetic_bit_for_bit(drawn):
+    text, tokens, parts = drawn
+    want = _reference(tokens, parts)
+    if isinstance(want, str):
+        with pytest.raises(PolynomialParseError) as refusal:
+            parse_polynomial(text)
+        assert str(refusal.value) == want
+    else:
+        assert _bits(parse_polynomial(text).lower) == _bits(want)
 
 
 def test_make_monic_divides_through_by_leading_coefficient():

@@ -1,6 +1,7 @@
 """Root oracle: simultaneous iteration, ordering, verdicts."""
 
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -295,10 +296,12 @@ def test_both_fills_reach_the_same_roots(p, monkeypatch):
 
 def _upper_hull(moduli):
     """Vertices (k, log|a_k|) of the upper convex hull, a_n = 1, by brute force: a point is
-    a vertex unless it lies on or below a chord between two others on either side of it."""
-    points = [(k, np.log(m)) for k, m in enumerate(moduli) if m] + [(len(moduli), 0.0)]
+    a vertex unless it lies on or below a chord between two others on either side of it.
+    The chord test is multiplied through by j - i, so that a point beside an infinite one
+    lies below the chord to it."""
+    points = [(k, math.log(m)) for k, m in enumerate(moduli) if m] + [(len(moduli), 0.0)]
     return [(k, y) for at, (k, y) in enumerate(points) if not any(
-        y <= yi + (yj - yi) * (k - i) / (j - i)
+        (y - yi) * (j - i) <= (yj - yi) * (k - i)
         for i, yi in points[:at] for j, yj in points[at + 1:])]
 
 
@@ -333,6 +336,70 @@ def test_each_hull_edge_gets_its_own_count_of_starts_on_its_radius(p):
     # the largest radius is max_k |a_k|^(1/(n-k)), half Fujiwara's bound
     fujiwara = max(m ** (1 / (p.degree - k)) for k, m in enumerate(moduli))
     assert abs(largest - fujiwara) <= 1e-12 * fujiwara
+
+
+def _starts_on(hull, n):
+    """Starts and r from hull vertices as _hull_start puts them, one circle at a time."""
+    radii = [np.exp((low - high) / (j - i)) for (i, low), (j, high) in zip(hull, hull[1:])]
+    circles = [(hull[0][0], min(radii, default=1.0) / 2, 0.4)]  # count, radius, turn
+    circles += [(j - i, r, 2 * np.pi * i / n + 0.4)
+                for (i, _), (j, _), r in zip(hull, hull[1:], radii)]
+    return np.concatenate([r * np.exp(1j * (2 * np.pi * np.arange(count) / count + turn))
+                           for count, r, turn in circles]), max(radii, default=0.0)
+
+
+def _modulus_of_height(height):
+    """A float m with math.log(m) == height exactly, for a height of 0 or at least 1 in size."""
+    m = math.exp(height)
+    while math.log(m) != height:
+        m = math.nextafter(m, math.inf if math.log(m) < height else 0.0)
+    return m
+
+
+def _tied_moduli():
+    """Moduli full of ties, from one seed: all equal; geometric, every point (k, log|a_k|)
+    on one line through (n, 0); sparse; zero lowest or highest coefficients; an infinite
+    modulus; subnormal moduli; and a few of these mixed."""
+    rng = np.random.default_rng(2026)
+    for n in (2, 3, 5, 8, 11, 16, 31, 48, 64, 97):
+        c = float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 1e-3]))
+        yield [c] * n
+        for slope in (-3, -1, 1, 2):
+            yield [_modulus_of_height(float(slope * (k - n))) for k in range(n)]
+        gaussian = np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+        sparse = [m if rng.random() < 0.3 else 0.0 for m in gaussian]
+        yield sparse
+        low, high = int(rng.integers(1, n + 1)), int(rng.integers(1, n))
+        yield [0.0] * low + gaussian[low:]
+        yield gaussian[:n - high] + [0.0] * high
+        yield [c] * (n - high) + [0.0] * high
+        spike = list(gaussian)
+        spike[int(rng.integers(n))] = math.inf  # the modulus of 1.5e308+1.5e308i
+        yield spike
+        yield [5e-324 * int(rng.integers(1, 4)) for _ in range(n)]
+        yield [m * 1e-310 if rng.random() < 0.5 else c for m in sparse]
+    # np.log's AVX-512 loop rounds these an ulp away from math.log, and the radius with them
+    yield from ([m] for m in (0.4091707711658381, 1.819332948384677, 1.9554990569599662))
+
+
+@pytest.mark.parametrize("moduli", _tied_moduli())
+def test_hull_starts_are_the_brute_force_hulls_circles_bit_for_bit(moduli):
+    want, want_r = _starts_on(_upper_hull(moduli), len(moduli))
+    for given in (moduli, tuple(moduli)):
+        starts, r = zerobounds.roots._hull_start(given)
+        assert starts.tobytes() == want.tobytes()
+        assert np.float64(r).tobytes() == np.float64(want_r).tobytes()
+
+
+def test_hull_starts_read_a_polynomials_moduli_as_the_brute_force_does():
+    # |1.5e308+1.5e308i| is inf; 1e-320 is subnormal
+    lower = [1e-320, 0j, 2 - 1j, 1.5e308 + 1.5e308j, 0j, 0.5j, 3.0, 1e-320, 1e-320j, 7.0, 0j]
+    geometric = [_modulus_of_height(float(k - 11)) for k in range(11)]
+    for coeffs in (lower, [0j, 0j] + lower[:-2], [1.0] * 11, geometric):
+        p = Polynomial(tuple(coeffs))
+        want, want_r = _starts_on(_upper_hull(p.moduli), p.degree)
+        starts, r = zerobounds.roots._hull_start(p.moduli)
+        assert starts.tobytes() == want.tobytes() and r == want_r
 
 
 @pytest.mark.parametrize("p", _hull_inputs())
