@@ -51,7 +51,9 @@ def test_parse_normalizes_non_monic_input():
 
 @pytest.mark.parametrize(
     "text",
-    ["1, bogus", "1, 1+j", "", "1", "1, 2,, 3", "1, 1/0", "1, i", "1, 1+2", "1, 1e", "1, 1e2.5"],
+    ["1, bogus", "1, 1+j", "", "1", "1, 2,, 3", "1, 1/0", "1, i", "1, 1+2", "1, 1e", "1, 1e2.5",
+     # digits outside ASCII, which a Unicode \d matches: "1, ３" parsed as 3, "1, ٣/٤" as 0.75
+     "1, ３", "1, ٣/٤", "1, 1.５", "1, 2e٣", "1, 1+２i"],
 )
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(PolynomialParseError):
@@ -176,16 +178,6 @@ def test_parse_rounds_each_part_as_exact_arithmetic_does(part, sign, imaginary):
         got = parse_complex(token)
         pair = (0.0, want) if imaginary else (want, 0.0)
         assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *pair)
-
-
-@pytest.mark.parametrize("token", ["３", "٣/٤", "1.５", "2e٣", "1+２i"])
-def test_parse_takes_ascii_digits_only(token):
-    # a Unicode \d matches these: "1, ３" parsed as 3 and "1, ٣/٤" as 0.75
-    refusal = re.escape(f"cannot parse coefficient {token!r}")
-    with pytest.raises(PolynomialParseError, match=refusal):
-        parse_polynomial(f"1, {token}")
-    with pytest.raises(PolynomialParseError, match=refusal):
-        parse_complex(token)
 
 
 def _bits(values):

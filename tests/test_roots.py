@@ -359,7 +359,7 @@ def _modulus_of_height(height):
 def _tied_moduli():
     """Moduli full of ties, from one seed: all equal; geometric, every point (k, log|a_k|)
     on one line through (n, 0); sparse; zero lowest or highest coefficients; an infinite
-    modulus; subnormal moduli; and a few of these mixed."""
+    modulus; subnormal moduli; a few of these mixed; and a Polynomial's own moduli."""
     rng = np.random.default_rng(2026)
     for n in (2, 3, 5, 8, 11, 16, 31, 48, 64, 97):
         c = float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 1e-3]))
@@ -380,6 +380,9 @@ def _tied_moduli():
         yield [m * 1e-310 if rng.random() < 0.5 else c for m in sparse]
     # np.log's AVX-512 loop rounds these an ulp away from math.log, and the radius with them
     yield from ([m] for m in (0.4091707711658381, 1.819332948384677, 1.9554990569599662))
+    # a Polynomial's own moduli: |1.5e308+1.5e308i| is inf and 1e-320 is subnormal
+    lower = [1e-320, 0j, 2 - 1j, 1.5e308 + 1.5e308j, 0j, 0.5j, 3.0, 1e-320, 1e-320j, 7.0, 0j]
+    yield list(Polynomial(tuple(lower)).moduli)
 
 
 @pytest.mark.parametrize("moduli", _tied_moduli())
@@ -389,17 +392,6 @@ def test_hull_starts_are_the_brute_force_hulls_circles_bit_for_bit(moduli):
         starts, r = zerobounds.roots._hull_start(given)
         assert starts.tobytes() == want.tobytes()
         assert np.float64(r).tobytes() == np.float64(want_r).tobytes()
-
-
-def test_hull_starts_read_a_polynomials_moduli_as_the_brute_force_does():
-    # |1.5e308+1.5e308i| is inf; 1e-320 is subnormal
-    lower = [1e-320, 0j, 2 - 1j, 1.5e308 + 1.5e308j, 0j, 0.5j, 3.0, 1e-320, 1e-320j, 7.0, 0j]
-    geometric = [_modulus_of_height(float(k - 11)) for k in range(11)]
-    for coeffs in (lower, [0j, 0j] + lower[:-2], [1.0] * 11, geometric):
-        p = Polynomial(tuple(coeffs))
-        want, want_r = _starts_on(_upper_hull(p.moduli), p.degree)
-        starts, r = zerobounds.roots._hull_start(p.moduli)
-        assert starts.tobytes() == want.tobytes() and r == want_r
 
 
 @pytest.mark.parametrize("p", _hull_inputs())
