@@ -21,8 +21,8 @@ __all__ = ["RootSet", "Verdict", "find_roots", "validate_bound", "validate_recta
 
 _VALIDATION_SLACK = 1e-9
 _MAX_ITERATIONS = 2000
-_HULL_START_DEGREE = 11  # from here find_roots first runs a pass from _hull_start's circles
-_HIGH_DEGREE = 48  # from here that pass alone, and _aberth_terms fills by doubling
+_HULL_START_DEGREE = 11  # from here find_roots runs a pass from _hull_start's circles first
+_HIGH_DEGREE = 48  # from here _aberth_terms fills its powers by doubling
 
 
 @dataclass(frozen=True)
@@ -187,33 +187,32 @@ def _order_keys(z):
 def find_roots(p: Polynomial) -> RootSet:
     """All roots of p by Ehrlich-Aberth simultaneous iteration.
 
-    Below degree _HIGH_DEGREE a pass starts on the circle of radius 0.9(1 + max|a_k|), inside the
-    Cauchy disk, at angles 2*pi*k/degree + 0.4 to break symmetry, and stops when the max step
-    is <= 1e-13 * (1 + max|a_k|). From degree _HULL_START_DEGREE on a pass from _hull_start's
-    Newton-polygon circles comes first, stopping at 1e-13 * (1 + 2r), where 2r is Fujiwara's bound
-    on |z|. The first pass to converge gives the roots; iterations counts every pass run.
-    NoConvergenceError names the last pass's cause when it overflows, stalls at the rounding level
-    (checked at iterations 2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual
-    |p(z_i)|, from one more fill of the pass's power block, exceeds both 1e-8 * prod(1 + |z_i|) and
-    its rounding level 4n*eps*sum|a_k||z_i|^k. Deterministic for fixed input. Python's sorted
-    orders the roots on _order_keys, as NaN-bearing failures need.
+    The circle pass starts on the circle of radius 0.9(1 + max|a_k|), inside the Cauchy disk, at
+    angles 2*pi*k/degree + 0.4 to break symmetry, and stops when the max step is <= 1e-13 *
+    (1 + max|a_k|). From degree _HULL_START_DEGREE on a pass from _hull_start's Newton-polygon
+    circles runs first, stopping at 1e-13 * (1 + 2r), where 2r is Fujiwara's bound on |z|, and the
+    circle pass only if it fails. The first pass to converge gives the roots; iterations counts
+    every pass run. A pass fails when it overflows, stalls at the rounding level (checked at
+    iterations 2^j >= 2*degree) or hits _MAX_ITERATIONS, or when a converged residual |p(z_i)|,
+    from one more fill of the power block, exceeds both 1e-8 * prod(1 + |z_i|) and its rounding
+    level 4n*eps*sum|a_k||z_i|^k; NoConvergenceError names each pass's cause in order.
+    Deterministic for fixed input; Python's sorted orders the roots on _order_keys, as NaNs need.
     """
     n = p.degree
     if n == 1:
         root = 0.0 - p.lower[0]  # not -x, which turns a zero part into -0
         return RootSet((complex(root),), (0.0,), _modulus(root), 0)  # p(root) = (0 - a) + a = 0
 
-    passes = []
-    if n >= _HULL_START_DEGREE:
-        hull, largest = _hull_start(p.moduli)
-        passes.append((hull, 1e-13 * (1.0 + 2 * largest)))
-    if n < _HIGH_DEGREE:
+    def passes():  # (start, tol) of each pass, built only when the pass before it has failed
+        if n >= _HULL_START_DEGREE:
+            hull, largest = _hull_start(p.moduli)
+            yield hull, 1e-13 * (1.0 + 2 * largest)
         scale = 1.0 + max(p.moduli)
-        circle = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
-        passes.append((circle, 1e-13 * scale))
+        yield 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4)), 1e-13 * scale
+
     values, terms, level = _aberth_terms(p.descending())
-    spent = 0
-    for start, tol in passes:
+    spent, causes = 0, []
+    for start, tol in passes():
         z, iterations, failure = _aberth_pass(terms, level, start, tol)
         spent += iterations
         order = sorted(range(n), key=_order_keys(z).__getitem__)
@@ -227,11 +226,12 @@ def find_roots(p: Polynomial) -> RootSet:
                 failure = f"converged in {iterations} iterations but a residual exceeds the guard"
         if failure is None:
             break
+        causes.append(failure)
     roots, residuals = tuple(roots.tolist()), tuple(residuals[order].tolist())
     if failure is not None:
-        raise NoConvergenceError(
-            f"root iteration {failure} (max residual {max(residuals):.3e}, guard {guard:.3e})",
-            best_roots=roots, residuals=residuals)
+        raise NoConvergenceError(f"root iteration {', then '.join(causes)} (max residual "
+                                 f"{max(residuals):.3e}, guard {guard:.3e})",
+                                 best_roots=roots, residuals=residuals)
     return RootSet(roots, residuals, float(moduli.max()), spent)
 
 

@@ -277,8 +277,8 @@ def _outcome(p):
 ], ids=[*(f"gaussian{d}-{s}" for d in (16, 32, 47, 48) for s in (0, 1)),
         "scaled64-overflow", "scaled64"])
 def test_both_fills_reach_the_same_roots(p, monkeypatch):
-    # _HIGH_DEGREE also switches which passes find_roots runs, so each fill runs
-    # the pass from one fixed start and stop: the circle and its tolerance
+    # find_roots may run one pass or two, so each fill runs one pass from a fixed
+    # start and stop: the circle and its tolerance
     n = p.degree
     scale = 1.0 + max(map(abs, p.lower))
     start = 0.9 * scale * np.exp(1j * (2 * np.pi * np.arange(n) / n + 0.4))
@@ -455,9 +455,12 @@ def _seeded_roots(degree, seed, fold=1, scale=1.0):
      ["stalled at the rounding level after 64 iterations", "overflowed at iteration 1"]),
     (make_monic(np.poly(_seeded_roots(31, 12, fold=2))),
      ["stalled at the rounding level after 64 iterations", None]),
-], ids=["wilkinson20", "double31"])
+    (_gaussian(256, 12), ["overflowed at iteration 2", None]),
+    (_gaussian(512, 1), ["overflowed at iteration 4", "overflowed at iteration 1"]),
+], ids=["wilkinson20", "double31", "gaussian256-12", "gaussian512-1"])
 def test_a_failed_hull_pass_falls_back_on_the_circles_pass(p, causes, monkeypatch):
-    # below _HIGH_DEGREE find_roots then answers as the circle's pass alone does
+    # at every degree find_roots then answers as the circle's pass alone does, and a
+    # failure names each pass's cause in order
     passes = []
     aberth_pass = zerobounds.roots._aberth_pass
 
@@ -469,13 +472,14 @@ def test_a_failed_hull_pass_falls_back_on_the_circles_pass(p, causes, monkeypatc
     got = _outcome(p)
     assert [failure for _, _, failure in passes] == causes
     hull_iterations = passes[0][1]
-    monkeypatch.setattr(zerobounds.roots, "_HULL_START_DEGREE", _HIGH)
+    monkeypatch.setattr(zerobounds.roots, "_HULL_START_DEGREE", p.degree + 1)
     alone = _outcome(p)
     if causes[-1] is None:
         assert (got.roots, got.residuals) == (alone.roots, alone.residuals)
         assert got.iterations == hull_iterations + alone.iterations
     else:
-        assert got == alone == "root iteration " + causes[-1]
+        assert got == "root iteration " + ", then ".join(causes)
+        assert alone == "root iteration " + causes[-1]
 
 
 @pytest.mark.parametrize("degree, seed", [
@@ -547,8 +551,11 @@ def test_degree_one_is_solved_directly():
 # parts). A faster kernel for the same iteration must leave every entry as it
 # is. Degree 10 runs one pass, from the circle inside the Cauchy disk to
 # 1e-13 * (1 + max|a_k|); every degree from 11 on converges in its first pass,
-# from the Newton-polygon circles to Fujiwara's 1e-13 * (1 + 2r). Degrees
-# 11-47 take the accumulate fill; degrees 48, 64, 97 and 128 the doubling fill.
+# from the Newton-polygon circles to Fujiwara's 1e-13 * (1 + 2r), but at degree
+# 256, where seeds 12, 26 and 33 are that pass's only failures among seeds 0-59:
+# it overflows at iteration 2, and the count adds the circle pass that converges
+# after it. Degrees 11-47 take the accumulate fill; degrees 48, 64, 97, 128 and
+# 256 the doubling fill.
 # (64, 9), (128, 12) and (128, 13) each have one root whose residual exceeds
 # the absolute guard 1e-8 * prod(1 + |z_i|) but not its rounding level, which
 # the guard also requires before it refuses. (97, 0) and (97, 1) take the
@@ -561,7 +568,7 @@ _GAUSSIAN_ITERATIONS = {
     (64, 0): 12, (64, 1): 11, (64, 2): 8, (64, 3): 11, (64, 4): 12,
     (128, 0): 13, (128, 1): 13, (128, 2): 11, (128, 3): 10, (128, 4): 12,
     (64, 9): 10, (64, 31): 11, (128, 12): 13, (128, 13): 11,
-    (97, 0): 11, (97, 1): 11,
+    (97, 0): 11, (97, 1): 11, (256, 12): 174, (256, 26): 179, (256, 33): 179,
 }
 
 
