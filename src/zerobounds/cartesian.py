@@ -451,23 +451,9 @@ def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
 
 def hermitian_rectangle(p: Polynomial) -> Rectangle:
     """[lam_min(Re C), lam_max(Re C)] x [lam_min(Im C), lam_max(Im C)] for the
-    unpartitioned companion matrix C.
-
-    With H(theta) the Hermitian part of e^{i theta} C, Re C = H(0) and Im C =
-    H(-pi/2), each formed by linalg._companion_border and scaled by its own
-    largest entry, so a huge Re C cannot wash out Im C. One call of
-    linalg._companion_ends gives both parts' ends: from one eigvalsh below
-    degree linalg._SECULAR_ENDS, else (or past a part scale of 2^510) from
-    lambda_max of each part and its negation in one secular equation.
+    unpartitioned companion matrix C, from linalg._companion_ends on its first
+    row: each part scaled by its own largest entry, and its ends from one eigvalsh
+    below degree linalg._SECULAR_ENDS, else from one secular equation.
     """
-    row = build_companion(p)[0]
-    # the rest of the first row, halved, and the subdiagonal's 1/2 (degree >= 3)
-    rest = np.abs(row[2:]).max(initial=float(p.degree > 2)) / 2
-    scales = np.array([[max(abs(row[0].real), abs(row[1] + 1) / 2, rest) or 1.0],
-                       [max(abs(row[0].imag), abs(row[1] - 1) / 2, rest) or 1.0]])
-    # a modulus past the float range reads inf: the row's largest part bounds every entry
-    scales[scales == np.inf] = max(np.abs(row.real).max(), np.abs(row.imag).max())
-    # e^{i theta (j+1)} at theta = 0 and -pi/2: 1 and the powers of -i, exactly
-    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 1], np.arange(1, row.size + 1)) % 4]
-    (re_lo, re_hi), (im_lo, im_hi) = (scales * _companion_ends(row, turns, scales)).tolist()
+    (re_lo, re_hi), (im_lo, im_hi) = _companion_ends(build_companion(p)[0]).tolist()
     return Rectangle(re_lo + 0.0, re_hi, im_lo + 0.0, im_hi)  # -0.0 + 0.0 is +0.0

@@ -15,7 +15,7 @@ equation for a companion matrix, and places its angles on ladders graded by
 the curvature of lambda_max about each peak. ``_companion_border`` is the one
 place where a companion matrix's first row becomes that Hermitian part's
 bordered form; ``_companion_peaks`` solves it as a secular equation for the
-sweep, and ``_companion_ends`` gives the ends of the rectangle's two parts.
+sweep, and ``_companion_ends`` scales the rectangle's two parts and gives their ends.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]
     and the resolvent 1/(lambda_max - mu_j) at the last Newton step.
 
     mu is descending, one row for every angle or one row per angle, and the
-    matrix is scaled to entries of modulus <= 1.
+    matrix is scaled to entries of modulus <= sqrt(2).
     Poles with weight <= eps^2 are dropped: that perturbs the matrix by at
     most sqrt(n) eps, the size of a dense eigensolver's backward error, and
     keeps a root next to the top pole far above underflow. With
@@ -200,12 +200,23 @@ def _toeplitz_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
             np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)])
 
 
-def _companion_ends(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """(lambda_min, lambda_max) of each H(theta) / scale of _companion_border: the ends
-    of one eigvalsh below degree _SECULAR_ENDS and up to _DENSE_ENDS_SCALE, else lambda_max
-    of H and -H from one secular equation. In T's basis -H is diag(-mu) bordered by -v:
-    its poles, reversed, are mu, and its weights are H's |v_j|^2 reversed."""
-    n = first_row.size
+def _companion_ends(first_row: np.ndarray) -> np.ndarray:
+    """[[lambda_min, lambda_max]] of Re C = H(0) and of Im C = H(-pi/2) (_companion_border),
+    C the companion matrix of first row c. Each part is solved over its largest entry, so
+    a huge Re C cannot wash out Im C, read from halved entries, finite wherever the part's
+    are: |Re c_0| or |Im c_0|, |(c_1 +- 1)/2|, |c_j|/2, and T's 1/2 from degree 3. The ends
+    come from one eigvalsh below degree _SECULAR_ENDS and up to a part scale of
+    _DENSE_ENDS_SCALE, else from lambda_max of H and -H in one secular equation: in T's
+    basis -H is diag(-mu) bordered by -v, its poles reversed are mu, and its weights are
+    H's |v_j|^2 reversed."""
+    n, c_0, c_1 = first_row.size, first_row[0], first_row[1]
+    rest = np.abs(first_row[2:] / 2).max(initial=float(n > 2) / 2)
+    # np.hypot gives a scalar abs's bits; np.abs's vector loop can round an ulp away
+    re_near, im_near = np.hypot((c_1.real + np.array([1.0, -1.0])) / 2, c_1.imag / 2).tolist()
+    scale = np.array([[max(abs(c_0.real), re_near, rest) or 1.0],
+                      [max(abs(c_0.imag), im_near, rest) or 1.0]])
+    # e^{i theta (j+1)} at theta = 0 and -pi/2: 1 and the powers of -i, exactly
+    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 1], np.arange(1, n + 1)) % 4]
     _, h, g = _companion_border(first_row, turns, scale)
     if n < _SECULAR_ENDS and scale.max() <= _DENSE_ENDS_SCALE:
         parts = np.zeros((h.size, n, n), dtype=complex)
@@ -214,12 +225,12 @@ def _companion_ends(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarray)
         values = np.linalg.eigvalsh(parts)
         if not np.isfinite(values).all():
             raise InternalConsistencyError("dense eigensolve gave a non-finite eigenvalue")
-        return values[:, [0, -1]]
+        return scale * values[:, [0, -1]]
     mu, sines = _toeplitz_basis(n)
     w = (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
     peaks, _ = _largest_secular_root(np.concatenate((h, -h)), np.concatenate((w, w[:, ::-1])),
                                      mu / np.concatenate((scale, scale)))
-    return np.stack((-peaks[h.size:], peaks[:h.size]), axis=1)
+    return scale * np.stack((-peaks[h.size:], peaks[:h.size]), axis=1)
 
 
 def _companion_peaks(first_row: np.ndarray, scale: float):
@@ -238,11 +249,11 @@ def _companion_peaks(first_row: np.ndarray, scale: float):
     whose largest root _largest_secular_root finds. The returned function
     takes a batch of angles, and optionally bounds above lambda_max to start
     Newton from, and solves it in chunks of at most 8192 / n angles. scale is
-    at least the largest entry of H(theta), as max |C_ij| is; _companion_border
-    divides by it. The support point is e^{i theta} p, p = u*Cu / (scale u*u)
-    for the top eigenvector u = D (1, S y), y_j = v_j / (lambda_max - mu_j):
-    Re(e^{i theta} p) = lambda_max, and by Hellmann-Feynman the slope of
-    lambda_max in theta is -Im(e^{i theta} p).
+    max |C_ij|, or C's largest part where that overflows, so H(theta)'s entries
+    reach sqrt(2) at most; _companion_border divides by it. The support point is
+    e^{i theta} p, p = u*Cu / (scale u*u) for the top eigenvector u = D (1, S y),
+    y_j = v_j / (lambda_max - mu_j): Re(e^{i theta} p) = lambda_max, and by
+    Hellmann-Feynman the slope of lambda_max in theta is -Im(e^{i theta} p).
     """
     n = first_row.size
     scale = np.array([scale])
@@ -341,17 +352,18 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
 
     A companion matrix (any first row, ones on the subdiagonal, exact zeros
     elsewhere, n >= 2) gets f from a rank-one secular equation over the known
-    Toeplitz spectrum, O(n^2) per angle; any other X, and any X with a modulus
-    past the float range (over its largest part), one ``eigh`` per angle.
+    Toeplitz spectrum, O(n^2) per angle; any other X, one ``eigh`` per angle.
+    Past the float range X is scaled by its largest part, or, with a diagonal
+    modulus there, is (inf, inf): w(X) >= |X_kk|.
     """
     m = as_matrix(x)
     scale = float(np.max(np.abs(m))) or 1.0
-    if _is_companion(m) and scale < math.inf:
-        peaks = _companion_peaks(m[0], scale)
-    else:
-        if scale == math.inf:  # a modulus past the float range: scale by the largest part
-            scale = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
-        peaks = lambda thetas, start: _dense_peaks(m / scale, thetas)
+    if scale == math.inf:
+        if np.abs(m.diagonal()).max() == math.inf:
+            return math.inf, math.inf
+        scale = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
+    peaks = (_companion_peaks(m[0], scale) if _is_companion(m)
+             else lambda thetas, start: _dense_peaks(m / scale, thetas))
     thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
     values, points = peaks(thetas, None)
     while True:

@@ -353,6 +353,7 @@ def _assert_each_extent_to_a_few_eps_of_itself(p):
     *(f"1, {a_n}, 0, 0" for a_n in ("1e150", "1e154", "1e200", "1.7e308")),
     *(f"1, {a_n}i, 0, 0" for a_n in ("1e150", "1e154", "1e200", "1.7e308")),
     "1, 1.5e308+1.5e308i, 1, 0, 2",  # both parts huge, each with extents near 0.7
+    "1, 1, 1.5e308+1.5e308i, 0",  # |c_1 +- 1| overflows, each part's scale from its half
 ])
 def test_hermitian_rectangle_keeps_a_huge_parts_small_extents(poly):
     # the small extents are about 1/2 and 1/sqrt(2) where the part's scale is

@@ -225,12 +225,27 @@ def test_a_non_finite_secular_root_is_an_internal_error():
                                                 np.array([np.nan, 0.0]))
 
 
-def test_sweep_of_a_huge_coefficient_is_that_coefficient():
-    c = build_companion(make_monic([1, 1e150, 1, 2]))
-    assert abs(numerical_radius_sweep(c)[0] / 1e150 - 1.0) <= 1e-12
+@pytest.mark.parametrize("coefficients, want, solved", [
+    ([1, 1e150, 1, 2], 1e150, True),
+    # a corner modulus past the float range: w(C) >= |c_0| reads inf with no peak solved
+    ([1, 1.5e308 + 1.5e308j, *np.random.default_rng(0).standard_normal(127)], math.inf, False),
+])
+def test_sweep_of_a_huge_coefficient_is_that_coefficient(monkeypatch, coefficients, want, solved):
+    calls = []
+    for name in ("_companion_peaks", "_dense_peaks"):
+        peaks = getattr(zerobounds.linalg, name)
+        monkeypatch.setattr(zerobounds.linalg, name,
+                            lambda *args, peaks=peaks: calls.append(args) or peaks(*args))
+    lower, upper = numerical_radius_sweep(build_companion(make_monic(coefficients)))
+    assert lower == pytest.approx(want, rel=1e-12) and upper >= lower
+    assert bool(calls) == solved
 
 
-def test_sweep_routes_by_structure(monkeypatch):
+@pytest.mark.parametrize("lower", [
+    [complex(k, 1) for k in range(1, 7)],
+    make_monic([1, 1, 1.5e308 + 1.5e308j, 0]).lower,  # a modulus past the float range
+])
+def test_sweep_routes_by_structure(monkeypatch, lower):
     dense_calls = []
 
     def spy(m, thetas):
@@ -238,13 +253,16 @@ def test_sweep_routes_by_structure(monkeypatch):
         return _dense_peaks(m, thetas)
 
     monkeypatch.setattr(zerobounds.linalg, "_dense_peaks", spy)
-    c = _companion([complex(k, 1) for k in range(1, 7)])
-    swept, _ = numerical_radius_sweep(c)
+    c = _companion(lower)
+    swept = numerical_radius_sweep(c)
     assert dense_calls == []
     perturbed = c.copy()
-    perturbed[3, 2] = 1.0 + 1e-9
-    assert abs(numerical_radius_sweep(perturbed)[0] - swept) <= 1e-6 * swept
+    perturbed[-1, -2] = 1.0 + 1e-9
+    assert abs(numerical_radius_sweep(perturbed)[0] - swept[0]) <= 1e-6 * swept[0]
     assert sum(dense_calls) > 64
+    monkeypatch.setattr(zerobounds.linalg, "_is_companion", lambda m: False)
+    dense = numerical_radius_sweep(c)
+    assert all(abs(d - s) <= 1e-14 * s for d, s in zip(dense, swept)), (dense, swept)
 
 
 def test_companion_route_raises_when_the_solve_fails(monkeypatch):
