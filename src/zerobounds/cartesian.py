@@ -95,12 +95,7 @@ class BlockCompanion:
 def build_block_companion(q: Polynomial) -> BlockCompanion:
     """Partition C(q) for even degree 2n >= 4 into four n x n blocks. Its arrays are
     read-only, and its memo is q's one memo, so every partition of q shares q's w1."""
-    degree = q.degree
-    if degree % 2 != 0:
-        raise OddDegreeError(f"block partition needs even degree, got {degree}")
-    if degree < 4:
-        raise DegreeTooSmallError("block partition needs degree >= 4")
-    n = degree // 2
+    n = _even_half(q)
     full = build_companion(q)
     full.flags.writeable = False
     blocks = BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])

@@ -17,7 +17,7 @@ which can at degree 1-3; see the validity tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeTooSmallError
 from .polynomial import Polynomial
@@ -42,8 +42,7 @@ LINDEN_VARIANTS = ("printed", "table")
 KITTANEH_VARIANTS = ("printed", "plus_one")
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A computed zero bound with its provenance knobs.
 
     applicability: "valid" for unconditional bounds, "conditional" when the

@@ -15,7 +15,7 @@ Every expectation row carries a status:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownFixtureError
 from .polynomial import Polynomial, parse_polynomial
@@ -27,8 +27,7 @@ VARIANT = "variant-matched"
 DIVERGENT = "reference-divergent"
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """One reference value: a bound method's output (or the max root modulus)
     for a fixture polynomial. component selects a rectangle half-extent."""
 
@@ -39,8 +38,7 @@ class Expectation:
     component: str | None = None  # "re_half" / "im_half" for rectangles
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     coefficients: str  # degree-descending, parse_polynomial grammar
     expected: tuple[Expectation, ...]

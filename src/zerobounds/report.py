@@ -16,12 +16,10 @@ where w1 is kept, so both Cartesian disk rows take w1 from one eigensolve.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +53,7 @@ __all__ = [
     "format_fixture_text", "format_fixture_json", "format_roots_json",
 ]
 
-@dataclass(frozen=True)
-class CompareOptions:
+class CompareOptions(NamedTuple):
     methods: tuple[str, ...] | None = None  # None means every method in METHODS
     linden_variant: str = "printed"
     kittaneh_variant: str = "printed"
@@ -64,8 +61,7 @@ class CompareOptions:
     oracle: bool = True
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """One row of the method table.
 
     min_degree applies to the input as given; even methods refuse odd input
@@ -124,8 +120,7 @@ METHODS: dict[str, Method] = {
 ALL_METHODS: tuple[str, ...] = tuple(METHODS)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     method: str
     variant: str | None
     value: float | None
@@ -137,8 +132,7 @@ class ReportRow:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     degree: int
     coefficients: tuple[complex, ...]  # monic, degree-descending
     rows: tuple[ReportRow, ...]
@@ -233,8 +227,7 @@ def run_compare(source: str | Polynomial, options: CompareOptions | None = None)
     )
 
 
-@dataclass(frozen=True)
-class FixtureCheck:
+class FixtureCheck(NamedTuple):
     method: str
     variant: str | None
     component: str | None
@@ -245,8 +238,7 @@ class FixtureCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     name: str
     passed: bool
     checks: tuple[FixtureCheck, ...]
@@ -400,6 +392,8 @@ _CSV_COLUMNS = ("method", "variant", "value", "applicability",
 
 
 def format_compare_csv(report: CompareReport) -> str:
+    import csv, io  # only CSV output needs them, so importing the package skips them
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)

@@ -9,7 +9,7 @@ rounding level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -25,8 +25,7 @@ _HULL_START_DEGREE = 11  # from here find_roots runs a pass from _hull_start's c
 _HIGH_DEGREE = 48  # from here _aberth_terms fills its powers by doubling
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """All roots of a monic polynomial, sorted (modulus desc, argument asc)."""
 
     roots: tuple[complex, ...]
@@ -35,8 +34,7 @@ class RootSet:
     iterations: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking a bound or rectangle against the roots.
 
     margin is the distance to the boundary: how much slack remains when the
@@ -236,10 +234,10 @@ def find_roots(p: Polynomial) -> RootSet:
 
 
 def validate_bound(value: float, roots: RootSet) -> Verdict:
-    """Check roots.max_modulus <= value (+1e-9 slack). A value equal to the max
+    """Check roots.max_modulus <= value (+1e-9 slack). A value at or below the max
     modulus holds with margin 0, also when both are inf (where inf - inf is NaN)."""
     if roots.max_modulus <= value + _VALIDATION_SLACK:
-        return Verdict("holds", 0.0 if value == roots.max_modulus else value - roots.max_modulus)
+        return Verdict("holds", 0.0 if value <= roots.max_modulus else value - roots.max_modulus)
     return Verdict("violated", roots.max_modulus - value)
 
 

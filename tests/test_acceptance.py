@@ -7,7 +7,7 @@ changes:
 
 * criterion 4: the published max root modulus for the h2 polynomial
   (0.6408240287, kept in the fixture table as ``reference-divergent``) is
-  wrong. The root oracle (Durand-Kerner simultaneous iteration) gives
+  wrong. The root oracle (Ehrlich-Aberth simultaneous iteration) gives
   0.6319764145, and the test checks that value, the oracle's agreement with
   the companion-matrix eigenvalues it computes itself, and that the fixture
   still carries the published value. The h2 MW verdict is the same either
@@ -180,7 +180,7 @@ def test_criterion_4_mw_counterexample_suite():
         eig_max = float(np.max(np.abs(np.linalg.eigvals(build_companion(p)))))
         if _rel(eig_max, roots.max_modulus) > 1e-9:
             problems.append(
-                f"{name}: Durand-Kerner max modulus {roots.max_modulus!r} and "
+                f"{name}: Ehrlich-Aberth max modulus {roots.max_modulus!r} and "
                 f"companion eigenvalues {eig_max!r} disagree"
             )
         verdict = validate_bound(result.value, roots)

@@ -142,8 +142,9 @@ def _modules_loaded_by_import() -> set[str]:
 
 
 def test_import_loads_no_test_only_or_slow_module():
-    # scipy, mpmath and hypothesis serve the tests only; fractions and decimal cost import time
-    banned = {"scipy", "mpmath", "hypothesis", "fractions", "decimal"}
+    # scipy, mpmath and hypothesis serve the tests only; fractions, decimal and csv cost
+    # import time, and csv loads with CSV output only
+    banned = {"scipy", "mpmath", "hypothesis", "fractions", "decimal", "csv"}
     assert not banned & _modules_loaded_by_import()
 
 

@@ -1,7 +1,6 @@
 """Fixture evaluation, report formats, CLI behavior and exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -184,7 +183,7 @@ def test_fixture_mw_guard_is_read_from_the_row_applicability(monkeypatch):
     fixture = Fixture("guard", get_fixture("table4").coefficients, (), mw_guard="heuristic")
     for force, status in ((False, "heuristic"), (True, "refused")):
         def without_notes(p, strict=False, force=force):
-            return dataclasses.replace(mw_bound(p, strict=force), notes=())
+            return mw_bound(p, strict=force)._replace(notes=())
 
         monkeypatch.setattr(zerobounds.report, "mw_bound", without_notes)
         check = run_fixture(fixture).checks[0]

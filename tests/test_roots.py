@@ -611,8 +611,10 @@ def test_validate_bound_verdicts_and_margins():
     violated = validate_bound(1.5, rs)
     assert not violated.holds and violated.verdict == "violated"
     assert abs(violated.margin - 0.5) < 1e-9
-    # margin is never negative
+    # margin is never negative, also for a value just below the max modulus, inside the slack
     assert validate_bound(2.0, rs).margin >= 0.0
+    below = validate_bound(np.nextafter(2.0, 0), rs)
+    assert below.holds and below.margin == 0.0
 
 
 def test_validate_rectangle_verdicts():

@@ -76,9 +76,14 @@ def test_each_report_row_is_built_once(monkeypatch):
     built = []
 
     class CountedRow(zerobounds.report.ReportRow):
-        def __init__(self, *args, **kwargs):
+        def __new__(cls, *args, **kwargs):
             built.append(args[0] if args else kwargs["method"])
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
+
+        @classmethod
+        def _make(cls, iterable):  # _replace builds through it
+            built.append("_make")
+            return super()._make(iterable)
 
     monkeypatch.setattr(zerobounds.report, "ReportRow", CountedRow)
     report = run_compare(FIXTURES["table1"].coefficients)
