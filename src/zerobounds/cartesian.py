@@ -410,32 +410,22 @@ def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
     mods = g.moduli
     value = coupled(math.hypot(*mods[1:]), 0.0, mods[0] + 1.0)
 
-    some_ge1 = any(m >= 1.0 for m in mods[1:])
-    all_real = all(x.imag == 0 for x in g.lower)
-    all_lt1 = all(m < 1.0 for m in mods)
-    increasing = all(mods[k + 1] > mods[k] for k in range(n - 1))
+    big = next((k for k in range(2, n + 1) if mods[k - 1] >= 1.0), None)
     tail_sum = sum(mods[1:])
-
-    reasons: list[str] = []
-    if some_ge1:
+    # guarantee (ii), one (holds, reason it fails) pair per condition
+    failed = [reason for holds, reason in (
+        (all(x.imag == 0 for x in g.lower), "coefficients not all real"),
+        (all(m < 1.0 for m in mods), "some modulus not below 1"),
+        (all(a < b for a, b in zip(mods, mods[1:])), "moduli not strictly increasing"),
+        (tail_sum >= 2 / 3, f"tail sum {tail_sum:.10g} < 2/3"),
+    ) if not holds]
+    if big is not None:
+        status, reasons = "guaranteed", [f"|c_{big}| >= 1"]
+    elif not failed:
         status = "guaranteed"
-        big = next(k for k in range(2, n + 1) if mods[k - 1] >= 1.0)
-        reasons.append(f"|c_{big}| >= 1")
-    elif all_real and all_lt1 and increasing and tail_sum >= 2 / 3:
-        status = "guaranteed"
-        reasons.append(
-            f"real, strictly increasing moduli below 1, tail sum {tail_sum:.10g} >= 2/3"
-        )
+        reasons = [f"real, strictly increasing moduli below 1, tail sum {tail_sum:.10g} >= 2/3"]
     else:
-        status = "heuristic"
-        if not all_real:
-            reasons.append("coefficients not all real")
-        if not all_lt1:
-            reasons.append("some modulus not below 1")
-        if not increasing:
-            reasons.append("moduli not strictly increasing")
-        if tail_sum < 2 / 3:
-            reasons.append(f"tail sum {tail_sum:.10g} < 2/3")
+        status, reasons = "heuristic", failed
     if strict and status == "heuristic":
         status = "refused"
         reasons.append("strict mode refuses heuristic use")

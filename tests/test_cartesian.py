@@ -450,6 +450,21 @@ _MW_PINS = {
 }
 
 
+_MW_FIRST_THREE_REASONS = ["coefficients not all real", "some modulus not below 1",
+                           "moduli not strictly increasing"]
+
+
+@pytest.mark.parametrize("lower, pinned, tail", [
+    ((1.5, 0.2j, 0.1), 1.366793438676103, "tail sum 0.3 < 2/3"),
+    ((1.5e308 + 1.5e308j, 0.1), math.inf, "tail sum 0.1 < 2/3"),  # |c_1| is inf
+])
+def test_mw_guard_lists_every_failed_condition_in_order(lower, pinned, tail):
+    result = mw_bound(Polynomial(lower))
+    assert result.value == pinned
+    assert result.applicability == "conditional"
+    assert list(result.notes) == _MW_FIRST_THREE_REASONS + [tail, "guard=heuristic"]
+
+
 @pytest.mark.parametrize("name", sorted(_MW_PINS))
 def test_mw_values_and_guard_reasons(name):
     pinned, reasons = _MW_PINS[name]

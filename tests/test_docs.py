@@ -132,10 +132,11 @@ def test_the_package_exports_each_module_export_exactly_once():
 
 
 def _modules_loaded_by_import() -> set[str]:
-    """sys.modules after `import zerobounds` in a fresh interpreter."""
+    """sys.modules after `import zerobounds` and one CSV render in a fresh interpreter."""
     src = str(Path(zerobounds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, zerobounds; print(*sys.modules)"
+    code = ("import sys, zerobounds; zerobounds.format_compare_csv(zerobounds.run_compare("
+            "'1, 2, 3, 4')); print(*sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, check=True, timeout=60)
     return set(result.stdout.split())
@@ -143,7 +144,7 @@ def _modules_loaded_by_import() -> set[str]:
 
 def test_import_loads_no_test_only_or_slow_module():
     # scipy, mpmath and hypothesis serve the tests only; fractions, decimal and csv cost
-    # import time, and csv loads with CSV output only
+    # import time, and CSV output joins its cells without csv
     banned = {"scipy", "mpmath", "hypothesis", "fractions", "decimal", "csv"}
     assert not banned & _modules_loaded_by_import()
 

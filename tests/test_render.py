@@ -1,7 +1,10 @@
 """The JSON renderers write fixed templates; each must print exactly what
 json.dumps(payload, indent=2) + "\\n" prints for the payload below, which is
-how the reports were rendered before the templates."""
+how the reports were rendered before the templates. CSV output must print what
+csv.writer printed for the same cells."""
 
+import csv
+import io
 import json
 import math
 
@@ -21,6 +24,7 @@ from zerobounds import (
 from zerobounds.report import (
     _coefficient_text,
     _f12,
+    format_compare_csv,
     format_compare_json,
     format_fixture_json,
     format_roots_json,
@@ -152,6 +156,32 @@ def test_refused_rectangle_and_oracle_free_rows_render_as_json_dumps(monkeypatch
     assert any(row.rank is None for row in rows) and any(row.rank is not None for row in rows)
     for report in (failed, without, odd, run_compare("1, 2, 3", CompareOptions(methods=()))):
         _assert_compare_renders_as_dumps(report)
+
+
+def _csv_writer_rendering(report):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method", "variant", "value", "applicability", "oracle_max_modulus",
+                     "verdict", "margin"])
+    maxmod = _f12(report.oracle.max_modulus if report.oracle is not None else None)
+    writer.writerows([row.method, row.variant, _f12(row.value), row.applicability, maxmod,
+                      row.verdict, _f12(row.margin)] for row in report.rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("coefficients, options", [
+    *((FIXTURES[name].coefficients, CompareOptions()) for name in sorted(FIXTURES)),
+    ("1, -4, 6, -4, 1", CompareOptions(oracle=False)),  # empty oracle, verdict, margin
+    ("1, 2, 3, 1, 2, 0", CompareOptions()),  # odd degree, run on the even quotient
+    (FIXTURES["h1"].coefficients, CompareOptions(strict_mw=True)),  # MW refused
+])
+def test_compare_csv_prints_what_csv_writer_prints(coefficients, options):
+    report = run_compare(coefficients, options)
+    assert report.oracle is not None or not options.oracle
+    assert report.reduced == (coefficients == "1, 2, 3, 1, 2, 0")
+    if options.strict_mw:
+        assert any(row.method == "mw" and row.applicability == "refused" for row in report.rows)
+    assert format_compare_csv(report) == _csv_writer_rendering(report)
 
 
 def test_escaped_strings_render_as_json_dumps():
