@@ -40,7 +40,7 @@ from .cartesian import (
 )
 from .classical import BoundResult
 from .errors import HypothesisViolatedError, NoConvergenceError, NonFiniteMatrixError
-from .fixtures import DIVERGENT, EXACT, FIXTURES, Fixture, get_fixture
+from .fixtures import DIVERGENT, EXACT, FIXTURES, Expectation, Fixture, get_fixture
 from .linalg import numerical_radius_sweep
 from .polynomial import Polynomial, _modulus, odd_reduce, parse_polynomial
 from .roots import RootSet, find_roots, validate_bound, validate_rectangle
@@ -249,26 +249,27 @@ class FixtureReport(NamedTuple):
 FIXTURE_TOLERANCE = 1e-7
 
 
-def _relative_error(computed: float, reference: float) -> float:
-    return abs(computed - reference) / max(abs(reference), 1e-30)
+def _close(computed: float, reference: float) -> bool:
+    return abs(computed - reference) / max(abs(reference), 1e-30) <= FIXTURE_TOLERANCE
 
 
 def run_fixture(name: str | Fixture) -> FixtureReport:
     """Evaluate one bundled fixture; each method row is computed as compare computes it.
 
-    exact / variant-matched rows are asserted against the reference value at
-    relative tolerance FIXTURE_TOLERANCE. reference-divergent rows can never be
-    asserted for equality; instead the reference and computed values are
-    reported side by side and both are checked for validity against the
-    oracle (disk values must dominate the max root modulus, rectangles must
-    contain every root). A refused row, an unknown method, and a variant or
-    component (rectangles take re_half or im_half) the method lacks each fail.
+    The first rule that applies checks an expectation. An unknown method, or
+    a variant or component the method lacks, fails: rectangles take re_half or
+    im_half, and max_modulus (the oracle's largest root modulus) takes neither.
+    A reference-divergent max_modulus passes. A refused row fails. Otherwise
+    an exact or variant-matched value is asserted at relative tolerance
+    FIXTURE_TOLERANCE. A reference-divergent row is never asserted for equality:
+    it passes when the computed disk or rectangle holds against the oracle, and
+    a disk's reference must dominate the max root modulus too. The MW guard and
+    the MW verdict are each checked, from one mw row, when the fixture sets them.
     """
     fixture = get_fixture(name) if isinstance(name, str) else name
     p = fixture.polynomial()
     quotient, _ = odd_reduce(p)
     oracle = find_roots(p)
-    checks: list[FixtureCheck] = []
     rows: dict[tuple[str, str | None], ReportRow] = {}  # each (method, variant) runs once
 
     def row(method: str, variant: str | None) -> ReportRow:
@@ -278,62 +279,48 @@ def run_fixture(name: str | Fixture) -> FixtureReport:
             rows[method, variant] = ReportRow(*fields[:7], None, fields[7])
         return rows[method, variant]
 
+    def check(exp: Expectation) -> tuple[float, bool, str]:
+        method = METHODS.get(exp.method)
+        if method is None and exp.method != "max_modulus":
+            return math.nan, False, f"unknown method {exp.method!r}"
+        variants, kind = (method.variants, method.kind) if method else ((), "disk")
+        if exp.variant not in (None, *variants):
+            return math.nan, False, (f"method {exp.method!r} has no variant {exp.variant!r}"
+                                     if variants else f"method {exp.method!r} has no variants")
+        if exp.component not in ((None,) if kind == "disk" else ("re_half", "im_half")):
+            return math.nan, False, f"method {exp.method!r} has no component {exp.component!r}"
+        if method is None:  # max_modulus
+            computed, divergent = oracle.max_modulus, exp.status == DIVERGENT
+            detail = "reference max modulus does not match the root oracle" if divergent else ""
+            return computed, divergent or _close(computed, exp.value), detail
+        result = row(exp.method, exp.variant)
+        rect = result.rectangle
+        computed = (result.value if rect is None
+                    else rect.re_hi if exp.component == "re_half" else rect.im_hi)
+        if result.applicability == "refused":
+            return (math.nan if computed is None else computed), False, "; ".join(result.notes)
+        if exp.status != DIVERGENT:
+            return computed, _close(computed, exp.value), ""
+        if rect is not None:
+            return (computed, result.verdict == "holds",
+                    "divergent reference; computed rectangle checked for root containment")
+        return (computed, result.verdict == "holds" and validate_bound(exp.value, oracle).holds,
+                "divergent reference; both values checked against the oracle")
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for exp in fixture.expected:
-            method, computed, passed, detail = METHODS.get(exp.method), math.nan, False, ""
-            if exp.method == "max_modulus":
-                computed = oracle.max_modulus
-                passed = (exp.status == DIVERGENT
-                          or _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE)
-                if exp.status == DIVERGENT:
-                    detail = "reference max modulus does not match the root oracle"
-            elif method is None:
-                detail = f"unknown method {exp.method!r}"
-            elif exp.variant not in (None, *method.variants):
-                detail = (f"method {exp.method!r} has no variant {exp.variant!r}"
-                          if method.variants else f"method {exp.method!r} has no variants")
-            elif exp.component not in ((None,) if method.kind == "disk"
-                                       else ("re_half", "im_half")):
-                detail = f"method {exp.method!r} has no component {exp.component!r}"
-            else:
-                result = row(exp.method, exp.variant)
-                rect = result.rectangle
-                if rect is not None:
-                    computed = rect.re_hi if exp.component == "re_half" else rect.im_hi
-                elif result.value is not None:
-                    computed = result.value
-                if result.applicability == "refused":
-                    detail = "; ".join(result.notes)
-                elif exp.status != DIVERGENT:
-                    passed = _relative_error(computed, exp.value) <= FIXTURE_TOLERANCE
-                elif rect is not None:
-                    passed = result.verdict == "holds"
-                    detail = "divergent reference; computed rectangle checked for root containment"
-                else:
-                    passed = result.verdict == "holds" and validate_bound(exp.value, oracle).holds
-                    detail = "divergent reference; both values checked against the oracle"
-            checks.append(FixtureCheck(exp.method, exp.variant, exp.component, exp.status,
-                                       exp.value, computed, passed, detail))
-        mw_row = row("mw", None) if fixture.mw_guard is not None else None
-
-    if mw_row is not None:
-        # a row the method table refuses reads "refused" too
-        status = next(s for s, a in MW_APPLICABILITY.items() if a == mw_row.applicability)
-        checks.append(FixtureCheck("mw", None, "guard", "exact", math.nan, math.nan,
-                                   status == fixture.mw_guard,
-                                   f"guard status {status!r}, expected {fixture.mw_guard!r}"))
-        if fixture.mw_verdict is not None:
-            checks.append(FixtureCheck(
-                "mw", None, "verdict", "exact", math.nan, math.nan,
-                mw_row.verdict == fixture.mw_verdict,
-                f"oracle verdict {mw_row.verdict!r}, expected {fixture.mw_verdict!r}"))
-
-    return FixtureReport(
-        name=fixture.name,
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-        oracle_max_modulus=oracle.max_modulus,
-    )
+        checks = [FixtureCheck(exp.method, exp.variant, exp.component, exp.status, exp.value,
+                               *check(exp)) for exp in fixture.expected]
+        mw = row("mw", None) if (fixture.mw_guard, fixture.mw_verdict) != (None, None) else None
+    if mw is not None:  # a row the method table refuses reads "refused" too
+        guard = next(s for s, a in MW_APPLICABILITY.items() if a == mw.applicability)
+        checks += [FixtureCheck("mw", None, part, "exact", math.nan, math.nan, got == want,
+                                f"{what} {got!r}, expected {want!r}")
+                   for part, what, got, want in (
+                       ("guard", "guard status", guard, fixture.mw_guard),
+                       ("verdict", "oracle verdict", mw.verdict, fixture.mw_verdict))
+                   if want is not None]
+    return FixtureReport(fixture.name, all(c.passed for c in checks), tuple(checks),
+                         oracle.max_modulus)
 
 
 def run_all_fixtures() -> list[FixtureReport]:

@@ -41,12 +41,10 @@ class TriToeplitz:
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            m[i, i] = self.a
-            if i > 0:
-                m[i, i - 1] = self.b
-            if i < self.n - 1:
-                m[i, i + 1] = self.c
+        step = self.n + 1  # flat index i * step is entry (i, i)
+        m.flat[::step] = self.a
+        m.flat[self.n::step] = self.b  # subdiagonal
+        m.flat[1::step] = self.c  # superdiagonal
         return m
 
 
@@ -71,10 +69,8 @@ def toeplitz_spectral_radius(t: TriToeplitz) -> float:
     cos(k pi/(n+1)) is monotone in k, and the eigenvalues move along a line
     segment through a, so the extreme moduli sit at the endpoints.
     """
-    factor = _offdiag_factor(t)
-    first = abs(t.a + factor * np.cos(np.pi / (t.n + 1)))
-    last = abs(t.a + factor * np.cos(t.n * np.pi / (t.n + 1)))
-    return float(max(first, last))
+    eigenvalues = toeplitz_eigenvalues(t)
+    return float(max(abs(eigenvalues[0]), abs(eigenvalues[-1])))
 
 
 def is_normal(t: TriToeplitz) -> bool:

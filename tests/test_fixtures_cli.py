@@ -123,6 +123,9 @@ def test_fixture_rows_name_unknown_methods_and_variants():
         Expectation("cauchy", 5.0, "exact", component="re_half"),
         Expectation("kittaneh_rectangle", 1.0, "exact", component="re_hlaf"),
         Expectation("kittaneh_rectangle", 1.0, "exact"),
+        Expectation("max_modulus", 1.650629191, "exact"),
+        Expectation("max_modulus", 1.650629191, "exact", variant="table"),
+        Expectation("max_modulus", 1.650629191, "exact", component="re_half"),
     )))
     assert [(c.method, c.passed, c.detail) for c in report.checks] == [
         ("nope", False, "unknown method 'nope'"),
@@ -132,9 +135,13 @@ def test_fixture_rows_name_unknown_methods_and_variants():
         ("cauchy", False, "method 'cauchy' has no component 're_half'"),
         ("kittaneh_rectangle", False, "method 'kittaneh_rectangle' has no component 're_hlaf'"),
         ("kittaneh_rectangle", False, "method 'kittaneh_rectangle' has no component None"),
+        ("max_modulus", True, ""),
+        ("max_modulus", False, "method 'max_modulus' has no variants"),
+        ("max_modulus", False, "method 'max_modulus' has no component 're_half'"),
     ]
     checks = json.loads(format_fixture_json([report]))[0]["checks"]
-    assert [check["computed"] for check in checks] == [None, None, None, "5", None, None, None]
+    assert [check["computed"] for check in checks] == [
+        None, None, None, "5", None, None, None, "1.65062919144", None, None]
 
 
 def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):
@@ -157,6 +164,15 @@ def test_fixture_mw_guard_and_verdict_share_one_mw_bound(monkeypatch):
     assert [(c.component, c.passed, c.detail) for c in report.checks] == [
         ("guard", False, "guard status 'heuristic', expected 'guaranteed'"),
         ("verdict", False, "oracle verdict 'holds', expected 'violated'"),
+    ]
+    # a verdict without a guard is checked too, from one run of the bound
+    calls.clear()
+    report = run_fixture(Fixture("verdict", get_fixture("h1").coefficients, (),
+                                 mw_verdict="holds"))
+    assert len(calls) == 1
+    assert not report.passed
+    assert [(c.component, c.passed, c.detail) for c in report.checks] == [
+        ("verdict", False, "oracle verdict 'violated', expected 'holds'"),
     ]
 
 

@@ -4,7 +4,8 @@ The files under tests/golden/ hold the output of
 
     zerobounds compare --poly <fixture coefficients> --format json --methods all
 
-for each of the eight fixtures, and of ``zerobounds fixture all --format json``.
+for each of the eight fixtures, and of ``zerobounds fixture all`` in JSON
+(``fixture_all.json``) and in text (``fixture_all.txt``).
 Seven more files cover the paths the defaults do not reach: the non-default
 ``linden`` / ``kittaneh`` variants (CSV and text, on table1), an
 odd-degree input with a zero constant term, whose partition methods run on
@@ -47,9 +48,11 @@ def test_compare_json_matches_golden(capsys, name):
     assert _cli_output(capsys, argv) == expected
 
 
-def test_fixture_all_json_matches_golden(capsys):
-    expected = (GOLDEN / "fixture_all.json").read_text(encoding="utf-8")
-    assert _cli_output(capsys, ["fixture", "all", "--format", "json"]) == expected
+@pytest.mark.parametrize("fmt, golden", [("json", "fixture_all.json"), ("text", "fixture_all.txt")],
+                         ids=["json", "text"])
+def test_fixture_all_json_matches_golden(capsys, fmt, golden):
+    expected = (GOLDEN / golden).read_text(encoding="utf-8")
+    assert _cli_output(capsys, ["fixture", "all", "--format", fmt]) == expected
 
 
 _TABLE1_VARIANTS = ["compare", "--poly", FIXTURES["table1"].coefficients, "--methods", "all",
