@@ -104,15 +104,15 @@ def operator_norm(x) -> float:
 
 
 def _dense_peaks(m: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_max of the Hermitian part of e^{i theta} M and the support point
-    e^{i theta} u*Mu of its top unit eigenvector u, one eigh per angle."""
-    values, points = [], []
+    """lambda_max of the Hermitian part of e^{i theta} M and its slope in theta,
+    -Im(e^{i theta} u*Mu) for its top unit eigenvector u, one eigh per angle."""
+    values, slopes = [], []
     for theta in thetas:
         turned = np.exp(1j * theta) * m
         vals, vecs = np.linalg.eigh((turned + turned.conj().T) / 2)
         values.append(vals[-1])
-        points.append(vecs[:, -1].conj() @ turned @ vecs[:, -1])
-    return np.array(values), np.array(points)
+        slopes.append(-(vecs[:, -1].conj() @ turned @ vecs[:, -1]).imag)
+    return np.array(values), np.array(slopes)
 
 
 def _is_companion(m: np.ndarray) -> bool:
@@ -121,7 +121,7 @@ def _is_companion(m: np.ndarray) -> bool:
     return n >= 2 and np.array_equal(m[1:], np.eye(n - 1, n))
 
 
-def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]:
+def _largest_secular_root(h, w, mu) -> tuple[np.ndarray, np.ndarray]:
     """lambda_max of [[h, v*], [v, diag(mu)]] with |v|^2 = w, one row per angle,
     and the resolvent 1/(lambda_max - mu_j) at the last Newton step.
 
@@ -141,9 +141,8 @@ def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]
         F(delta) = delta (delta + base - h) - W + sum_j w_j d_j / (delta + d_j),
 
     W = sum_j w_j, which has no pole on delta > 0 and is convex. Its root lies
-    below the root of delta^2 + (base - h) delta - W (all poles moved to base),
-    and below start, a caller's bound where given, so Newton from the lower of
-    the two (where F confirms it) decreases monotonically onto it. Dropped poles
+    below the upper root of delta^2 + (base - h) delta - W (all poles moved to
+    base), so Newton from there decreases monotonically onto it. Dropped poles
     are eigenvalues in their own right, hence the final max with mu_0.
     """
     mu = np.broadcast_to(mu, w.shape)
@@ -159,13 +158,9 @@ def _largest_secular_root(h, w, mu, start=None) -> tuple[np.ndarray, np.ndarray]
     delta = np.where(c > 0, 2 * total / np.where(c > 0, c + root, 1.0), (root - c) / 2)
     # F as delta times the secular function: the expanded form subtracts W
     # and keeps an absolute error of eps W, too much when F is O(delta)
-    secular = lambda d, inv: d * (d + c - (w * inv).sum(axis=1))
-    if start is not None:
-        guess = np.where((start > base) & (start - base < delta), start - base, delta)
-        delta = np.where(secular(guess, 1.0 / (guess[:, None] + gaps)) >= 0, guess, delta)
     for _ in range(_SECULAR_MAX_STEPS):
         inv = 1.0 / (delta[:, None] + gaps)
-        f = secular(delta, inv)
+        f = delta * (delta + c - (w * inv).sum(axis=1))
         slope = 2 * delta + c - (wg * inv * inv).sum(axis=1)
         step = np.maximum(f, 0.0) / np.maximum(slope, _TINY)
         delta = delta - step
@@ -190,14 +185,18 @@ def _companion_border(first_row: np.ndarray, turns: np.ndarray, scale: np.ndarra
     return top, top.real / scale[..., 0], g  # the real part alone: the other may overflow
 
 
+def _shift_cosines(n: int) -> np.ndarray:
+    """mu_j = cos(j pi/n), j = 1..n-1, as sin((n - 2j) pi/(2n)): exactly -mu reversed, 0 at pi/2."""
+    return np.sin((n - 2 * np.arange(1, n)) * (np.pi / (2 * n)))
+
+
 def _toeplitz_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, S) of T (_companion_peaks): its eigenvalues mu_j = cos(j pi/n), j = 1..n-1,
-    descending, and orthonormal eigenvectors S_ij = sqrt(2/n) sin(i j pi/n)."""
+    """(mu, S) of T (_companion_peaks): its eigenvalues mu = _shift_cosines(n) and
+    orthonormal eigenvectors S_ij = sqrt(2/n) sin(i j pi/n), i, j = 1..n-1."""
     k = np.arange(1, n)
-    # cos(j pi/n) as a sine, so that cos(pi/2) is exactly 0 and -mu reversed is mu;
     # k j is reduced mod 2n first, and the 2n sines of [0, 2 pi) computed once and looked up
-    return (np.sin((n - 2 * k) * (np.pi / (2 * n))),
-            np.sqrt(2.0 / n) * np.sin(np.arange(2 * n) * (np.pi / n))[np.outer(k, k) % (2 * n)])
+    sines = np.sin(np.arange(2 * n) * (np.pi / n))
+    return _shift_cosines(n), np.sqrt(2.0 / n) * sines[np.outer(k, k) % (2 * n)]
 
 
 def _companion_ends(first_row: np.ndarray) -> np.ndarray:
@@ -235,7 +234,7 @@ def _companion_ends(first_row: np.ndarray) -> np.ndarray:
 
 def _companion_peaks(first_row: np.ndarray, scale: float):
     """thetas -> (lambda_max of the Hermitian part of e^{i theta} C / scale, and
-    its support point), one per angle, for C the companion matrix with the
+    its slope in theta), one per angle, for C the companion matrix with the
     given first row c: the sweep's route to its secular equation.
 
     With D = diag(e^{i (k-1) theta}), D* e^{i theta} C D is the companion matrix
@@ -247,39 +246,35 @@ def _companion_peaks(first_row: np.ndarray, scale: float):
         (z - h) prod_j (z - mu_j) - sum_j |v_j|^2 prod_{k != j} (z - mu_k),
 
     whose largest root _largest_secular_root finds. The returned function
-    takes a batch of angles, and optionally bounds above lambda_max to start
-    Newton from, and solves it in chunks of at most 8192 / n angles. scale is
-    max |C_ij|, or C's largest part where that overflows, so H(theta)'s entries
-    reach sqrt(2) at most; _companion_border divides by it. The support point is
-    e^{i theta} p, p = u*Cu / (scale u*u) for the top eigenvector u = D (1, S y),
-    y_j = v_j / (lambda_max - mu_j): Re(e^{i theta} p) = lambda_max, and by
-    Hellmann-Feynman the slope of lambda_max in theta is -Im(e^{i theta} p).
+    takes a batch of angles and solves it in chunks of at most 8192 / n
+    angles. scale is max |C_ij|, or C's largest part where that overflows, so
+    H(theta)'s entries reach sqrt(2) at most; _companion_border divides by it.
+    By Hellmann-Feynman the slope is -Im(e^{i theta} u*Cu) / (scale u*u) for
+    the top eigenvector u = D (1, x), x = S y, y_j = v_j / (lambda_max - mu_j).
     """
     n = first_row.size
     scale = np.array([scale])
     cosines, sines = _toeplitz_basis(n)
-    powers = np.arange(1, n + 1)
+    poles, powers = cosines / scale, np.arange(1, n + 1)
 
-    def solve(thetas: np.ndarray, start):
+    def solve(thetas: np.ndarray):
         top, h, g = _companion_border(first_row, np.exp(1j * thetas[:, None] * powers), scale)
         v_re, v_im = g.real @ sines, g.imag @ sines
         del g  # freed before the Newton steps allocate theirs
         w = v_re**2 + v_im**2
-        values, inv = _largest_secular_root(h, w, cosines / scale, start)
-        # u*Cu / scale = u* (D* e^{i theta} C D / scale) u with u = (1, x), x = S y:
-        # the first row past the corner is 2 conj(g) less the subdiagonal's 1/2,
-        # and sum_j conj(g_j) x_j = sum_j conj(v_j) y_j = sum_j w_j / (lambda - mu_j)
-        x = (v_re * inv) @ sines + 1j * ((v_im * inv) @ sines)
-        shifted = (np.conj(x[:, 1:]) * x[:, :-1]).sum(axis=1) - 2j * x[:, 0].imag
-        point = (top + shifted) / scale[0] + 2 * (w * inv).sum(axis=1)
-        return values, point / (1 + (x.real**2 + x.imag**2).sum(axis=1))
+        values, inv = _largest_secular_root(h, w, poles)
+        # Im(u* D* e^{i theta} C D u) / scale, u = (1, x): the corner gives Im(e^{i theta} c_0),
+        # the first row past it (2 conj(g) less the subdiagonal's 1/2) -Im x_0, as conj(g) x =
+        # sum w_j / (lambda - mu_j) is real, the subdiagonal -Im x_0 + Im sum conj(x_{k+1}) x_k
+        x_re, x_im = (v_re * inv) @ sines, (v_im * inv) @ sines
+        shifted = (x_re[:, 1:] * x_im[:, :-1] - x_im[:, 1:] * x_re[:, :-1]).sum(axis=1)
+        turning = (top.imag + shifted - 2 * x_im[:, 0]) / scale[0]
+        return values, -turning / (1 + (w * inv * inv).sum(axis=1))  # u*u = 1 + |y|^2
 
-    def peaks(thetas: np.ndarray, start=None):
+    def peaks(thetas: np.ndarray):
         # in chunks, which bound the Newton steps' arrays of angles x n
-        chunk, parts = max(1, _PEAKS_CHUNK // n), []
-        for first in range(0, thetas.size, chunk):
-            rows = slice(first, first + chunk)
-            parts.append(solve(thetas[rows], None if start is None else start[rows]))
+        chunk = max(1, _PEAKS_CHUNK // n)
+        parts = [solve(thetas[first:first + chunk]) for first in range(0, thetas.size, chunk)]
         return tuple(map(np.concatenate, zip(*parts)))
 
     return peaks
@@ -339,16 +334,15 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
     On X / max |X_ij|, from 32 equally spaced angles, each round evaluates one
     batch in the wide intervals, those whose vertex exceeds max f by over 1e-14
     relative plus 16 eps |im| / sin h, the rounding of f that the vertex formula
-    amplifies. Each angle also gives the slope f', from its support point:
+    amplifies. Each angle also gives the slope f', from its top eigenvector:
     ladders graded by the curvature of f close in on the peaks (_sweep_ladders),
     a wide interval no ladder reaches is split 16-fold, and one angle is aimed
     where the farthest vertex points (at a corner of W(X), f there is w(X)). One
     sorted batch holds them all, and an angle within 1e-10 of one taken, or of
-    the one before it, is dropped: their vertex would be rounding noise. Newton
-    starts each angle from the bound its interval's vertex puts on f. The sweep
-    stops when no angle is left or at 4096 angles, where a batch is thinned to
-    fewer splits and then to the angles nearest the farthest vertex; a flat f
-    (W(X) a disk) ends there, about 4e-7 wide.
+    the one before it, is dropped: their vertex would be rounding noise. The
+    sweep stops when no angle is left or at 4096 angles, where a batch is
+    thinned to fewer splits and then to the angles nearest the farthest vertex;
+    a flat f (W(X) a disk) ends there, about 4e-7 wide.
 
     A companion matrix (any first row, ones on the subdiagonal, exact zeros
     elsewhere, n >= 2) gets f from a rank-one secular equation over the known
@@ -363,12 +357,12 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
             return math.inf, math.inf
         scale = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
     peaks = (_companion_peaks(m[0], scale) if _is_companion(m)
-             else lambda thetas, start: _dense_peaks(m / scale, thetas))
+             else lambda thetas: _dense_peaks(m / scale, thetas))
     thetas = np.linspace(0.0, 2 * np.pi, _SWEEP_START, endpoint=False)
-    values, points = peaks(thetas, None)
+    values, slopes = peaks(thetas)
     while True:
         order = np.argsort(thetas)
-        thetas, values, points = thetas[order], values[order], points[order]
+        thetas, values, slopes = thetas[order], values[order], slopes[order]
         half = (np.concatenate((thetas[1:], [2 * np.pi])) - thetas) / 2  # thetas[0] is 0
         following = np.concatenate((values[1:], values[:1]))
         re = (values + following) / (2 * np.cos(half))
@@ -380,7 +374,7 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
         wide = vertex > lower * (1 + _SWEEP_RTOL) + _SWEEP_NOISE * np.abs(im) / np.sin(half)
         if not wide.any():
             break
-        rungs, reached = _sweep_ladders(thetas, values, -points.imag, half, wide, lower)
+        rungs, reached = _sweep_ladders(thetas, values, slopes, half, wide, lower)
         split = wide & ~reached  # where the budget binds, fewer pieces
         room = _SWEEP_BUDGET - thetas.size - rungs.size - 1  # 1 for the aimed angle
         pieces = min(_SWEEP_SPLIT, max(2, 1 + room // max(split.sum(), 1)))
@@ -398,13 +392,10 @@ def numerical_radius_sweep(x) -> tuple[float, float]:
             keep = keep[np.argsort(np.abs(off))[:room]]
         if keep.size == 0:
             break
-        fresh, at, turn = fresh[keep], at[keep], turn[keep]
-        bound = re[at] * np.cos(turn) - im[at] * np.sin(turn)  # the vertex's support value
-        new_values, new_points = peaks(fresh, bound + _SWEEP_NOISE * np.abs(bound))
-        thetas = np.concatenate([thetas, fresh])
-        values = np.concatenate([values, new_values])
-        points = np.concatenate([points, new_points])
-    return scale * lower, scale * float(vertex[far])
+        found = (fresh[keep], *peaks(fresh[keep]))
+        thetas, values, slopes = map(np.concatenate, zip((thetas, values, slopes), found))
+    # the farthest vertex can round below max f by an ulp; the bracket is never inverted
+    return scale * lower, scale * max(float(vertex[far]), lower)
 
 
 def nonneg_numrad(c) -> float:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _shift_cosines
+
 __all__ = [
     "TriToeplitz",
     "toeplitz_eigenvalues",
@@ -56,11 +58,10 @@ def _offdiag_factor(t: TriToeplitz) -> complex:
 
 
 def toeplitz_eigenvalues(t: TriToeplitz) -> tuple[complex, ...]:
-    """All n eigenvalues via the closed form, k = 1..n."""
-    factor = _offdiag_factor(t)
-    return tuple([
-        complex(t.a + factor * np.cos(k * np.pi / (t.n + 1))) for k in range(1, t.n + 1)
-    ])
+    """All n eigenvalues via the closed form, k = 1..n; its cosines are exact
+    in sign and at pi/2 (linalg._shift_cosines), so tri(b, 0, c)'s list reversed
+    is its negation and, at odd n, its middle eigenvalue is 0."""
+    return tuple(map(complex, t.a + _offdiag_factor(t) * _shift_cosines(t.n + 1)))
 
 
 def toeplitz_spectral_radius(t: TriToeplitz) -> float:

@@ -286,7 +286,7 @@ def _record_batches(monkeypatch):
 
     def companion_spy(first_row, scale):
         peaks = companion_peaks(first_row, scale)
-        return lambda batch, start=None: recorded(batch, peaks(batch, start))
+        return lambda batch: recorded(batch, peaks(batch))
 
     monkeypatch.setattr(zerobounds.linalg, "_companion_peaks", companion_spy)
     monkeypatch.setattr(zerobounds.linalg, "_dense_peaks",
@@ -352,7 +352,7 @@ def _eigvalsh_peak(m, theta):
 
 @pytest.mark.parametrize("route", ["companion", "dense"])
 def test_slopes_are_the_derivative_of_lambda_max(route):
-    # f'(theta) = -Im(e^{i theta} p) for the support point p, and Re(e^{i theta} p) = f
+    # f'(theta) = -Im(e^{i theta} u*Mu) for the top unit eigenvector u (Hellmann-Feynman)
     rng = np.random.default_rng(31)
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False) + 0.1
     if route == "companion":
@@ -362,18 +362,19 @@ def test_slopes_are_the_derivative_of_lambda_max(route):
         matrices = [random_matrix(rng, n) for n in range(2, 9)]
     for m in matrices:
         scale = np.max(np.abs(m))
+        values, slopes = _dense_peaks(m / scale, thetas)
         if route == "companion":
-            values, points = _companion_peaks(m[0], scale)(thetas)
-        else:
-            values, points = _dense_peaks(m / scale, thetas)
+            values, fast = _companion_peaks(m[0], scale)(thetas)
+            # the real-arithmetic formula, against the dense eigenvector's on the same matrix
+            assert np.max(np.abs(fast - slopes)) <= 1e-13 * np.max(values)
+            slopes = fast
         ahead, behind = ([_eigvalsh_peak(m / scale, t + h) for t in thetas] for h in (1e-5, -1e-5))
         difference = (np.array(ahead) - np.array(behind)) / 2e-5
-        assert np.max(np.abs(-points.imag - difference)) <= 1e-6 * np.max(values)
-        assert np.max(np.abs(points.real - values)) <= 1e-13 * np.max(values)
+        assert np.max(np.abs(slopes - difference)) <= 1e-6 * np.max(values)
 
 
 def test_sweep_solved_in_chunks_matches_one_batch(monkeypatch):
-    # each chunk takes its own angles' Newton starts; chunks of 3 angles show it at degree 16
+    # each chunk is solved on its own; chunks of 3 angles show it at degree 16
     rng = np.random.default_rng(37)
     c = _companion(rng.normal(size=16) + 1j * rng.normal(size=16))
     whole = numerical_radius_sweep(c)
@@ -401,7 +402,11 @@ def test_sweep_spends_the_budget_on_flat_profiles(monkeypatch, lower_coefficient
     np.eye(6, k=1),  # a nilpotent Jordan block, dense route; W is a disk about 0, so f is flat
     build_companion(Polynomial((0.0,) * 8)),  # the shift, companion route, also flat
     _companion([-1.0] + [0.0] * 63),  # z^64 - 1, unitary with 64 corners
-], ids=["jordan-dense", "shift-companion", "unitary-64"])
+    # real quadratics whose farthest vertex rounds an ulp below max f
+    build_companion(make_monic([1, 1.1689755584506096, -1.9978953224389506])),
+    build_companion(make_monic([1, -1.3558752843755584, -0.8523943925947982])),
+], ids=["jordan-dense", "shift-companion", "unitary-64",
+        "vertex-below-max-a", "vertex-below-max-b"])
 def test_sweep_evaluates_at_most_the_angle_budget(monkeypatch, matrix):
     thetas, _ = _record_batches(monkeypatch)
     lower, upper = numerical_radius_sweep(matrix)

@@ -61,6 +61,14 @@ def test_eigenvalues_are_symmetric_about_the_diagonal_entry():
     assert np.allclose(shifted, negated, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 39])
+def test_a_zero_diagonal_spectrum_is_exactly_antisymmetric(n):
+    eigs = toeplitz_eigenvalues(TriToeplitz(n, 1, 0, 1))
+    assert all(z == -w for z, w in zip(eigs, reversed(eigs)))
+    if n % 2:
+        assert eigs[n // 2] == 0
+
+
 def test_normality_detection():
     assert is_normal(TriToeplitz(4, 2j, 1, -2))  # |b| = |c| = 2
     assert is_normal(TriToeplitz(4, 0, 1, 0))
