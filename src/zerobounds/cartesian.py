@@ -33,6 +33,7 @@ from .errors import (
     DegreeTooSmallError,
     HypothesisViolatedError,
     NegativeInputError,
+    NonFiniteMatrixError,
     OddDegreeError,
 )
 from .linalg import _companion_ends, as_matrix, hermitian_eigs, nonneg_numrad, operator_norm
@@ -60,13 +61,17 @@ __all__ = [
 ]
 
 
+def _companion_first_row(p: Polynomial) -> np.ndarray:
+    """(-a_m, ..., -a_1), the first row of C(p); the rest of C(p) is fixed by its size."""
+    if p.degree < 2:
+        raise DegreeTooSmallError("companion matrix needs degree >= 2")
+    return np.negative(p.lower[::-1])
+
+
 def build_companion(p: Polynomial) -> np.ndarray:
     """The degree x degree companion matrix of p."""
-    n = p.degree
-    if n < 2:
-        raise DegreeTooSmallError("companion matrix needs degree >= 2")
-    matrix = np.eye(n, k=-1, dtype=complex)
-    matrix[0] = np.negative(p.lower[::-1])
+    matrix = np.eye(p.degree, k=-1, dtype=complex)
+    matrix[0] = _companion_first_row(p)
     return matrix
 
 
@@ -135,6 +140,12 @@ class Rectangle:
 MW_APPLICABILITY = {"guaranteed": "valid", "heuristic": "conditional", "refused": "refused"}
 
 
+def _refuse_overflow(*values) -> None:
+    """Refuse a non-finite float or array entry as as_matrix refuses a non-finite matrix."""
+    if not np.isfinite(values).all():
+        raise NonFiniteMatrixError("matrix entries must be finite")
+
+
 def _require_nonneg(**named: float) -> None:
     for name, value in named.items():
         if value < 0:
@@ -176,6 +187,10 @@ def _shared_row_parts(bc: BlockCompanion) -> tuple[float, float, complex, float]
     return memo["row_parts"]
 
 
+# _companion_row_parts' 4 x 4 B but its corner (|r|^2 - 1) / 2
+_W1_BLOCK = np.array([[0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]) / 2
+
+
 def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex, float]:
     """(w1, w2, s_1, t = |(s_2, ..., s_n)|) of a companion matrix with first
     row (r, s) in n x n blocks, n >= 2. w_k = w(P_kk^2 + Q_kk^2) is lambda_max
@@ -192,16 +207,19 @@ def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex
     n <= 4. When n > 4 the difference also has the eigenvalue 0, which never
     exceeds R B R*'s largest: R B R* is singular, or congruent to B, which has
     two positive eigenvalues. Only |r|^2 is squared, so only it can overflow.
+    R B R* is Hermitian by construction: eigh takes it checked for finiteness only.
     """
     r = row[:n]
     basis = np.zeros((n, 4), dtype=complex)
     basis[0, 0] = basis[-1, 1] = 1.0
-    basis[:, 2] = np.conj(r)
-    basis[1:, 3] = np.conj(r[:-1])
+    basis[:, 2] = conj = np.conj(r)
+    basis[1:, 3] = conj[:-1]
     tri = np.linalg.qr(basis, mode="r")
-    squared = float(np.vdot(r, r).real)
-    b = np.array([[squared - 1, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]) / 2
-    w1 = 1.0 + float(hermitian_eigs(tri @ b @ tri.conj().T).values[-1])
+    b = _W1_BLOCK.copy()
+    b[0, 0] = (float(np.vdot(r, r).real) - 1) / 2
+    compressed = tri @ b @ tri.conj().T
+    _refuse_overflow(compressed)
+    w1 = 1.0 + float(np.linalg.eigh(compressed).eigenvalues[-1])
     return w1, 1.0 if n > 2 else 0.5, complex(row[n]), math.hypot(*np.abs(row[n + 1:]))
 
 
@@ -221,7 +239,7 @@ def _companion_block_cartesian(bc: BlockCompanion) -> float:
     norm12 = t * (math.sin(p) + math.sin(q)) + coupled(
         2 * (x * math.cos(p) + y * math.cos(q)), 0.0, 2 * t * math.hypot(math.cos(p), math.cos(q)))
     weight12 = norm12 * (norm12 / 2)  # halved first: the square may overflow, the weight not
-    as_matrix([[2 * w1, weight12]], square=False)  # refuses an overflowed weight
+    _refuse_overflow(2 * w1, weight12)
     return math.sqrt(coupled(2 * w1, 2 * w2, weight12 + 2))
 
 
@@ -279,7 +297,7 @@ def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
     w1, w2, s1, t = _shared_row_parts(bc)
     s = bc.companion[0, bc.n:]
     squared = float(np.vdot(s, s).real)
-    as_matrix([[squared]])  # refuses an overflowed |s|^2
+    _refuse_overflow(squared)
     coupling = math.sqrt(coupled(squared, 1.0, 2 * abs(s1))) + (
         (max(squared, 1.0) + t) / math.sqrt(squared + 1.0 + 2 * t))
     return w1, w2, coupling
@@ -440,5 +458,5 @@ def hermitian_rectangle(p: Polynomial) -> Rectangle:
     row: each part scaled by its own largest entry, and its ends from one eigvalsh
     below degree linalg._SECULAR_ENDS, else from one secular equation.
     """
-    (re_lo, re_hi), (im_lo, im_hi) = _companion_ends(build_companion(p)[0]).tolist()
+    (re_lo, re_hi), (im_lo, im_hi) = _companion_ends(_companion_first_row(p)).tolist()
     return Rectangle(re_lo + 0.0, re_hi, im_lo + 0.0, im_hi)  # -0.0 + 0.0 is +0.0

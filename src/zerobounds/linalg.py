@@ -3,9 +3,11 @@
 Matrices are plain numpy arrays (complex dtype) of modest size, so the
 general kernels favor clarity and tight contracts over asymptotic
 cleverness. The Hermitian eigensolver is LAPACK's (via ``numpy.linalg.eigh``);
-it serves general matrices and blocks, while compare's rows on a companion
-matrix reach it for sizes of 4 or less, and below a crossover degree for the
-rectangle's two Cartesian parts (``_companion_ends``).
+``hermitian_eigs`` checks its input and serves general matrices and blocks.
+Compare's rows on a companion matrix build Hermitian matrices whose shape and
+symmetry they know, so they call LAPACK directly: cartesian's w1 on a matrix
+of size 4 or less, and ``_companion_ends`` on the rectangle's two Cartesian
+parts below a crossover degree.
 The numerical-radius sweep brackets
 w(X) = max_theta lambda_max((e^{i theta} X + e^{-i theta} X*)/2) between the
 best sampled value and the farthest vertex of the outer polygon the sampled
@@ -56,6 +58,7 @@ _SWEEP_NOISE = 16 * _EPS  # relative rounding error allowed in each f, for the c
 _SWEEP_MIN_GAP = 1e-10  # radians; closer angles give a vertex of rounding noise
 _SWEEP_BUDGET = 4096  # most angles one sweep evaluates
 _SWEEP_RUNGS = 32  # most ladder rungs on each side of a peak
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j])  # e^{-i k pi/2} exactly, k = 0..3
 
 
 def as_matrix(a, square: bool = True) -> np.ndarray:
@@ -208,23 +211,23 @@ def _companion_ends(first_row: np.ndarray) -> np.ndarray:
     _DENSE_ENDS_SCALE, else from lambda_max of H and -H in one secular equation: in T's
     basis -H is diag(-mu) bordered by -v, its poles reversed are mu, and its weights are
     H's |v_j|^2 reversed."""
-    n, c_0, c_1 = first_row.size, first_row[0], first_row[1]
+    n, (c_0, c_1) = first_row.size, first_row[:2].tolist()
     rest = np.abs(first_row[2:] / 2).max(initial=float(n > 2) / 2)
     # np.hypot gives a scalar abs's bits; np.abs's vector loop can round an ulp away
-    re_near, im_near = np.hypot((c_1.real + np.array([1.0, -1.0])) / 2, c_1.imag / 2).tolist()
+    re_near, im_near = np.hypot([(c_1.real + 1.0) / 2, (c_1.real - 1.0) / 2], c_1.imag / 2).tolist()
     scale = np.array([[max(abs(c_0.real), re_near, rest) or 1.0],
                       [max(abs(c_0.imag), im_near, rest) or 1.0]])
-    # e^{i theta (j+1)} at theta = 0 and -pi/2: 1 and the powers of -i, exactly
-    turns = np.array([1, -1j, -1, 1j])[np.outer([0, 1], np.arange(1, n + 1)) % 4]
+    # e^{i theta (j+1)} at theta = 0 and -pi/2: 1 and the powers of -i
+    turns = _QUARTER_TURNS[np.outer([0, 1], np.arange(1, n + 1)) % 4]
     _, h, g = _companion_border(first_row, turns, scale)
     if n < _SECULAR_ENDS and scale.max() <= _DENSE_ENDS_SCALE:
-        parts = np.zeros((h.size, n, n), dtype=complex)
-        parts[:, 0, 0], parts[:, 1:, 0] = h, g
-        parts[:, np.arange(2, n), np.arange(1, n - 1)] = np.full(n - 2, 0.5) / scale  # T
-        values = np.linalg.eigvalsh(parts)
+        parts = np.zeros((h.size, n * n), dtype=complex)  # lower triangles of n x n parts
+        parts[:, 0], parts[:, n::n] = h, g
+        parts[:, 2 * n + 1::n + 1] = np.full(n - 2, 0.5) / scale  # T (at n = 2, no 0.5 / scale)
+        values = np.linalg.eigvalsh(parts.reshape(-1, n, n))
         if not np.isfinite(values).all():
             raise InternalConsistencyError("dense eigensolve gave a non-finite eigenvalue")
-        return scale * values[:, [0, -1]]
+        return scale * values[:, ::n - 1]
     mu, sines = _toeplitz_basis(n)
     w = (g.real @ sines) ** 2 + (g.imag @ sines) ** 2
     peaks, _ = _largest_secular_root(np.concatenate((h, -h)), np.concatenate((w, w[:, ::-1])),

@@ -50,10 +50,12 @@ def _modulus(c: complex) -> float:
 @dataclass(frozen=True)
 class Polynomial:
     """Monic polynomial; ``lower[k-1]`` is a_k, the coefficient of z**(k-1), and
-    ``moduli[k-1]`` is |a_k|, or inf past the float range (as for 1.5e308+1.5e308i)."""
+    ``moduli[k-1]`` is |a_k|, or inf past the float range (as for 1.5e308+1.5e308i).
+    ``degree``, len(lower), is stored once; like moduli it is not in repr, == or hash."""
 
     lower: tuple[complex, ...]
     moduli: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # tuples from lists: one grown from an iterator by resizing fragments the heap
@@ -68,11 +70,8 @@ class Polynomial:
             moduli = tuple([*map(_modulus, coeffs)])
         object.__setattr__(self, "lower", coeffs)
         object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "degree", len(coeffs))
         object.__setattr__(self, "_descending", (1.0 + 0j, *reversed(coeffs)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.lower)
 
     def coefficient(self, k: int) -> complex:
         """a_k for k = 1..degree."""

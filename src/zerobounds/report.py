@@ -166,7 +166,7 @@ def _row_fields(name: str, p: Polynomial, quotient: Polynomial, opt: CompareOpti
     so an overflow reads as a refusal or inf."""
     method = METHODS[name]
     target, notes, refusal = p, (), None
-    if method.even and p.degree % 2 == 1 and p.coefficient(1) != 0:
+    if method.even and p.degree % 2 == 1 and p.lower[0] != 0:
         refusal = "requires even degree (constant term is nonzero)"
     elif p.degree < method.min_degree:
         refusal = f"requires degree >= {method.min_degree}"
@@ -404,12 +404,12 @@ def _json_list(items: list[str], indent: str) -> str:
     """json.dumps(indent=2)'s layout of an array of rendered items, opened at indent."""
     if not items:
         return "[]"
-    return "[\n" + ",\n".join(f"{indent}  {item}" for item in items) + f"\n{indent}]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
 
 
 def _json_object(keys: str, indent: str) -> str:
-    """A str.format template: json.dumps(indent=2)'s layout of an object, opened at indent."""
-    return "{{\n" + ",\n".join(f'{indent}  "{k}": {{}}' for k in keys.split()) + f"\n{indent}}}}}"
+    """A %-template: json.dumps(indent=2)'s layout of an object, opened at indent."""
+    return "{\n" + ",\n".join(f'{indent}  "{k}": %s' for k in keys.split()) + f"\n{indent}}}"
 
 
 _COMPARE_JSON = _json_object("degree coefficients oracle oracle_error reduced rows", "") + "\n"
@@ -429,23 +429,23 @@ def format_compare_json(report: CompareReport) -> str:
     fixed templates: numbers are 12-significant-digit strings, and an absent
     oracle, variant, value, verdict, margin, rank or rectangle is null."""
     maxmod = _json12(report.oracle.max_modulus if report.oracle is not None else None)
-    oracle = "null" if report.oracle is None else _ORACLE_JSON.format(
+    oracle = "null" if report.oracle is None else _ORACLE_JSON % (
         maxmod, _json(report.oracle.iterations))
     rows = [
-        _ROW_JSON.format(
+        _ROW_JSON % (
             _quote(row.method), "null" if row.variant is None else _quote(row.variant),
             _json12(row.value), _quote(row.applicability), maxmod,
             "null" if row.verdict is None else _quote(row.verdict), _json12(row.margin),
             "null" if row.rank is None else str(row.rank),
-            "null" if (rect := row.rectangle) is None else _RECTANGLE_JSON.format(
-                *map(_json12, (rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi))),
+            "null" if (rect := row.rectangle) is None else _RECTANGLE_JSON % tuple(
+                map(_json12, (rect.re_lo, rect.re_hi, rect.im_lo, rect.im_hi))),
             _json_list([_quote(note) for note in row.notes], "      "),
         )
         for row in report.rows
     ]
-    return _COMPARE_JSON.format(
+    return _COMPARE_JSON % (
         _json(report.degree),
-        _json_list([_json(_coefficient_text(c)) for c in report.coefficients], "  "),
+        _json_list([_quote(_coefficient_text(c)) for c in report.coefficients], "  "),
         oracle, _json(report.oracle_error), _json(report.reduced), _json_list(rows, "  "),
     )
 
@@ -476,13 +476,13 @@ def format_fixture_json(reports: list[FixtureReport]) -> str:
     """The reports as json.dumps(payload, indent=2) + "\\n" writes them; a NaN
     reference or computed value (a guard or verdict check) is null."""
     return _json_list([
-        _FIXTURE_JSON.format(
-            _json(r.name), _json(r.passed), _json12(r.oracle_max_modulus),
+        _FIXTURE_JSON % (
+            _quote(r.name), _json(r.passed), _json12(r.oracle_max_modulus),
             _json_list([
-                _CHECK_JSON.format(
-                    _json(c.method), _json(c.variant), _json(c.component), _json(c.status),
+                _CHECK_JSON % (
+                    _quote(c.method), _json(c.variant), _json(c.component), _quote(c.status),
                     *["null" if math.isnan(x) else _json12(x) for x in (c.reference, c.computed)],
-                    _json(c.passed), _json(c.detail))
+                    _json(c.passed), _quote(c.detail))
                 for c in r.checks
             ], "    "))
         for r in reports
@@ -491,7 +491,7 @@ def format_fixture_json(reports: list[FixtureReport]) -> str:
 
 def format_roots_json(roots: RootSet) -> str:
     """The roots with their moduli and residuals, in the layout of json.dumps(indent=2)."""
-    return _ROOTS_JSON.format(
+    return _ROOTS_JSON % (
         len(roots.roots), _json12(roots.max_modulus), roots.iterations,
-        _json_list([_ROOT_JSON.format(*map(_json12, (z.real, z.imag, _modulus(z), r)))
+        _json_list([_ROOT_JSON % tuple(map(_json12, (z.real, z.imag, _modulus(z), r)))
                     for z, r in zip(roots.roots, roots.residuals)], "  "))

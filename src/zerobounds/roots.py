@@ -69,7 +69,6 @@ def _aberth_terms(descending):
     coefficients = np.zeros((2, n + 1), dtype=complex)
     coefficients[0] = descending[::-1]
     coefficients[1, :n] = coefficients[0, 1:] * np.arange(1, n + 1)
-    moduli = np.abs(coefficients[0])
     powers = np.ones((n + 1, n), dtype=complex)
     if n < _HIGH_DEGREE:
         diff = np.empty((n, n), dtype=complex)
@@ -80,8 +79,7 @@ def _aberth_terms(descending):
             np.multiply.accumulate(powers, out=powers)
 
         def sums(z):
-            diff[:] = z
-            np.subtract(diff, z[:, None], out=diff)
+            np.subtract(z, z[:, None], out=diff)
             diagonal[:] = np.inf
             return np.add.reduce(np.reciprocal(diff, out=diff))
     else:
@@ -111,11 +109,11 @@ def _aberth_terms(descending):
         return coefficients @ powers
 
     def terms(z):
-        p_values, slopes = values(z)
-        return p_values, slopes, sums(z)
+        both = values(z)  # indexed: unpacking an array's rows by iteration costs more
+        return both[0], both[1], sums(z)
 
     def level():
-        return 4 * n * np.finfo(float).eps * (moduli @ np.abs(powers))
+        return 4 * n * np.finfo(float).eps * (np.abs(coefficients[0]) @ np.abs(powers))
 
     return values, terms, level
 
@@ -136,7 +134,7 @@ def _aberth_pass(terms, level, z, tol):
         p_values, slopes, sums = terms(z)
         newton = p_values / slopes
         step = newton / (1.0 - newton * sums)
-        largest = float(np.abs(step).max())
+        largest = float(np.maximum.reduce(np.abs(step)))
         if largest <= tol:
             return z - step, iteration, None
         if not math.isfinite(largest):

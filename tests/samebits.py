@@ -13,7 +13,9 @@ outputs, every float as ``float.hex``:
 - rectangle: hermitian_rectangle's row;
 - sweep: numerical_radius_sweep's two ends and the angles it evaluated;
 - sweep_row and closed: the radius_sweep row and every other method's row,
-  each with value, applicability, verdict, margin, rank, extents and notes.
+  each with value, applicability, verdict, margin, rank, extents and notes;
+- render: the SHA-256 of the all-methods compare's text, CSV and JSON
+  renderings.
 
 The families are complex, real and sparse Gaussians at degrees 2-256,
 coefficients scaled by 10^U(-300, 300) each (to degree 24) or by 10^U(-5, 5)
@@ -35,6 +37,7 @@ appeared or vanished. Its exit status is 1 when any output differs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -44,7 +47,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DEGREES = (2, 3, 4, 5, 6, 8, 11, 12, 16, 24, 32, 33, 47, 48, 64, 96, 128, 256)
-KINDS = ("roots", "rectangle", "sweep", "sweep_row", "closed")
+KINDS = ("roots", "rectangle", "sweep", "sweep_row", "closed", "render")
 NARROW = 1e-14
 FLOAT_WORDS = ("inf", "-inf", "nan")  # float.hex of the non-finite floats
 
@@ -176,6 +179,8 @@ def record(zb, sweeps, kind, data) -> dict:
         out.setdefault(group.get(row.method, "closed"), {})[row.method] = _row(row)
     if sweeps:
         out["sweep"] = sweeps[0]
+    out["render"] = [hashlib.sha256(render(report).encode()).hexdigest() for render in
+                     (zb.format_compare_text, zb.format_compare_csv, zb.format_compare_json)]
     return out
 
 

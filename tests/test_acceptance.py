@@ -11,16 +11,17 @@ changes:
   0.6319764145, and the test checks that value, the oracle's agreement with
   the companion-matrix eigenvalues it computes itself, and that the fixture
   still carries the published value. The h2 MW verdict is the same either
-  way. Two inputs that pass the MW guard, one by each of its two rules, are
-  pinned too: compare reports their MW rows as ``valid`` and ``violated``.
+  way. Three inputs that pass the MW guard, two by its rule (i) and one by
+  its rule (ii), are pinned too: compare reports their MW rows as ``valid``
+  and ``violated``.
 * criterion 6: the as-displayed ``printed`` kittaneh_disk variant undershoots
   the largest root on a few of the seeded random inputs (see also the pinned
   counterexample in test_classical.py). Its undershoots are collected apart
   from the valid bounds: the test asserts that they still occur and that the
   ``plus_one`` variant holds on each of those inputs. fujii_kubo and
-  abdurakhmanov, as the published tables use them, undershoot at degree 1-3;
-  two such inputs are pinned, and compare reports those rows as ``valid``
-  and ``violated``.
+  abdurakhmanov, as the published tables use them, undershoot at degree 1-3,
+  and so does the ``table`` variant of linden at degree 2; three such inputs
+  are pinned, and compare reports those rows as ``valid`` and ``violated``.
 
 Every other reference value reproduces at the stated tolerances.
 """
@@ -69,10 +70,11 @@ def _rel(computed, reference):
     return abs(computed - reference) / max(abs(reference), 1e-30)
 
 
-def _undershooting_rows(source, methods):
-    """{method: (value, max modulus)} of the rows of compare(source) that read
-    valid but whose value is below the oracle's max |z|."""
-    report = run_compare(source, CompareOptions(methods=methods))
+def _undershooting_rows(source, methods, **variants):
+    """{method: (value, max modulus)} of the rows of compare(source), with the
+    CompareOptions variants given, that read valid but whose value is below the
+    oracle's max |z|."""
+    report = run_compare(source, CompareOptions(methods=methods, **variants))
     return {row.method: (row.value, report.oracle.max_modulus) for row in report.rows
             if (row.applicability, row.verdict) == ("valid", "violated")}
 
@@ -151,11 +153,13 @@ def test_criterion_3_mw_small_coefficient_tables():
 H2_PUBLISHED_MAX_MODULUS = 0.6408240287
 H2_MAX_MODULUS = 0.6319764145
 
-# Inputs that pass the MW guard, by rule (i) and by rule (ii), whose MW value
-# is below the largest root (README caveat 4): (input, MW value, max modulus)
+# Inputs that pass the MW guard (the first and third by rule (i), the second by
+# rule (ii)) whose MW value is below the largest root (README caveat 4): (input,
+# MW value, max modulus). The third is the benchmark's zero_roots polynomial.
 MW_GUARANTEED_UNDERSHOOTS = [
     ("1, 2.1, -0.5, 0.5", 2.3936956, 2.395807527),
     ("1, -0.5648, -0.5307, -0.2001", 1.101802459, 1.166685725),
+    ("1, -0.8, -1.05, 0, 0, 0", 1.488043697, 1.5),
 ]
 
 
@@ -225,12 +229,15 @@ def test_criterion_5_rectangle_table():
             assert r.contains(z, slack=1e-9), (r, z)
 
 
-# fujii_kubo and abdurakhmanov are reproduced as the published tables use
-# them and undershoot at low degree (README caveat 3): (input, the methods
-# whose rows read valid and violated, their value, the max modulus)
+# fujii_kubo, abdurakhmanov and linden[table] are reproduced as the published
+# tables use them and undershoot at low degree (README caveat 3): (input, the
+# methods whose rows read valid and violated, their value, the max modulus,
+# the CompareOptions variants)
 LOW_DEGREE_UNDERSHOOTS = [
-    ("1, 1/2", ("fujii_kubo",), 0.375, 0.5),
-    ("1, 0, 1/2", ("fujii_kubo", "abdurakhmanov"), 0.625, 0.7071067812),
+    ("1, 1/2", ("fujii_kubo",), 0.375, 0.5, {}),
+    ("1, 0, 1/2", ("fujii_kubo", "abdurakhmanov"), 0.625, 0.7071067812, {}),
+    ("1, -0.21380042061810833, -0.7390408264829031", ("linden",), 0.9685822145,
+     0.9731960498, {"linden_variant": "table"}),
 ]
 
 
@@ -317,8 +324,8 @@ def test_criterion_6_validity_property_suite():
     assert all(
         plus_one >= maxmod - 1e-9 for _, _, _, plus_one, maxmod in printed_undershoots
     ), f"kittaneh_disk[plus_one] fails where printed undershoots: {listed}"
-    for source, methods, value, maxmod in LOW_DEGREE_UNDERSHOOTS:
-        rows = _undershooting_rows(source, methods)
+    for source, methods, value, maxmod, variants in LOW_DEGREE_UNDERSHOOTS:
+        rows = _undershooting_rows(source, methods, **variants)
         assert list(rows) == list(methods), f"{source}: only {list(rows)} undershoot"
         for method, (computed, oracle_max) in rows.items():
             assert _rel(computed, value) <= 1e-9 and _rel(oracle_max, maxmod) <= 1e-9, (

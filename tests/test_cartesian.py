@@ -362,6 +362,9 @@ def test_partition_rectangle_degree_preconditions():
         partition_rectangle(parse_polynomial("1, 0, 0, 0, 0, 1"))
     with pytest.raises(DegreeTooSmallError):
         partition_rectangle(parse_polynomial("1, 0, 1"))
+    # the unpartitioned rectangle needs a companion matrix, so degree >= 2
+    with pytest.raises(DegreeTooSmallError, match="companion matrix needs degree >= 2"):
+        hermitian_rectangle(parse_polynomial("1, 1"))
 
 
 # ------------------------------------------------------------ partition disk
