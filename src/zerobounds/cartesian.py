@@ -13,17 +13,18 @@ where stated).
 The companion blocks are a shift plus rank-one terms (A11 = Z + e_1 r^T,
 A12 = e_1 s^T, A21 = e_1 e_n^T, A22 = Z, with (r, s) the first row), so
 compare's Cartesian disk rows are closed forms of the first row whose one
-eigensolve, for w1, has size <= 4. It runs once per polynomial: every
-partition of a polynomial carries the polynomial's one memo, and
-_shared_row_parts keeps w1 there. block_cartesian_radius takes that closed
+eigensolve, for w1, has size <= 4. It runs once per polynomial: a polynomial
+has one partition, which build_block_companion keeps on it, and the
+partition's row_parts keeps w1. block_cartesian_radius takes that closed
 form when it is handed a BlockCompanion; the dense eigensolves serve general
 grids of blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +85,9 @@ def cartesian_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BlockCompanion:
     """Companion matrix of an even-degree polynomial in 2x2 block form.
 
-    n is the half-degree; the four n x n blocks are views of companion. _memo
-    holds what the Cartesian rows share (w1); one built by hand has its own.
+    n is the half-degree; the four n x n blocks are views of companion.
+    row_parts, what the Cartesian rows read (w1 among them), is computed on
+    first use and kept, also on one built by hand.
     """
 
     n: int
@@ -94,18 +96,25 @@ class BlockCompanion:
     a12: np.ndarray
     a21: np.ndarray
     a22: np.ndarray
-    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def row_parts(self) -> tuple[float, float, complex, float]:
+        """_companion_row_parts of the first row."""
+        return _companion_row_parts(self.companion[0], self.n)
 
 
 def build_block_companion(q: Polynomial) -> BlockCompanion:
-    """Partition C(q) for even degree 2n >= 4 into four n x n blocks. Its arrays are
-    read-only, and its memo is q's one memo, so every partition of q shares q's w1."""
-    n = _even_half(q)
-    full = build_companion(q)
-    full.flags.writeable = False
-    blocks = BlockCompanion(n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
-    object.__setattr__(blocks, "_memo", vars(q).setdefault("_companion_memo", {}))
-    return blocks
+    """q's one partition of C(q), for even degree 2n >= 4, into four n x n blocks.
+    The first call builds it, with read-only arrays, and keeps it on q; later
+    calls return the same object, so every row of q shares its w1."""
+    kept = vars(q)
+    if "_block_companion" not in kept:
+        n = _even_half(q)
+        full = build_companion(q)
+        full.flags.writeable = False
+        kept["_block_companion"] = BlockCompanion(
+            n, full, full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:])
+    return kept["_block_companion"]
 
 
 @dataclass(frozen=True)
@@ -179,14 +188,6 @@ def _twice_abs(h: np.ndarray) -> np.ndarray:
     return (eig.vectors * (mods + mods)) @ eig.vectors.conj().T
 
 
-def _shared_row_parts(bc: BlockCompanion) -> tuple[float, float, complex, float]:
-    """_companion_row_parts of bc, kept in bc's memo."""
-    memo = bc._memo
-    if "row_parts" not in memo:
-        memo["row_parts"] = _companion_row_parts(bc.companion[0], bc.n)
-    return memo["row_parts"]
-
-
 # _companion_row_parts' 4 x 4 B but its corner (|r|^2 - 1) / 2
 _W1_BLOCK = np.array([[0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]) / 2
 
@@ -196,8 +197,8 @@ def _companion_row_parts(row: np.ndarray, n: int) -> tuple[float, float, complex
     row (r, s) in n x n blocks, n >= 2. w_k = w(P_kk^2 + Q_kk^2) is lambda_max
     of the PSD (A_kk* A_kk + A_kk A_kk*)/2: diag(1/2, 1, ..., 1, 1/2) for
     A22 = Z, and I plus a difference compressed to at most 4 x 4 for
-    A11 = Z + e_1 r^T, with Z the down-shift. It runs once per polynomial:
-    _shared_row_parts keeps it in the memo every partition of the polynomial carries.
+    A11 = Z + e_1 r^T, with Z the down-shift. It runs once per partition:
+    BlockCompanion.row_parts keeps it, and a polynomial has one partition.
 
     As Z^T e_1 = 0, A11* A11 = I - e_n e_n^T + conj(r) r^T and
     A11 A11* = I - e_1 e_1^T + |r|^2 e_1 e_1^T + Z conj(r) e_1^T + e_1 (Z conj(r))*,
@@ -233,7 +234,7 @@ def _companion_block_cartesian(bc: BlockCompanion) -> float:
     is thus (t^2/g_P + t^2/g_Q) I + 2 (x_P/g_P) P12 + 2 (x_Q/g_Q) Q12. A21 =
     e_1 e_n^T weighs 2^2 / 2 = 2; w of [[2 w1, ||M||^2 / 2], [2, 2 w2]] is the
     lambda_max of its symmetric part."""
-    w1, w2, s1, t = _shared_row_parts(bc)
+    w1, w2, s1, t = bc.row_parts
     x, y = s1.real, s1.imag
     p, q = math.atan2(t, x), math.atan2(t, y)  # x/g = cos, t/g = sin without forming g
     norm12 = t * (math.sin(p) + math.sin(q)) + coupled(
@@ -294,7 +295,7 @@ def cartesian_disk_parts(bc: BlockCompanion) -> tuple[float, float, float]:
     (Y + det(Y)^{1/2} I) / (tr Y + 2 det(Y)^{1/2})^{1/2} for a 2 x 2 PSD Y,
     |P21| + |Q21| = diag(|s|^2 + t, 1 + t) / (|s|^2 + 1 + 2t)^{1/2} there.
     """
-    w1, w2, s1, t = _shared_row_parts(bc)
+    w1, w2, s1, t = bc.row_parts
     s = bc.companion[0, bc.n:]
     squared = float(np.vdot(s, s).real)
     _refuse_overflow(squared)
@@ -429,21 +430,19 @@ def mw_bound(g: Polynomial, strict: bool = False) -> BoundResult:
     value = coupled(math.hypot(*mods[1:]), 0.0, mods[0] + 1.0)
 
     big = next((k for k in range(2, n + 1) if mods[k - 1] >= 1.0), None)
-    tail_sum = sum(mods[1:])
-    # guarantee (ii), one (holds, reason it fails) pair per condition
-    failed = [reason for holds, reason in (
-        (all(x.imag == 0 for x in g.lower), "coefficients not all real"),
-        (all(m < 1.0 for m in mods), "some modulus not below 1"),
-        (all(a < b for a, b in zip(mods, mods[1:])), "moduli not strictly increasing"),
-        (tail_sum >= 2 / 3, f"tail sum {tail_sum:.10g} < 2/3"),
-    ) if not holds]
     if big is not None:
         status, reasons = "guaranteed", [f"|c_{big}| >= 1"]
-    elif not failed:
-        status = "guaranteed"
-        reasons = [f"real, strictly increasing moduli below 1, tail sum {tail_sum:.10g} >= 2/3"]
-    else:
-        status, reasons = "heuristic", failed
+    else:  # guarantee (ii), one (holds, reason it fails) pair per condition
+        tail_sum = sum(mods[1:])
+        reasons = [reason for holds, reason in (
+            (all(x.imag == 0 for x in g.lower), "coefficients not all real"),
+            (all(m < 1.0 for m in mods), "some modulus not below 1"),
+            (all(a < b for a, b in zip(mods, mods[1:])), "moduli not strictly increasing"),
+            (tail_sum >= 2 / 3, f"tail sum {tail_sum:.10g} < 2/3"),
+        ) if not holds]
+        status = "heuristic" if reasons else "guaranteed"
+        reasons = reasons or [
+            f"real, strictly increasing moduli below 1, tail sum {tail_sum:.10g} >= 2/3"]
     if strict and status == "heuristic":
         status = "refused"
         reasons.append("strict mode refuses heuristic use")

@@ -10,8 +10,8 @@ round-trip byte-for-byte through a JSON parse.
 
 Each entry of the method table calls its bound directly. The rows of one
 compare or fixture share the polynomial's set-up: its moduli, its even
-quotient, and the memo that each partition of it carries (see cartesian),
-where w1 is kept, so both Cartesian disk rows take w1 from one eigensolve.
+quotient, and its one block partition (see cartesian), which keeps w1, so
+both Cartesian disk rows share one companion build and one w1 eigensolve.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ how many outputs are identical, how many moved and the largest relative
 move of a float; for the sweep, the angles each run took, how many brackets
 end wider than 1e-14 (relative) and the largest move of an end among those
 narrow in both; and the failures (an oracle error or an exception) that
-appeared or vanished. Its exit status is 1 when any output differs.
+appeared or vanished, and how many of the inputs that fail in both runs name
+other causes, or the same ones in another order. Its exit status is 1 when
+any output differs.
 """
 
 from __future__ import annotations
@@ -225,6 +227,14 @@ def _move(a, b) -> float:
     return worst
 
 
+def _causes(out) -> list[str] | None:
+    """The causes a NoConvergenceError's text names, in order; None for any other output."""
+    text = out.get("roots")
+    if not isinstance(text, str) or "root iteration " not in text:
+        return None
+    return text.split("root iteration ", 1)[1].split(" (max residual", 1)[0].split(", then ")
+
+
 def _width(sweep) -> float:
     lower, upper = float.fromhex(sweep[0]), float.fromhex(sweep[1])
     return (upper - lower) / lower if lower and math.isfinite(upper) else 0.0
@@ -240,11 +250,15 @@ def compare(path_a: str, path_b: str) -> int:
     stats, differs = {}, False
     for (family, ident), a in runs[0].items():
         b = runs[1][family, ident]
-        s = stats.setdefault(family, {"inputs": 0, "appeared": 0, "vanished": 0, "angles": [0, 0],
-                                      "wide": [0, 0], "narrow_move": 0.0, "kinds": {}})
+        s = stats.setdefault(family, {"inputs": 0, "appeared": 0, "vanished": 0, "both": 0,
+                                      "causes": 0, "angles": [0, 0], "wide": [0, 0],
+                                      "narrow_move": 0.0, "kinds": {}})
         s["inputs"] += 1
         s["appeared"] += not a.get("failed") and bool(b.get("failed"))
         s["vanished"] += bool(a.get("failed")) and not b.get("failed")
+        if a.get("failed") and b.get("failed"):
+            s["both"] += 1
+            s["causes"] += _causes(a) != _causes(b)
         for kind in KINDS:
             if kind not in a and kind not in b:
                 continue
@@ -271,8 +285,9 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"{'':22}  sweep angles {s['angles'][0]} -> {s['angles'][1]}, wider than "
                   f"{NARROW:g}: {s['wide'][0]} -> {s['wide'][1]}, largest end move among "
                   f"narrow: {s['narrow_move']:.2g}")
-        if s["appeared"] or s["vanished"]:
-            print(f"{'':22}  failures appeared {s['appeared']}, vanished {s['vanished']}")
+        if s["appeared"] or s["vanished"] or s["both"]:
+            print(f"{'':22}  failures appeared {s['appeared']}, vanished {s['vanished']}, "
+                  f"causes changed {s['causes']} of {s['both']} failing in both")
     return int(differs)
 
 

@@ -1,6 +1,6 @@
-"""Set-up shared by the rows of one compare or fixture: one w1 per polynomial,
-each row built once, one error state per compare, and nothing that leaks from
-one method or polynomial into another."""
+"""Set-up shared by the rows of one compare or fixture: one partition and one w1 per
+polynomial, each row built once, one error state per compare, and nothing that leaks
+from one method or polynomial into another."""
 
 from pathlib import Path
 
@@ -37,19 +37,23 @@ INPUT_IDS = [*FIXTURES, "odd-reduced", *(f"random-{p.degree}" for p in RANDOM)]
 @pytest.mark.parametrize("source, reduced", [("1, 2, 3, 4, 5", False), (ODD_REDUCED, True)],
                          ids=["even", "quotient"])
 def test_both_cartesian_rows_share_one_w1(monkeypatch, source, reduced):
-    calls = []
+    calls, companions = [], []
     original = zerobounds.cartesian._companion_row_parts
+    build = zerobounds.cartesian.build_companion
 
     def spy(row, n):
         calls.append(n)
         return original(row, n)
 
     monkeypatch.setattr(zerobounds.cartesian, "_companion_row_parts", spy)
+    monkeypatch.setattr(zerobounds.cartesian, "build_companion",
+                        lambda p: companions.append(p.degree) or build(p))
     report = run_compare(source)
     assert report.reduced == reduced
     rows = {r.method: r for r in report.rows}
     assert rows["cartesian_disk"].verdict == rows["block_cartesian"].verdict == "holds"
     assert calls == [2]
+    assert companions == [4]  # one n x n companion per compare, for the partition
 
 
 def test_partitions_of_one_polynomial_share_w1_and_are_read_only(monkeypatch):
@@ -59,7 +63,7 @@ def test_partitions_of_one_polynomial_share_w1_and_are_read_only(monkeypatch):
                         lambda row, n: calls.append(n) or original(row, n))
     p = parse_polynomial("1, 2, 3, 4, 5, 6, 7")
     first, second = build_block_companion(p), build_block_companion(p)
-    assert first is not second
+    assert first is second
     assert cartesian_disk(first) == cartesian_disk(second)
     assert calls == [3]
     # an equal polynomial, and a partition built by hand, each compute their own
